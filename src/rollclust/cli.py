@@ -14,14 +14,9 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
-from .core import (
-    GraphFormatError,
-    ObjectiveKind,
-    format_weight,
-    read_graph,
-    write_graph,
-)
+from .core import GraphFormatError, ObjectiveKind, format_graph, read_graph, write_graph
 from .harness import (
     CompleteSigned,
     GenSpec,
@@ -116,17 +111,27 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     return parser, subparsers
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Report bad input on stderr and exit with status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def parse_config_file(path: str) -> "dict[str, str]":
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        _usage_error(f"cannot read config file: {exc}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            _usage_error(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -138,8 +143,18 @@ def _apply_config(argv, subparsers) -> None:
         return
     values = parse_config_file(known.config)
     for p in subparsers.values():
-        dests = {action.dest for action in p._actions}
-        applicable = {k: v for k, v in values.items() if k in dests}
+        applicable = {}
+        for action in p._actions:
+            value = values.get(action.dest)
+            if value is None:
+                continue
+            # argparse checks choices on flags only, never on defaults
+            if action.choices is not None and value not in action.choices:
+                _usage_error(
+                    f"{known.config}: {action.dest} = {value!r} is not one of "
+                    + ", ".join(action.choices)
+                )
+            applicable[action.dest] = value
         if applicable:
             p.set_defaults(**applicable)
 
@@ -152,7 +167,7 @@ def _write_json(path, payload) -> None:
 
 def cmd_gen(args) -> int:
     if args.n is None:
-        raise SystemExit("gen: --n is required (flag or config file)")
+        _usage_error("gen: --n is required (flag or config file)")
     if args.model == "planted":
         model = PlantedPartition(clusters=args.k, flip_prob=args.flip_prob)
     elif args.model == "uniform":
@@ -163,8 +178,6 @@ def cmd_gen(args) -> int:
     if args.out:
         write_graph(g, args.out)
     else:
-        from .core import format_graph
-
         sys.stdout.write(format_graph(g))
     return 0
 
@@ -172,11 +185,11 @@ def cmd_gen(args) -> int:
 def cmd_roll(args) -> int:
     g = read_graph(args.graph)
     if (args.rows is None) == (args.t is None):
-        raise SystemExit("roll: give exactly one of --rows or --t")
+        _usage_error("roll: give exactly one of --rows or --t")
     rows = args.rows if args.rows is not None else valid_roll_size(g.n, args.t)
     rolled = build_roll(g, rows)
     if not args.out:
-        raise SystemExit("roll: --out is required (a sidecar file is written next to it)")
+        _usage_error("roll: --out is required (a sidecar file is written next to it)")
     write_graph(rolled.graph, args.out)
     sidecar = {
         "n": g.n,
@@ -194,7 +207,7 @@ def cmd_round(args) -> int:
     )
     out = round_graph(g, params)
     if not args.out:
-        raise SystemExit("round: --out is required (a sidecar file is written next to it)")
+        _usage_error("round: --out is required (a sidecar file is written next to it)")
     write_graph(out.after, args.out)
     by_class: dict = {}
     for u, v, w in g.edges():
@@ -226,7 +239,7 @@ def cmd_solve(args) -> int:
     )
     res = run_solver(g, objective, spec)
     print(" ".join(str(lbl) for lbl in res.clustering.labels))
-    print(format_weight(res.value))
+    print(frac_to_str(res.value))
     if args.out:
         _write_json(
             args.out,
@@ -274,7 +287,12 @@ def cmd_reduce(args) -> int:
         epsilon=args.epsilon,
         lambda_ref=args.lambda_ref,
     )
-    agg = run_trials(g, cfg, args.trials)
+    try:
+        agg = run_trials(g, cfg, args.trials)
+    except RuntimeError as exc:
+        # a failed accounting identity: the program's fault, not the input's
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = args.out or "report.json"
     _write_json(out, aggregate_to_dict(agg))
     if args.format == "csv":
@@ -283,8 +301,8 @@ def cmd_reduce(args) -> int:
             writer.writerow(["bin_lo", "bin_hi", "count"])
             for left, right, count in _ratio_histogram(agg.ratios):
                 writer.writerow([f"{left:.6f}", f"{right:.6f}", count])
-    print(f"trials={agg.trials} opt={format_weight(agg.opt_value)} "
-          f"bad_event_freq={format_weight(agg.bad_event_freq)}")
+    print(f"trials={agg.trials} opt={frac_to_str(agg.opt_value)} "
+          f"bad_event_freq={frac_to_str(agg.bad_event_freq)}")
     return 0
 
 
@@ -326,7 +344,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GraphFormatError, ValueError, FileNotFoundError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

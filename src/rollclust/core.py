@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-Pair = "tuple[int, int]"
+from .jsonutil import frac_to_str
 
 
 class ObjectiveKind(Enum):
@@ -102,10 +102,6 @@ class SignedGraph:
         if not self._weights:
             return Fraction(0)
         return max(abs(w) for w in self._weights.values())
-
-    def weight_classes(self) -> tuple[Fraction, ...]:
-        """Distinct nonzero weights, sorted."""
-        return tuple(sorted(set(self._weights.values())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedGraph):
@@ -235,10 +231,6 @@ def normalize_weights(g: SignedGraph) -> "tuple[SignedGraph, bool]":
 # format errors. Written files round-trip exactly.
 
 
-def format_weight(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-
-
 def parse_weight(token: str) -> Fraction:
     try:
         return Fraction(token)
@@ -283,7 +275,7 @@ def parse_graph(text: str) -> SignedGraph:
 
 def format_graph(g: SignedGraph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v} {format_weight(w)}" for u, v, w in g.edges())
+    lines.extend(f"{u} {v} {frac_to_str(w)}" for u, v, w in g.edges())
     return "\n".join(lines) + "\n"
 
 

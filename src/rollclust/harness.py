@@ -28,6 +28,7 @@ from .core import (
 )
 from .roll import (
     RolledGraph,
+    all_duplicates,
     build_roll,
     duplicate_nodes,
     duplicate_of,
@@ -35,7 +36,6 @@ from .roll import (
     grid_node,
     induced_clustering,
     is_grid_bone,
-    max_slope,
     untrimmed_duplicate_count,
     valid_roll_size,
 )
@@ -187,18 +187,12 @@ class VerifyReport:
 def check_duplicate_count(n: int, rows: int, result: CheckResult) -> None:
     """Untrimmed duplicate count matches the closed form and exceeds rows^2/n."""
     result.instances_run += 1
-    count = sum(1 for _ in _iter_duplicates(rows, n))
+    count = sum(1 for _ in all_duplicates(rows, n))
     expected = untrimmed_duplicate_count(n, rows)
     if count != expected:
         result.fail(f"n={n} rows={rows}: counted {count}, formula {expected}")
     elif n >= 1 and rows * rows % n == 0 and count <= rows * rows // n:
         result.fail(f"n={n} rows={rows}: {count} duplicates, need more than {rows * rows // n}")
-
-
-def _iter_duplicates(rows: int, cols: int):
-    for slope in range(max_slope(rows, cols) + 1):
-        for start in range(rows):
-            yield start, slope
 
 
 def check_bone_partition(n: int, rows: int, result: CheckResult) -> None:

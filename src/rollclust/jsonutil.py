@@ -1,7 +1,8 @@
 """Exact-rational JSON encoding helpers.
 
 Rationals travel as "p/q" strings (plain integers for denominator 1) so
-reports round-trip without any float loss.
+reports round-trip without any float loss. frac_to_str is the package's one
+rational formatter; the graph text format writes weights with it too.
 """
 
 from __future__ import annotations
@@ -14,13 +15,9 @@ def frac_to_str(w: Fraction) -> str:
     return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
-def frac_from_str(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def opt_frac_to_str(w) -> "str | None":
     return None if w is None else frac_to_str(w)
 
 
-def opt_frac_from_str(text) -> "Fraction | None":
+def opt_fraction(text) -> "Fraction | None":
     return None if text is None else Fraction(text)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges
-from .jsonutil import frac_from_str, frac_to_str, opt_frac_from_str, opt_frac_to_str
+from .jsonutil import frac_to_str, opt_frac_to_str, opt_fraction
 from .roll import build_roll, induced_clustering, valid_roll_size
 from .rounding import DeviationStats, RoundingParams, deviation_stats, round_graph
 from .solvers import SolveResult, SolverKind, SolverSpec, run_solver, solve_exact
@@ -178,7 +178,8 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
     """Repeat reduce_and_solve with derived per-trial seeds and measure the
     bad event: best candidate worse than OPT/(lambda+eps) for MaxAgree, or
     worse than (lambda+eps)*OPT for MinDisagree. Needs the base graph to be
-    small enough for the exact oracle."""
+    small enough for the exact oracle. A failed accounting identity raises
+    RuntimeError naming the trial index and both derived seeds."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     opt = solve_exact(g, cfg.objective)
@@ -195,7 +196,13 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             rounding=replace(cfg.rounding, seed=r_seed),
             solver=replace(cfg.solver, seed=s_seed),
         )
-        rep = reduce_and_solve(g, cfg_i, u_ref=opt.clustering)
+        try:
+            rep = reduce_and_solve(g, cfg_i, u_ref=opt.clustering)
+        except RuntimeError as exc:
+            # name the seeds that replay the failing trial on its own
+            raise RuntimeError(
+                f"trial {i} (rounding seed {r_seed}, solver seed {s_seed}): {exc}"
+            ) from exc
         if cfg.objective is ObjectiveKind.MAX_AGREE:
             bad = rep.best.value < opt.value / target
         else:
@@ -255,8 +262,8 @@ def config_from_dict(d: dict) -> ReductionConfig:
         objective=ObjectiveKind.parse(d["objective"]),
         t=d["t"],
         rounding=RoundingParams(
-            alpha=frac_from_str(d["alpha"]),
-            beta=frac_from_str(d["beta"]),
+            alpha=Fraction(d["alpha"]),
+            beta=Fraction(d["beta"]),
             seed=d["rounding_seed"],
         ),
         solver=SolverSpec(
@@ -264,8 +271,8 @@ def config_from_dict(d: dict) -> ReductionConfig:
             seed=d["solver_seed"],
             budget=d["budget"],
         ),
-        epsilon=frac_from_str(d["epsilon"]),
-        lambda_ref=frac_from_str(d["lambda"]),
+        epsilon=Fraction(d["epsilon"]),
+        lambda_ref=Fraction(d["lambda"]),
     )
 
 
@@ -300,23 +307,23 @@ def aggregate_from_dict(d: dict) -> TrialAggregate:
         TrialSummary(
             rounding_seed=s["rounding_seed"],
             solver_seed=s["solver_seed"],
-            best_value=frac_from_str(s["best_value"]),
-            ratio=opt_frac_from_str(s["ratio"]),
+            best_value=Fraction(s["best_value"]),
+            ratio=opt_fraction(s["ratio"]),
             bad=s["bad"],
-            gap=opt_frac_from_str(s["gap"]),
+            gap=opt_fraction(s["gap"]),
         )
         for s in d["per_trial"]
     )
     return TrialAggregate(
         config=config_from_dict(d["config"]),
         trials=d["trials"],
-        opt_value=frac_from_str(d["opt_value"]),
+        opt_value=Fraction(d["opt_value"]),
         opt_clustering=Clustering(d["opt_clustering"]),
         opt_below_one=d["opt_below_one"],
-        bad_event_freq=frac_from_str(d["bad_event_freq"]),
-        ratios=tuple(opt_frac_from_str(r) for r in d["ratios"]),
-        gap_mean=opt_frac_from_str(d["gap_mean"]),
-        gap_min=opt_frac_from_str(d["gap_min"]),
-        gap_max=opt_frac_from_str(d["gap_max"]),
+        bad_event_freq=Fraction(d["bad_event_freq"]),
+        ratios=tuple(opt_fraction(r) for r in d["ratios"]),
+        gap_mean=opt_fraction(d["gap_mean"]),
+        gap_min=opt_fraction(d["gap_min"]),
+        gap_max=opt_fraction(d["gap_max"]),
         per_trial=summaries,
     )

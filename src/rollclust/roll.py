@@ -9,16 +9,18 @@ that starts at some row and advances by a fixed slope per column. Every
 duplicate therefore sees an isomorphic copy of the base graph, and distinct
 duplicates share no bones.
 
+duplicate_of finds a bone's duplicate in closed form.
+
 There are N*((N-1)/(n-1)+1) duplicates in total, more than fit disjoint
 copies of the edge set. Only the first N^2/n duplicates in lexicographic
-(slope, start_row) order stay active; only their bones carry weight in the
-rolled graph. The sum of any clustering's value over the active duplicates'
-induced clusterings equals its value on the rolled graph exactly.
+(slope, start_row) order stay active, and build_roll builds only their
+copies; the trimmed duplicates' bones carry no weight in the rolled graph.
+The sum of any clustering's value over the active duplicates' induced
+clusterings equals its value on the rolled graph exactly.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, NamedTuple
 
 from .core import Clustering, SignedGraph
@@ -32,13 +34,6 @@ class GridNode(NamedTuple):
 class DuplicateId(NamedTuple):
     start_row: int
     slope: int
-
-
-def vertical_distance(a: GridNode, b: GridNode, rows: int):
-    """Wrapped row distance from a to b; Infinity when a's column is right of b's."""
-    if a.col > b.col:
-        return math.inf
-    return (b.row - a.row) % rows
 
 
 def max_slope(rows: int, cols: int) -> int:
@@ -108,18 +103,17 @@ class RolledGraph:
 
     Fields: base (the original graph), rows (N), graph (the rolled graph on
     rows*n nodes, flat index row*n + col), active (kept duplicates in trim
-    order), bone_index (every grid bone, trimmed or not, to its duplicate;
-    keys are flat node pairs with the smaller index first).
+    order). Only the active duplicates' copies are built; duplicate_of maps
+    any bone, trimmed or not, to its duplicate.
     """
 
-    __slots__ = ("base", "rows", "graph", "active", "bone_index", "_active_set")
+    __slots__ = ("base", "rows", "graph", "active", "_active_set")
 
-    def __init__(self, base, rows, graph, active, bone_index):
+    def __init__(self, base, rows, graph, active):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "active", tuple(active))
-        object.__setattr__(self, "bone_index", bone_index)
         object.__setattr__(self, "_active_set", frozenset(active))
 
     def __setattr__(self, name, value):
@@ -151,33 +145,21 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
     if (rows * rows) % n != 0:
         raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
 
-    dups = list(all_duplicates(rows, n))
-    active = tuple(dups[: (rows * rows) // n])
-
-    bone_index: dict[tuple[int, int], DuplicateId] = {}
-    node_cache: dict[DuplicateId, tuple[GridNode, ...]] = {}
-    for d in dups:
-        nodes = duplicate_nodes(d, rows, n)
-        node_cache[d] = nodes
-        for j1 in range(n):
-            a = grid_index(nodes[j1], n)
-            for j2 in range(j1 + 1, n):
-                b = grid_index(nodes[j2], n)
-                key = (a, b) if a < b else (b, a)
-                if key in bone_index:
-                    raise AssertionError(f"bone {key} claimed by two duplicates")
-                bone_index[key] = d
+    active = tuple(list(all_duplicates(rows, n))[: (rows * rows) // n])
 
     base_edges = list(g.edges())
     weights: dict[tuple[int, int], object] = {}
     for d in active:
-        nodes = node_cache[d]
+        nodes = duplicate_nodes(d, rows, n)
         for j1, j2, w in base_edges:
             a = grid_index(nodes[j1], n)
             b = grid_index(nodes[j2], n)
-            weights[(a, b) if a < b else (b, a)] = w
+            key = (a, b) if a < b else (b, a)
+            if key in weights:
+                raise AssertionError(f"bone {key} claimed by two active duplicates")
+            weights[key] = w
 
-    return RolledGraph(g, rows, SignedGraph(rows * n, weights), active, bone_index)
+    return RolledGraph(g, rows, SignedGraph(rows * n, weights), active)
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:

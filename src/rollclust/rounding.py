@@ -12,8 +12,9 @@ weight| over the pre-rounding contributing set gives the post-rounding
 value exactly.
 
 Deviation accounting compares a candidate clustering against a reference on
-the same rounding outcome, per weight class, and the Hoeffding helper gives
-the standard tail bound for sums of centered roundings.
+the same rounding outcome (drift sums s1 and s2 and their gap), and the
+Hoeffding helper gives the standard tail bound for sums of centered
+roundings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .core import Clustering, ObjectiveKind, SignedGraph, contributing_edges
 from .streams import make_rng
@@ -90,27 +90,6 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     return RoundingOutcome(g, SignedGraph(g.n, weights), params)
 
 
-def contributing_weight_by_class(
-    g: SignedGraph, c: Clustering, objective: ObjectiveKind
-) -> "dict[Fraction, tuple[int, Fraction]]":
-    """Per weight class: (count, count*|class|) over the contributing edges."""
-    counts: dict[Fraction, int] = {}
-    for u, v in contributing_edges(g, c, objective):
-        w = g.weight(u, v)
-        counts[w] = counts.get(w, 0) + 1
-    return {w: (k, k * abs(w)) for w, k in counts.items()}
-
-
-@dataclass(frozen=True)
-class ClassDeviation:
-    """Contributing-edge overlap for one weight class: edges only in the
-    candidate's set, only in the reference's set, and shared."""
-
-    only_candidate: int
-    only_reference: int
-    shared: int
-
-
 @dataclass(frozen=True, eq=True)
 class DeviationStats:
     """How far a rounding outcome drifted from its expectation, for a
@@ -123,14 +102,10 @@ class DeviationStats:
     positive only when an epsilon was supplied.
     """
 
-    per_class: Mapping
     s1: Fraction
     s2: Fraction
     lam: Fraction
     gap_target: Fraction
-
-    # per_class is a plain dict; instances are compared, never hashed
-    __hash__ = None
 
     @property
     def gap(self) -> Fraction:
@@ -145,7 +120,7 @@ def deviation_stats(
     objective: ObjectiveKind,
     epsilon: "Fraction | None" = None,
 ) -> DeviationStats:
-    """Per-class deviation accounting for one rounding outcome.
+    """Drift accounting for one rounding outcome.
 
     Contributing sets are taken on the pre-rounding graph; rounded weights
     come from the outcome. lam must exceed 1.
@@ -157,27 +132,6 @@ def deviation_stats(
 
     cand = contributing_edges(before, candidate, objective)
     ref = contributing_edges(before, reference, objective)
-
-    by_class: dict[Fraction, list[int]] = {}
-    for edge_set, slot in ((cand, 0), (ref, 1)):
-        for u, v in edge_set:
-            w = before.weight(u, v)
-            by_class.setdefault(w, [0, 0, 0])
-    for u, v in cand | ref:
-        w = before.weight(u, v)
-        cell = by_class[w]
-        in_c, in_r = (u, v) in cand, (u, v) in ref
-        if in_c and in_r:
-            cell[2] += 1
-        elif in_c:
-            cell[0] += 1
-        else:
-            cell[1] += 1
-
-    per_class = {
-        w: ClassDeviation(only_candidate=a, only_reference=b, shared=c)
-        for w, (a, b, c) in by_class.items()
-    }
 
     s1 = sum((abs(after.weight(u, v)) - abs(before.weight(u, v)) for u, v in cand), Fraction(0))
     ref_drift = sum(
@@ -192,7 +146,7 @@ def deviation_stats(
         ref_total = sum((abs(before.weight(u, v)) for u, v in ref), Fraction(0))
         gap_target = epsilon / (lam * (lam + epsilon)) * ref_total
 
-    return DeviationStats(per_class=per_class, s1=s1, s2=s2, lam=lam, gap_target=gap_target)
+    return DeviationStats(s1=s1, s2=s2, lam=lam, gap_target=gap_target)
 
 
 def hoeffding_tail(z: int, t, alpha, beta) -> float:

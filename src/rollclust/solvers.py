@@ -62,21 +62,17 @@ class SolveResult:
     solver: SolverSpec
 
 
-def _scaled_prev_edges(g: SignedGraph) -> "tuple[list[list[tuple[int, int]]], int]":
-    """Edges as integer weights on a common denominator, grouped by the
-    larger endpoint: prev[v] lists (u, w_int) for u < v."""
-    scale = math.lcm(1, *(w.denominator for _, _, w in g.edges()))
-    prev: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, w in g.edges():
-        prev[v].append((u, int(w * scale)))
-    return prev, scale
-
-
-def _trivial_int_values(prev) -> "tuple[int, int]":
-    """(one-cluster, singletons) MaxAgree values in scaled integers."""
-    pos = sum(w for lst in prev for _, w in lst if w > 0)
-    neg = sum(-w for lst in prev for _, w in lst if w < 0)
-    return pos, neg
+def _scaled_edges(g: SignedGraph) -> "tuple[list, int, int, int]":
+    """Edges as (u, v, w_int) on a common denominator, in g.edges() order,
+    with the scale and the positive and negative weight totals in those
+    units. pos and neg are the one-cluster and singletons MaxAgree values
+    (and the singletons and one-cluster MinDisagree values)."""
+    edges = list(g.edges())
+    scale = math.lcm(1, *(w.denominator for _, _, w in edges))
+    scaled = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
+    pos = sum(w for _, _, w in scaled if w > 0)
+    neg = -sum(w for _, _, w in scaled if w < 0)
+    return scaled, scale, pos, neg
 
 
 def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
@@ -93,9 +89,12 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     if n == 0:
         return SolveResult(Clustering([]), Fraction(0), objective, spec)
 
-    prev, scale = _scaled_prev_edges(g)
+    edges, scale, one_cluster, singletons = _scaled_edges(g)
+    # prev[v] lists (u, w_int) for u < v
+    prev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        prev[v].append((u, w))
     maximize = objective is ObjectiveKind.MAX_AGREE
-    one_cluster, singletons = _trivial_int_values(prev)
     total = one_cluster + singletons
 
     # Largest value the not-yet-assigned suffix can still add (MaxAgree) or
@@ -203,14 +202,10 @@ def solve_exact_reference(g: SignedGraph, objective: ObjectiveKind) -> SolveResu
 def solve_trivial_max(g: SignedGraph) -> SolveResult:
     """Better of one-cluster and all-singletons under MaxAgree; always at
     least half the total absolute weight."""
-    ones = Clustering.one_cluster(g.n)
-    sing = Clustering.singletons(g.n)
-    v_ones = clustering_value(g, ones, ObjectiveKind.MAX_AGREE)
-    v_sing = clustering_value(g, sing, ObjectiveKind.MAX_AGREE)
-    spec = SolverSpec(SolverKind.TRIVIAL_MAX)
-    if v_ones >= v_sing:
-        return SolveResult(ones, v_ones, ObjectiveKind.MAX_AGREE, spec)
-    return SolveResult(sing, v_sing, ObjectiveKind.MAX_AGREE, spec)
+    _, scale, pos, neg = _scaled_edges(g)
+    c = Clustering.one_cluster(g.n) if pos >= neg else Clustering.singletons(g.n)
+    value = Fraction(max(pos, neg), scale)
+    return SolveResult(c, value, ObjectiveKind.MAX_AGREE, SolverSpec(SolverKind.TRIVIAL_MAX))
 
 
 def _require_complete_pm1(g: SignedGraph) -> None:
@@ -258,21 +253,15 @@ def solve_local_search(
         return SolveResult(Clustering([]), Fraction(0), objective, spec)
 
     maximize = objective is ObjectiveKind.MAX_AGREE
-    start_ones = Clustering.one_cluster(n)
-    start_sing = Clustering.singletons(n)
-    v_ones = clustering_value(g, start_ones, objective)
-    v_sing = clustering_value(g, start_sing, objective)
-    if maximize:
-        labels = list((start_ones if v_ones >= v_sing else start_sing).labels)
-    else:
-        labels = list((start_ones if v_ones <= v_sing else start_sing).labels)
+    edges, _, pos, neg = _scaled_edges(g)
+    # one cluster scores pos agreements and neg disagreements, singletons
+    # the reverse, so both objectives prefer one cluster iff pos >= neg
+    labels = [0] * n if pos >= neg else list(range(n))
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    scale = math.lcm(1, *(w.denominator for _, _, w in g.edges()))
-    for u, v, w in g.edges():
-        w_int = int(w * scale)
-        adj[u].append((v, w_int))
-        adj[v].append((u, w_int))
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
 
     for _ in range(budget):
         best_move = None  # (delta, node, target_label)

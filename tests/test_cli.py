@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,59 @@ def test_missing_file_is_reported_as_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.txt"))
     assert code == 2
     assert "error:" in err
+
+
+def usage_error(capsys, *argv):
+    """Run argv expecting exit status 2; return the stderr text."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_missing_config_file_is_reported_as_error(tmp_path, capsys):
+    err = usage_error(capsys, "gen", "--n", "3", "--config", str(tmp_path / "nope.cfg"))
+    assert err.startswith("error: cannot read config file:")
+
+
+def test_malformed_config_line_is_reported_as_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = 3\nthis is not a key value line\n")
+    err = usage_error(capsys, "gen", "--config", str(cfg))
+    assert err == f"error: {cfg}:2: expected 'key = value'\n"
+
+
+@pytest.mark.parametrize("line, key", [("model = bogus", "model"), ("format = xml", "format")])
+def test_config_values_must_be_valid_choices(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n = 3\n{line}\n")
+    err = usage_error(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "g.txt"))
+    assert err.startswith(f"error: {cfg}: {key} = ")
+    assert not (tmp_path / "g.txt").exists()
+
+
+def test_directory_as_graph_is_reported_as_error(tmp_path, capsys):
+    code, _, err = run(capsys, "solve", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_reduce_reports_accounting_failure_as_error(tmp_path, capsys, monkeypatch):
+    import rollclust.reduction
+
+    real = rollclust.reduction.run_solver
+
+    def misreports(g, objective, spec):
+        res = real(g, objective, spec)
+        return replace(res, value=res.value + 1)
+
+    base = gen_graph(tmp_path, capsys)
+    monkeypatch.setattr(rollclust.reduction, "run_solver", misreports)
+    code, _, err = run(capsys, "reduce", str(base), "--trials", "2",
+                       "--out", str(tmp_path / "agg.json"))
+    assert code == 1
+    assert err.startswith("error: trial 0 (rounding seed ")
+    assert not (tmp_path / "agg.json").exists()
 
 
 def test_malformed_graph_is_reported_as_error(tmp_path, capsys):

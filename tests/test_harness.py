@@ -125,7 +125,7 @@ def test_negative_control_missing_duplicate_is_caught():
     # drop one active duplicate: its bones are now claimed by nobody
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
     r = build_roll(g, valid_roll_size(4, 0))
-    corrupted = RolledGraph(r.base, r.rows, r.graph, r.active[:-1], r.bone_index)
+    corrupted = RolledGraph(r.base, r.rows, r.graph, r.active[:-1])
     result = CheckResult()
     check_edge_disjointness(corrupted, result)
     assert result.failures == 1
@@ -135,7 +135,7 @@ def test_negative_control_missing_duplicate_is_caught():
 def test_negative_control_double_claim_is_caught():
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
     r = build_roll(g, valid_roll_size(4, 0))
-    corrupted = RolledGraph(r.base, r.rows, r.graph, r.active + (r.active[0],), r.bone_index)
+    corrupted = RolledGraph(r.base, r.rows, r.graph, r.active + (r.active[0],))
     result = CheckResult()
     check_edge_disjointness(corrupted, result)
     assert result.failures == 1
@@ -149,7 +149,7 @@ def test_negative_control_wrong_weight_is_caught():
     u, v, w = next(iter(r.graph.edges()))
     weights[(u, v)] = w + 1 if w != -1 else Fraction(1, 2)
     bad_graph = SignedGraph(r.graph.n, weights)
-    corrupted = RolledGraph(r.base, r.rows, bad_graph, r.active, r.bone_index)
+    corrupted = RolledGraph(r.base, r.rows, bad_graph, r.active)
     iso = CheckResult()
     check_isomorphism(corrupted, iso)
     assert iso.failures == 1

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,32 @@ def test_run_trials_identity_regime():
         assert s.rounding_seed == derive_seed(0, "trial", i, "round")
         assert s.solver_seed == derive_seed(0, "trial", i, "solve")
         assert not s.bad
+
+
+def test_accounting_failure_names_trial_and_seeds(monkeypatch):
+    import rollclust.reduction
+
+    real = rollclust.reduction.run_solver
+    calls = []
+
+    def misreports_second_call(g, objective, spec):
+        res = real(g, objective, spec)
+        calls.append(spec)
+        return replace(res, value=res.value + 1) if len(calls) == 2 else res
+
+    monkeypatch.setattr(rollclust.reduction, "run_solver", misreports_second_call)
+    g = pm1_graph(random.Random(2), 3)
+    cfg = identity_config(MAX, seed=9)
+    with pytest.raises(RuntimeError) as info:
+        run_trials(g, cfg, trials=3)
+    r_seed = derive_seed(9, "trial", 1, "round")
+    s_seed = derive_seed(0, "trial", 1, "solve")
+    assert str(info.value).startswith(
+        f"trial 1 (rounding seed {r_seed}, solver seed {s_seed}): "
+        "solver-reported value disagrees"
+    )
+    # the named seeds are the ones the failing trial ran under
+    assert (calls[1].seed, len(calls)) == (s_seed, 2)
 
 
 def test_run_trials_gap_stats_present():

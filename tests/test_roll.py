@@ -1,4 +1,4 @@
-import math
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,9 +18,8 @@ from rollclust import (
     is_grid_bone,
     untrimmed_duplicate_count,
     valid_roll_size,
-    vertical_distance,
 )
-from rollclust.roll import grid_index, grid_node, max_slope
+from rollclust.roll import all_duplicates, grid_index, grid_node, max_slope
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -36,13 +35,6 @@ def random_graph(rng, n, density=0.8):
                 if p:
                     weights[(u, v)] = Fraction(p, q)
     return SignedGraph(n, weights)
-
-
-def test_vertical_distance_examples():
-    assert vertical_distance(GridNode(0, 0), GridNode(2, 1), 5) == 2
-    assert vertical_distance(GridNode(3, 2), GridNode(1, 1), 5) == math.inf
-    assert vertical_distance(GridNode(4, 0), GridNode(1, 2), 5) == 2
-    assert vertical_distance(GridNode(2, 1), GridNode(2, 1), 5) == 0
 
 
 def test_grid_bone_examples():
@@ -133,7 +125,26 @@ def test_build_roll_structure():
     assert [d.slope for d in r.active] == sorted(d.slope for d in r.active)
     assert r.graph.n == 27
     assert r.graph.edge_count == 27 * g.edge_count
-    assert len(r.bone_index) == untrimmed_duplicate_count(3, 9) * 3
+    # every untrimmed duplicate owns C(3,2) = 3 grid bones, and no two share one
+    owned = [
+        pair
+        for d in all_duplicates(9, 3)
+        for pair in itertools.combinations(duplicate_nodes(d, 9, 3), 2)
+    ]
+    assert len(set(owned)) == len(owned) == untrimmed_duplicate_count(3, 9) * 3
+    assert all(is_grid_bone(a, b, 9, 3) for a, b in owned)
+
+
+def test_build_roll_rejects_two_active_duplicates_on_one_bone(monkeypatch):
+    # every duplicate collapses onto row 0, so the second active copy
+    # claims the first copy's bones
+    monkeypatch.setattr(
+        "rollclust.roll.duplicate_nodes",
+        lambda d, rows, cols: tuple(GridNode(0, j) for j in range(cols)),
+    )
+    g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
+    with pytest.raises(AssertionError, match="claimed by two active duplicates"):
+        build_roll(g, 3)
 
 
 def test_build_roll_requires_divisibility():
@@ -154,9 +165,9 @@ def test_rolled_edges_carry_base_weights():
                 a, b = grid_index(nodes[j1], 3), grid_index(nodes[j2], 3)
                 assert r.graph.weight(a, b) == g.weight(j1, j2)
     # bones of inactive duplicates carry nothing
-    inactive = [d for d in r.bone_index.values() if not r.is_active(d)]
+    inactive = [d for d in all_duplicates(3, 3) if not r.is_active(d)]
     assert inactive
-    for d in set(inactive):
+    for d in inactive:
         nodes = duplicate_nodes(d, 3, 3)
         for j1 in range(3):
             for j2 in range(j1 + 1, 3):
@@ -184,7 +195,7 @@ def test_active_duplicates_partition_rolled_edges():
                 key = (a, b) if a < b else (b, a)
                 assert key not in seen
                 seen.add(key)
-                assert r.bone_index[key] == d
+                assert duplicate_of(grid_node(a, n), grid_node(b, n), rows, n) == d
         assert seen == {(u, v) for u, v, _ in r.graph.edges()}
 
 

@@ -10,7 +10,6 @@ from rollclust import (
     ObjectiveKind,
     SignedGraph,
     contributing_edges,
-    contributing_weight_by_class,
     clustering_value,
     deviation_stats,
     hoeffding_tail,
@@ -142,19 +141,6 @@ def test_edges_round_independently():
     assert abs(cov) <= limit
 
 
-def test_contributing_weight_by_class_example():
-    g = SignedGraph(4, {(0, 1): Fraction(1, 2), (2, 3): Fraction(1, 2), (1, 2): -1, (0, 3): Fraction(1, 3)})
-    c = Clustering([0, 0, 1, 1])
-    table = contributing_weight_by_class(g, c, MAX)
-    # contributing: (0,1) and (2,3) at +1/2, (1,2) at -1; (0,3) crosses with +1/3
-    assert table == {
-        Fraction(1, 2): (2, Fraction(1)),
-        Fraction(-1): (1, Fraction(1)),
-    }
-    table_min = contributing_weight_by_class(g, c, MIN)
-    assert table_min == {Fraction(1, 3): (1, Fraction(1, 3))}
-
-
 def test_deviation_stats_counts_and_zero_drift():
     g = SignedGraph(4, {(0, 1): 1, (1, 2): -1, (2, 3): 1, (0, 3): -1})
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=5))  # identity
@@ -163,16 +149,13 @@ def test_deviation_stats_counts_and_zero_drift():
     stats = deviation_stats(out, cand, ref, Fraction(3, 2), MAX)
     # identity rounding drifts nothing
     assert stats.s1 == 0 and stats.s2 == 0 and stats.gap == 0
-    for w, cell in stats.per_class.items():
-        cand_count = cell.only_candidate + cell.shared
-        ref_count = cell.only_reference + cell.shared
-        assert cell.shared <= min(cand_count, ref_count)
-    # class +1: candidate keeps both inside edges, reference keeps both as well
-    plus = stats.per_class[Fraction(1)]
-    assert plus.shared == 2 and plus.only_candidate == 0 and plus.only_reference == 0
-    # class -1: candidate cuts both, one-cluster cuts none
-    minus = stats.per_class[Fraction(-1)]
-    assert minus.only_candidate == 2 and minus.shared == 0 and minus.only_reference == 0
+    # the sets the drift sums run over: both keep the +1 edges inside, and
+    # only the candidate cuts the -1 edges
+    cand_set = contributing_edges(g, cand, MAX)
+    ref_set = contributing_edges(g, ref, MAX)
+    assert cand_set & ref_set == {(0, 1), (2, 3)}
+    assert cand_set - ref_set == {(1, 2), (0, 3)}
+    assert not ref_set - cand_set
 
 
 def test_deviation_stats_rejects_lambda_at_most_one():
