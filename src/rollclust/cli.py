@@ -142,6 +142,15 @@ def _apply_config(argv, subparsers) -> None:
     if not known.config:
         return
     values = parse_config_file(known.config)
+    # keys are flag dests of any subcommand, so one file can serve several
+    actions = [action for p in subparsers.values() for action in p._actions]
+    dests = {action.dest for action in actions}
+    for key in values:
+        if key not in dests:
+            flag = "--" + key.replace("_", "-")
+            named = [action.dest for action in actions if flag in action.option_strings]
+            hint = f"; the key for {flag} is {named[0]!r}" if named else ""
+            _usage_error(f"{known.config}: unknown key {key!r}{hint}")
     for p in subparsers.values():
         applicable = {}
         for action in p._actions:

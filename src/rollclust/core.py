@@ -2,7 +2,9 @@
 
 A SignedGraph is an undirected weighted graph on nodes 0..n-1 whose weights
 are exact rationals; weight 0 and "no edge" are the same thing, so zero
-weights are never stored. A Clustering is a total assignment of nodes to
+weights are never stored. Inside, weights are integers over one per-graph
+`scale`, and only this module knows it: Fractions appear only at the API
+and report boundary. A Clustering is a total assignment of nodes to
 cluster labels, canonicalized so labels appear in first-occurrence order.
 
 Two complementary objectives are supported. Under MaxAgree an edge
@@ -11,11 +13,12 @@ or a negative edge crosses clusters; MinDisagree counts the complementary
 edges. For every clustering the two values sum to the total absolute
 weight of the graph.
 
-All arithmetic is exact (fractions.Fraction); nothing here uses floats.
+All arithmetic is exact; nothing here uses floats.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -50,10 +53,11 @@ class SignedGraph:
     """Undirected graph on n nodes with exact rational edge weights.
 
     Immutable after construction. Pairs are stored with the smaller node
-    first; zero weights are dropped; self-loops are rejected.
+    first; zero weights are dropped; self-loops are rejected. Weights are
+    stored as ints over `scale`, the lcm of their reduced denominators.
     """
 
-    __slots__ = ("n", "_weights")
+    __slots__ = ("n", "scale", "_weights")
 
     def __init__(self, n: int, weights: Mapping | Iterable | None = None):
         if n < 0:
@@ -75,8 +79,13 @@ class SignedGraph:
                 continue
             if w != 0:
                 store[key] = w
+        scale = math.lcm(1, *(w.denominator for w in store.values()))
+        scaled = {
+            key: w.numerator * (scale // w.denominator) for key, w in sorted(store.items())
+        }
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_weights", store)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_weights", scaled)
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedGraph is immutable")
@@ -84,32 +93,42 @@ class SignedGraph:
     def weight(self, u: int, v: int) -> Fraction:
         """Weight of the pair, Fraction(0) when absent."""
         key = (u, v) if u < v else (v, u)
-        return self._weights.get(key, Fraction(0))
+        return Fraction(self._weights.get(key, 0), self.scale)
 
     def edges(self) -> Iterator[tuple[int, int, Fraction]]:
         """Nonzero edges as (u, v, w) with u < v, in sorted pair order."""
-        for (u, v) in sorted(self._weights):
-            yield u, v, self._weights[(u, v)]
+        for (u, v), w in self._weights.items():
+            yield u, v, Fraction(w, self.scale)
+
+    def scaled_weights(self):
+        """Read-only view of the ((u, v), w * scale) items, u < v, in sorted
+        pair order. Every value is a nonzero int."""
+        return self._weights.items()
+
+    def abs_weight(self, pairs: Iterable[tuple[int, int]]) -> Fraction:
+        """Exact sum of |weight| over the given (u, v) pairs, u < v; pairs
+        without an edge add 0."""
+        weights = self._weights
+        return Fraction(sum(abs(weights.get(pair, 0)) for pair in pairs), self.scale)
 
     @property
     def edge_count(self) -> int:
         return len(self._weights)
 
     def total_abs_weight(self) -> Fraction:
-        return sum((abs(w) for w in self._weights.values()), Fraction(0))
+        return Fraction(sum(abs(w) for w in self._weights.values()), self.scale)
 
     def max_abs_weight(self) -> Fraction:
-        if not self._weights:
-            return Fraction(0)
-        return max(abs(w) for w in self._weights.values())
+        return Fraction(max((abs(w) for w in self._weights.values()), default=0), self.scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedGraph):
             return NotImplemented
-        return self.n == other.n and self._weights == other._weights
+        # scale is a function of the weights, so equal weights share it
+        return self.n == other.n and self.scale == other.scale and self._weights == other._weights
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self._weights.items()))))
+        return hash((self.n, self.scale, tuple(self._weights.items())))
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={self.edge_count})"
@@ -150,9 +169,6 @@ class Clustering:
     def num_clusters(self) -> int:
         return (max(self.labels) + 1) if self.labels else 0
 
-    def together(self, u: int, v: int) -> bool:
-        return self.labels[u] == self.labels[v]
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -168,15 +184,17 @@ class Clustering:
         return f"Clustering({list(self.labels)})"
 
 
-def _check_domain(g: SignedGraph, c: Clustering) -> None:
+def _contributing(g: SignedGraph, c: Clustering, objective: ObjectiveKind):
+    """Yield the ((u, v), w * scale) items that count toward the objective."""
     if len(c) != g.n:
         raise ValueError(f"clustering covers {len(c)} nodes, graph has {g.n}")
-
-
-def _contributes(w: Fraction, together: bool, objective: ObjectiveKind) -> bool:
-    if objective is ObjectiveKind.MAX_AGREE:
-        return (w > 0 and together) or (w < 0 and not together)
-    return (w > 0 and not together) or (w < 0 and together)
+    labels = c.labels
+    agree = objective is ObjectiveKind.MAX_AGREE
+    for pair, w in g.scaled_weights():
+        u, v = pair
+        # MaxAgree: positive inside or negative across; MinDisagree: the rest
+        if ((w > 0) == (labels[u] == labels[v])) == agree:
+            yield pair, w
 
 
 def contributing_edges(
@@ -188,24 +206,14 @@ def contributing_edges(
     MinDisagree keeps the complement. Zero-weight pairs never contribute,
     and the two objectives' contributing sets partition the nonzero edges.
     """
-    _check_domain(g, c)
-    return frozenset(
-        (u, v)
-        for u, v, w in g.edges()
-        if _contributes(w, c.together(u, v), objective)
-    )
+    return frozenset(pair for pair, _ in _contributing(g, c, objective))
 
 
 def clustering_value(
     g: SignedGraph, c: Clustering, objective: ObjectiveKind
 ) -> Fraction:
     """Sum of |weight| over the contributing edges. Exact, non-negative."""
-    _check_domain(g, c)
-    total = Fraction(0)
-    for u, v, w in g.edges():
-        if _contributes(w, c.labels[u] == c.labels[v], objective):
-            total += abs(w)
-    return total
+    return Fraction(sum(abs(w) for _, w in _contributing(g, c, objective)), g.scale)
 
 
 def normalize_weights(g: SignedGraph) -> "tuple[SignedGraph, bool]":
@@ -216,12 +224,12 @@ def normalize_weights(g: SignedGraph) -> "tuple[SignedGraph, bool]":
     the same positive factor preserves the set of optimal clusterings for
     both objectives.
     """
-    m = g.max_abs_weight()
+    m = max((abs(w) for _, w in g.scaled_weights()), default=0)
     if m == 0:
         return g, False
-    if m == 1:
+    if m == g.scale:
         return g, True
-    return SignedGraph(g.n, {(u, v): w / m for u, v, w in g.edges()}), True
+    return SignedGraph(g.n, {pair: Fraction(w, m) for pair, w in g.scaled_weights()}), True
 
 
 # --- graph text format ----------------------------------------------------

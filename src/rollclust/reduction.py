@@ -112,7 +112,7 @@ def reduce_and_solve(
 
     rolled_value_post = clustering_value(outcome.after, grid_res.clustering, cfg.objective)
     pre_set = contributing_edges(rolled.graph, grid_res.clustering, cfg.objective)
-    surviving = sum((abs(outcome.after.weight(u, v)) for u, v in pre_set), Fraction(0))
+    surviving = outcome.after.abs_weight(pre_set)
     if surviving != rolled_value_post:
         raise RuntimeError("post-rounding value disagrees with the contributing-set sum")
     if grid_res.value != rolled_value_post:
@@ -123,12 +123,7 @@ def reduce_and_solve(
         if cfg.lambda_ref > 1:
             u_n = duplication_clustering(u_ref, rows)
             stats = deviation_stats(
-                outcome,
-                grid_res.clustering,
-                u_n,
-                cfg.lambda_ref,
-                cfg.objective,
-                epsilon=cfg.epsilon,
+                outcome, grid_res.clustering, u_n, cfg.lambda_ref, cfg.objective
             )
         else:
             notes.append("deviation stats skipped: lambda_ref is 1")

@@ -51,7 +51,6 @@ class RoundingParams:
 class RoundingOutcome:
     before: SignedGraph
     after: SignedGraph
-    params: RoundingParams
 
 
 def bernoulli(rng: random.Random, p: Fraction) -> bool:
@@ -87,7 +86,7 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
         w2 = round_edge_weight(w, params, rng)
         if w2 != 0:
             weights[(u, v)] = w2
-    return RoundingOutcome(g, SignedGraph(g.n, weights), params)
+    return RoundingOutcome(g, SignedGraph(g.n, weights))
 
 
 @dataclass(frozen=True, eq=True)
@@ -98,14 +97,12 @@ class DeviationStats:
     s1 sums (|rounded| - |original|) over the candidate's pre-rounding
     contributing edges; s2 does the same for the reference, scaled by
     1/lam. Both have expectation zero. gap is the diagnostic difference
-    s1 - s2/lam; gap_target is the drift the bad event needs, which is
-    positive only when an epsilon was supplied.
+    s1 - s2/lam.
     """
 
     s1: Fraction
     s2: Fraction
     lam: Fraction
-    gap_target: Fraction
 
     @property
     def gap(self) -> Fraction:
@@ -118,7 +115,6 @@ def deviation_stats(
     reference: Clustering,
     lam: Fraction,
     objective: ObjectiveKind,
-    epsilon: "Fraction | None" = None,
 ) -> DeviationStats:
     """Drift accounting for one rounding outcome.
 
@@ -133,20 +129,9 @@ def deviation_stats(
     cand = contributing_edges(before, candidate, objective)
     ref = contributing_edges(before, reference, objective)
 
-    s1 = sum((abs(after.weight(u, v)) - abs(before.weight(u, v)) for u, v in cand), Fraction(0))
-    ref_drift = sum(
-        (abs(after.weight(u, v)) - abs(before.weight(u, v)) for u, v in ref), Fraction(0)
-    )
-    s2 = ref_drift / lam
-
-    if epsilon is None:
-        gap_target = Fraction(0)
-    else:
-        epsilon = Fraction(epsilon)
-        ref_total = sum((abs(before.weight(u, v)) for u, v in ref), Fraction(0))
-        gap_target = epsilon / (lam * (lam + epsilon)) * ref_total
-
-    return DeviationStats(s1=s1, s2=s2, lam=lam, gap_target=gap_target)
+    s1 = after.abs_weight(cand) - before.abs_weight(cand)
+    s2 = (after.abs_weight(ref) - before.abs_weight(ref)) / lam
+    return DeviationStats(s1=s1, s2=s2, lam=lam)
 
 
 def hoeffding_tail(z: int, t, alpha, beta) -> float:

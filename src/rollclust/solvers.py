@@ -16,7 +16,6 @@ budget with deterministic tie-breaking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -62,17 +61,13 @@ class SolveResult:
     solver: SolverSpec
 
 
-def _scaled_edges(g: SignedGraph) -> "tuple[list, int, int, int]":
-    """Edges as (u, v, w_int) on a common denominator, in g.edges() order,
-    with the scale and the positive and negative weight totals in those
-    units. pos and neg are the one-cluster and singletons MaxAgree values
-    (and the singletons and one-cluster MinDisagree values)."""
-    edges = list(g.edges())
-    scale = math.lcm(1, *(w.denominator for _, _, w in edges))
-    scaled = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
-    pos = sum(w for _, _, w in scaled if w > 0)
-    neg = -sum(w for _, _, w in scaled if w < 0)
-    return scaled, scale, pos, neg
+def _sign_totals(g: SignedGraph) -> "tuple[int, int]":
+    """Positive and negative weight totals in units of 1/g.scale: the
+    one-cluster and singletons MaxAgree values (and the singletons and
+    one-cluster MinDisagree values)."""
+    pos = sum(w for _, w in g.scaled_weights() if w > 0)
+    neg = -sum(w for _, w in g.scaled_weights() if w < 0)
+    return pos, neg
 
 
 def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
@@ -89,10 +84,10 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     if n == 0:
         return SolveResult(Clustering([]), Fraction(0), objective, spec)
 
-    edges, scale, one_cluster, singletons = _scaled_edges(g)
-    # prev[v] lists (u, w_int) for u < v
+    one_cluster, singletons = _sign_totals(g)
+    # prev[v] lists (u, w * scale) for u < v
     prev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
+    for (u, v), w in g.scaled_weights():
         prev[v].append((u, w))
     maximize = objective is ObjectiveKind.MAX_AGREE
     total = one_cluster + singletons
@@ -146,7 +141,7 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     walk(0, 0, 0)
     assert best_labels is not None
     return SolveResult(
-        Clustering(best_labels), Fraction(best_val, scale), objective, spec
+        Clustering(best_labels), Fraction(best_val, g.scale), objective, spec
     )
 
 
@@ -202,9 +197,9 @@ def solve_exact_reference(g: SignedGraph, objective: ObjectiveKind) -> SolveResu
 def solve_trivial_max(g: SignedGraph) -> SolveResult:
     """Better of one-cluster and all-singletons under MaxAgree; always at
     least half the total absolute weight."""
-    _, scale, pos, neg = _scaled_edges(g)
+    pos, neg = _sign_totals(g)
     c = Clustering.one_cluster(g.n) if pos >= neg else Clustering.singletons(g.n)
-    value = Fraction(max(pos, neg), scale)
+    value = Fraction(max(pos, neg), g.scale)
     return SolveResult(c, value, ObjectiveKind.MAX_AGREE, SolverSpec(SolverKind.TRIVIAL_MAX))
 
 
@@ -253,13 +248,13 @@ def solve_local_search(
         return SolveResult(Clustering([]), Fraction(0), objective, spec)
 
     maximize = objective is ObjectiveKind.MAX_AGREE
-    edges, _, pos, neg = _scaled_edges(g)
+    pos, neg = _sign_totals(g)
     # one cluster scores pos agreements and neg disagreements, singletons
     # the reverse, so both objectives prefer one cluster iff pos >= neg
     labels = [0] * n if pos >= neg else list(range(n))
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
+    for (u, v), w in g.scaled_weights():
         adj[u].append((v, w))
         adj[v].append((u, w))
 

@@ -205,6 +205,45 @@ def test_config_values_must_be_valid_choices(tmp_path, capsys, line, key):
     assert not (tmp_path / "g.txt").exists()
 
 
+@pytest.mark.parametrize("line", ["trails = 2", "sovler = local"])
+def test_config_keys_that_match_no_flag_are_rejected(tmp_path, capsys, line):
+    base = gen_graph(tmp_path, capsys)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"t = 0\n{line}\n")
+    out = tmp_path / "agg.json"
+    err = usage_error(capsys, "reduce", str(base), "--config", str(cfg), "--out", str(out))
+    key = line.split()[0]
+    assert err == f"error: {cfg}: unknown key {key!r}\n"
+    assert not out.exists()
+
+
+def test_config_key_named_after_a_flag_points_at_its_dest(tmp_path, capsys):
+    base = gen_graph(tmp_path, capsys)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("lambda = 3/2\n")
+    err = usage_error(capsys, "reduce", str(base), "--config", str(cfg))
+    assert err == f"error: {cfg}: unknown key 'lambda'; the key for --lambda is 'lambda_ref'\n"
+
+
+def test_one_config_serves_several_subcommands(tmp_path, capsys):
+    base = gen_graph(tmp_path, capsys)
+    cfg = tmp_path / "run.cfg"
+    # gen-only keys sit next to the reduce keys a benchmark config writes
+    cfg.write_text(
+        "n = 3\nmodel = uniform\nobjective = max\nt = 1\nalpha = 1\nbeta = 1\n"
+        "epsilon = 1/20\nlambda_ref = 3/2\nsolver = local\nbudget = 50\ntrials = 2\n"
+    )
+    out = tmp_path / "agg.json"
+    code, _, _ = run(capsys, "reduce", str(base), "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["trials"] == 2
+    assert payload["config"]["lambda"] == "3/2"
+    assert payload["config"]["solver"] == "local"
+    code, out_text, _ = run(capsys, "gen", "--config", str(cfg))
+    assert code == 0 and parse_graph(out_text).n == 3
+
+
 def test_directory_as_graph_is_reported_as_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(tmp_path))
     assert code == 2

@@ -14,15 +14,15 @@ from rollclust import (
     normalize_weights,
     parse_graph,
 )
-from rollclust.solvers import iter_partitions_by_merging
+from rollclust.solvers import iter_partitions_by_merging, solve_exact, solve_local_search
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
 
 
-def naive_value(g, c, objective):
+def naive_contributing(g, c, objective):
     # independent restatement of the objective, straight from the definition
-    total = Fraction(0)
+    pairs = set()
     for u in range(g.n):
         for v in range(u + 1, g.n):
             w = g.weight(u, v)
@@ -34,8 +34,12 @@ def naive_value(g, c, objective):
             else:
                 counts = (w > 0 and not together) or (w < 0 and together)
             if counts:
-                total += abs(w)
-    return total
+                pairs.add((u, v))
+    return pairs
+
+
+def naive_value(g, c, objective):
+    return sum((abs(g.weight(u, v)) for u, v in naive_contributing(g, c, objective)), Fraction(0))
 
 
 def random_graph(rng, n, density=0.7):
@@ -221,3 +225,96 @@ def test_clustering_canonical_form():
     assert Clustering.singletons(3).labels == (0, 1, 2)
     assert Clustering.one_cluster(3).num_clusters == 1
     assert Clustering([]).num_clusters == 0
+
+
+# --- the integer kernel against the definitions ---------------------------
+#
+# SignedGraph keeps integers over one per-graph scale; these checks read
+# only weight(), so they share no code with that representation.
+
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 512)
+
+
+def mixed_graph(rng, n, density=0.8):
+    """Weights over mixed denominators, numerators up to 1000."""
+    weights = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                p = rng.randint(-1000, 1000)
+                if p:
+                    weights[(u, v)] = Fraction(p, rng.choice(DENOMINATORS))
+    return SignedGraph(n, weights)
+
+
+def all_pairs(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def test_kernel_matches_naive_definition_on_mixed_denominators():
+    fixed = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): Fraction(-2, 3), (0, 2): Fraction(5, 7)})
+    assert fixed.scale == 42
+    assert clustering_value(fixed, Clustering([0, 0, 1]), MAX) == Fraction(1, 2) + Fraction(2, 3)
+    rng = random.Random(211)
+    graphs = [fixed, SignedGraph(0), SignedGraph(4)]
+    graphs += [mixed_graph(rng, rng.randint(2, 8)) for _ in range(60)]
+    for g in graphs:
+        for _ in range(4):
+            c = Clustering([rng.randrange(3) for _ in range(g.n)])
+            for objective in (MAX, MIN):
+                assert contributing_edges(g, c, objective) == naive_contributing(g, c, objective)
+                assert clustering_value(g, c, objective) == naive_value(g, c, objective)
+        pairs = [p for p in all_pairs(g.n) if rng.random() < 0.5]
+        assert g.abs_weight(pairs) == sum((abs(g.weight(u, v)) for u, v in pairs), Fraction(0))
+        assert g.abs_weight(all_pairs(g.n)) == g.total_abs_weight()
+    empty = SignedGraph(0)
+    assert empty.scale == 1 and empty.abs_weight([]) == 0 and empty.max_abs_weight() == 0
+
+
+def test_equal_weights_in_any_spelling_make_equal_graphs():
+    spellings = [Fraction(2, 4), Fraction(1, 2), "1/2"]
+    graphs = [SignedGraph(3, {(0, 1): w, (2, 1): -3}) for w in spellings]
+    graphs.append(SignedGraph(3, [((1, 2), -3), ((1, 0), "2/4")]))
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+    assert SignedGraph(3, {(0, 1): 1, (1, 2): -3}) != graphs[0]
+
+
+def scaled_by(g, c):
+    return SignedGraph(g.n, {(u, v): c * w for u, v, w in g.edges()})
+
+
+@pytest.mark.parametrize("factor", [Fraction(2, 7), Fraction(3)])
+def test_positive_scaling_scales_values_and_keeps_solutions(factor):
+    rng = random.Random(223)
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        g = mixed_graph(rng, n)
+        h = scaled_by(g, factor)
+        c = Clustering([rng.randrange(3) for _ in range(n)])
+        for objective in (MAX, MIN):
+            assert clustering_value(h, c, objective) == factor * clustering_value(g, c, objective)
+            assert contributing_edges(h, c, objective) == contributing_edges(g, c, objective)
+            for solve in (solve_exact, lambda graph, obj: solve_local_search(graph, obj, budget=50)):
+                a, b = solve(g, objective), solve(h, objective)
+                assert b.clustering == a.clustering
+                assert b.value == factor * a.value
+
+
+def test_node_relabeling_preserves_values():
+    rng = random.Random(227)
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        g = mixed_graph(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = SignedGraph(n, {(perm[u], perm[v]): w for u, v, w in g.edges()})
+        labels = [rng.randrange(3) for _ in range(n)]
+        moved = [0] * n
+        for v in range(n):
+            moved[perm[v]] = labels[v]
+        for objective in (MAX, MIN):
+            assert clustering_value(h, Clustering(moved), objective) == clustering_value(
+                g, Clustering(labels), objective
+            )
+            assert solve_exact(h, objective).value == solve_exact(g, objective).value

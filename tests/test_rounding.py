@@ -158,23 +158,33 @@ def test_deviation_stats_counts_and_zero_drift():
     assert not ref_set - cand_set
 
 
+def test_deviation_stats_match_per_pair_sums():
+    # the drift sums restated pair by pair through weight()
+    rng = random.Random(59)
+    for i in range(20):
+        g = random_graph(rng, 6)
+        out = round_graph(g, RoundingParams(alpha=2, beta=Fraction(3, 2), seed=i))
+        cand = Clustering([rng.randrange(3) for _ in range(6)])
+        ref = Clustering([rng.randrange(2) for _ in range(6)])
+        lam = Fraction(3, 2)
+
+        def drift(c):
+            return sum(
+                (abs(out.after.weight(u, v)) - abs(g.weight(u, v))
+                 for u, v in contributing_edges(g, c, MAX)),
+                Fraction(0),
+            )
+
+        stats = deviation_stats(out, cand, ref, lam, MAX)
+        assert stats.s1 == drift(cand)
+        assert stats.s2 == drift(ref) / lam
+
+
 def test_deviation_stats_rejects_lambda_at_most_one():
     g = SignedGraph(2, {(0, 1): 1})
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
     with pytest.raises(ValueError):
         deviation_stats(out, Clustering([0, 0]), Clustering([0, 0]), Fraction(1), MAX)
-
-
-def test_deviation_stats_gap_target():
-    g = SignedGraph(3, {(0, 1): 1, (1, 2): 1})
-    out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
-    ref = Clustering.one_cluster(3)
-    lam, eps = Fraction(2), Fraction(1, 10)
-    stats = deviation_stats(out, ref, ref, lam, MAX, epsilon=eps)
-    # reference keeps weight 2; target = eps / (lam (lam + eps)) * 2
-    assert stats.gap_target == eps / (lam * (lam + eps)) * 2
-    no_eps = deviation_stats(out, ref, ref, lam, MAX)
-    assert no_eps.gap_target == 0
 
 
 def test_drift_sums_center_on_zero():

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import rollclust
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_api_quick_start_runs_as_written():
@@ -24,3 +25,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in rollclust.__all__ if not hasattr(rollclust, name)]
     assert not missing
     assert len(set(rollclust.__all__)) == len(rollclust.__all__)
+
+
+def test_only_core_knows_how_weights_are_stored():
+    # SignedGraph's integer-over-scale format stays behind core.py
+    leaks = [
+        f"{path.name}: {needle}"
+        for path in sorted((ROOT / "src" / "rollclust").glob("*.py"))
+        if path.name != "core.py"
+        for needle in ("._weights", "math.lcm")
+        if needle in path.read_text(encoding="utf-8")
+    ]
+    assert not leaks
