@@ -93,6 +93,11 @@ def reduce_and_solve(
 
     outcome = round_graph(rolled.graph, cfg.rounding)
     grid_res = run_solver(outcome.after, cfg.objective, cfg.solver)
+    if grid_res.budget_exhausted:
+        notes.append(
+            f"local search stopped at its budget of {cfg.solver.budget} moves"
+            " with an improving move left"
+        )
 
     candidates = [induced_clustering(rolled, grid_res.clustering, d) for d in rolled.active]
     values = tuple(clustering_value(g, c, cfg.objective) for c in candidates)

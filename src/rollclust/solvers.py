@@ -11,7 +11,10 @@ solve_trivial_max returns the better of one-cluster and all-singletons,
 which always captures at least half the total absolute weight. solve_pivot
 is the classic randomized pivot rule for complete +-1 instances under
 MinDisagree. solve_local_search improves single-node moves under a move
-budget with deterministic tie-breaking.
+budget with deterministic tie-breaking. It keeps each node's signed scaled
+weight to every cluster it touches and updates those sums over the moved
+node's edges only; a move gains MaxAgree exactly what it takes off
+MinDisagree, so both objectives share one move rule.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class SolveResult:
     value: Fraction
     objective: ObjectiveKind
     solver: SolverSpec
+    budget_exhausted: bool = False
 
 
 def _sign_totals(g: SignedGraph) -> "tuple[int, int]":
@@ -230,6 +234,15 @@ def solve_pivot(g: SignedGraph, seed: int = 0) -> SolveResult:
     return SolveResult(c, value, ObjectiveKind.MIN_DISAGREE, SolverSpec(SolverKind.PIVOT, seed=seed))
 
 
+def _shift(sums: "dict[int, int]", label: int, w: int) -> None:
+    """Add w to sums[label], dropping the entry when it cancels to 0."""
+    s = sums.get(label, 0) + w
+    if s:
+        sums[label] = s
+    else:
+        del sums[label]
+
+
 def solve_local_search(
     g: SignedGraph, objective: ObjectiveKind, seed: int = 0, budget: int = 1000
 ) -> SolveResult:
@@ -238,7 +251,22 @@ def solve_local_search(
     Each step applies the best strictly improving move of one node to an
     existing cluster or a fresh singleton; ties break to the lowest node
     index, then the lowest target label. Stops at a local optimum or after
-    `budget` moves. Deterministic; the seed is carried only for provenance.
+    `budget` moves; `budget_exhausted` is set when the budget ran out while
+    an improving move was still left. Deterministic; the seed is carried
+    only for provenance.
+
+    net[v][l] holds the signed scaled weight from v to cluster l, with zero
+    sums dropped. Moving v from a to l raises MaxAgree and lowers
+    MinDisagree by the same gain, net[v][l] - net[v][a], so one move rule
+    serves both objectives. Every cluster to which v has no net weight
+    scores like the fresh singleton, so the lowest such label stands for
+    all of them. A move from a to b updates the sums of v's neighbours in
+    O(deg v), and each step is one pass over the sums. The value is the
+    start value plus the running total of the gains.
+
+    Only strictly improving moves are taken, so a graph whose positive and
+    negative totals tie never leaves the one-cluster start, even when a
+    move away from it would gain later.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -252,53 +280,51 @@ def solve_local_search(
     # one cluster scores pos agreements and neg disagreements, singletons
     # the reverse, so both objectives prefer one cluster iff pos >= neg
     labels = [0] * n if pos >= neg else list(range(n))
+    value = max(pos, neg) if maximize else min(pos, neg)
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    net: list[dict[int, int]] = [{} for _ in range(n)]
     for (u, v), w in g.scaled_weights():
         adj[u].append((v, w))
         adj[v].append((u, w))
+        _shift(net[u], labels[v], w)
+        _shift(net[v], labels[u], w)
 
-    for _ in range(budget):
-        best_move = None  # (delta, node, target_label)
+    budget_exhausted = False
+    for move in range(budget + 1):
         used = sorted(set(labels))
-        fresh = max(used) + 1
+        fresh = used[-1] + 1
+        best_gain, best_v, best_target = 0, -1, -1
         for v in range(n):
-            pos: dict[int, int] = {}
-            neg: dict[int, int] = {}
-            tot_pos = 0
-            tot_neg = 0
-            for u, w in adj[v]:
-                lbl = labels[u]
-                if w > 0:
-                    pos[lbl] = pos.get(lbl, 0) + w
-                    tot_pos += w
-                else:
-                    neg[lbl] = neg.get(lbl, 0) - w
-                    tot_neg -= w
-
-            def node_score(lbl: int) -> int:
-                if maximize:
-                    return pos.get(lbl, 0) + tot_neg - neg.get(lbl, 0)
-                return neg.get(lbl, 0) + tot_pos - pos.get(lbl, 0)
-
-            here = node_score(labels[v])
-            for target in used + [fresh]:
-                if target == labels[v]:
-                    continue
-                delta = node_score(target) - here
-                improving = delta > 0 if maximize else delta < 0
-                if improving and (
-                    best_move is None
-                    or (abs(delta) > abs(best_move[0]))
-                ):
-                    best_move = (delta, v, target)
-        if best_move is None:
+            sums = net[v]
+            a = labels[v]
+            # the heaviest other cluster with positive net weight to v, else
+            # (target None) one with none; zero sums are never stored
+            top, target = 0, None
+            for lbl, s in sums.items():
+                if lbl != a and (s > top or s == top and lbl < target):
+                    top, target = s, lbl
+            gain = top - sums.get(a, 0)
+            if gain > best_gain:
+                if target is None:
+                    target = next((l for l in used if l != a and l not in sums), fresh)
+                best_gain, best_v, best_target = gain, v, target
+        if best_v < 0:
             break
-        _, v, target = best_move
-        labels[v] = target
+        if move == budget:
+            budget_exhausted = True
+            break
+        a = labels[best_v]
+        labels[best_v] = best_target
+        value += best_gain if maximize else -best_gain
+        for u, w in adj[best_v]:
+            _shift(net[u], a, -w)
+            _shift(net[u], best_target, w)
 
-    c = Clustering(labels)
-    return SolveResult(c, clustering_value(g, c, objective), objective, spec)
+    return SolveResult(
+        Clustering(labels), Fraction(value, g.scale), objective, spec,
+        budget_exhausted=budget_exhausted,
+    )
 
 
 def run_solver(g: SignedGraph, objective: ObjectiveKind, spec: SolverSpec) -> SolveResult:

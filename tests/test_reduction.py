@@ -7,7 +7,9 @@ import pytest
 
 from rollclust import (
     Clustering,
+    GenSpec,
     ObjectiveKind,
+    PlantedPartition,
     ReductionConfig,
     RoundingParams,
     SignedGraph,
@@ -20,6 +22,7 @@ from rollclust import (
     config_from_dict,
     config_to_dict,
     duplication_clustering,
+    generate,
     induced_clustering,
     reduce_and_solve,
     run_trials,
@@ -148,6 +151,40 @@ def test_spread_note_emitted():
     )
     rep = reduce_and_solve(g, cfg)
     assert any("alpha+beta" in note for note in rep.notes)
+
+
+def local_config(budget=1000):
+    return ReductionConfig(
+        objective=MIN,
+        t=1,
+        rounding=RoundingParams(alpha=1, beta=1, seed=4),
+        solver=SolverSpec(SolverKind.LOCAL_SEARCH, seed=1, budget=budget),
+        epsilon=Fraction(1, 20),
+        lambda_ref=Fraction(1),
+    )
+
+
+def test_budget_cut_off_note():
+    # mostly negative weight: the grid starts from singletons and merges the
+    # ends of its 27 positive edges one move at a time
+    g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): -1})
+    cut = reduce_and_solve(g, local_config(budget=1))
+    assert any("budget of 1 moves" in note for note in cut.notes)
+    full = reduce_and_solve(g, local_config())
+    assert not any("budget" in note for note in full.notes)
+
+
+def test_local_pipeline_on_216_node_grid():
+    # n=6, t=1: 36 rows of 6 columns and 216 active copies of a base whose
+    # MinDisagree optimum is 2; reduce_and_solve checks its accounting
+    # identities and the solver's running value on the way
+    g = generate(GenSpec(n=6, model=PlantedPartition(clusters=2, flip_prob=0.1), seed=2))
+    rep = reduce_and_solve(g, local_config())
+    assert len(rep.grid_clustering.labels) == 216
+    assert len(rep.candidate_values) == 216
+    assert sum(rep.candidate_values, Fraction(0)) == rep.rolled_value_pre
+    assert rep.best.value >= solve_exact(g, MIN).value
+    assert not any("budget" in note for note in rep.notes)
 
 
 def test_stats_gating_on_lambda():

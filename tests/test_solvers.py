@@ -5,8 +5,13 @@ import pytest
 
 from rollclust import (
     Clustering,
+    GenSpec,
     ObjectiveKind,
+    RoundingParams,
     SignedGraph,
+    SolveResult,
+    UniformRational,
+    build_roll,
     clustering_value,
     run_solver,
     solve_exact,
@@ -16,6 +21,9 @@ from rollclust import (
     solve_trivial_max,
     SolverKind,
     SolverSpec,
+    generate,
+    round_graph,
+    valid_roll_size,
 )
 from rollclust.solvers import EXACT_NODE_LIMIT, iter_partitions_by_merging
 
@@ -219,6 +227,167 @@ def test_local_search_never_below_start():
             else:
                 assert res.value <= start
             assert clustering_value(g, res.clustering, objective) == res.value
+
+
+def rescanning_local_search(
+    g: SignedGraph, objective: ObjectiveKind, seed: int = 0, budget: int = 1000
+) -> SolveResult:
+    """The local search as it was before it kept per-cluster sums: every
+    move rescans every edge and scores every node against every used label.
+    Kept as the oracle the incremental search must match move for move."""
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    spec = SolverSpec(SolverKind.LOCAL_SEARCH, seed=seed, budget=budget)
+    n = g.n
+    if n == 0:
+        return SolveResult(Clustering([]), Fraction(0), objective, spec)
+
+    maximize = objective is ObjectiveKind.MAX_AGREE
+    pos = sum(w for _, w in g.scaled_weights() if w > 0)
+    neg = -sum(w for _, w in g.scaled_weights() if w < 0)
+    # one cluster scores pos agreements and neg disagreements, singletons
+    # the reverse, so both objectives prefer one cluster iff pos >= neg
+    labels = [0] * n if pos >= neg else list(range(n))
+
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in g.scaled_weights():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+
+    for _ in range(budget):
+        best_move = None  # (delta, node, target_label)
+        used = sorted(set(labels))
+        fresh = max(used) + 1
+        for v in range(n):
+            pos: dict[int, int] = {}
+            neg: dict[int, int] = {}
+            tot_pos = 0
+            tot_neg = 0
+            for u, w in adj[v]:
+                lbl = labels[u]
+                if w > 0:
+                    pos[lbl] = pos.get(lbl, 0) + w
+                    tot_pos += w
+                else:
+                    neg[lbl] = neg.get(lbl, 0) - w
+                    tot_neg -= w
+
+            def node_score(lbl: int) -> int:
+                if maximize:
+                    return pos.get(lbl, 0) + tot_neg - neg.get(lbl, 0)
+                return neg.get(lbl, 0) + tot_pos - pos.get(lbl, 0)
+
+            here = node_score(labels[v])
+            for target in used + [fresh]:
+                if target == labels[v]:
+                    continue
+                delta = node_score(target) - here
+                improving = delta > 0 if maximize else delta < 0
+                if improving and (
+                    best_move is None
+                    or (abs(delta) > abs(best_move[0]))
+                ):
+                    best_move = (delta, v, target)
+        if best_move is None:
+            break
+        _, v, target = best_move
+        labels[v] = target
+
+    c = Clustering(labels)
+    return SolveResult(c, clustering_value(g, c, objective), objective, spec)
+
+
+def differential_graph(rng, n, kind):
+    """Random graph whose weights tie (+-1), mix denominators (rational), or
+    let a node's net weight to a cluster cancel to 0 (cancel: +-1/2 and +-1,
+    so 1/2 + 1/2 - 1 is common)."""
+    weights = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.7:
+                if kind == "pm1":
+                    w = Fraction(rng.choice((-1, 1)))
+                elif kind == "rational":
+                    w = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+                else:
+                    w = Fraction(rng.choice((-2, -1, 1, 2)), 2)
+                if w:
+                    weights[(u, v)] = w
+    return SignedGraph(n, weights)
+
+
+LOCAL_BUDGETS = (1, 2, 3, 5, 1000)
+
+
+def test_local_search_matches_rescanning_oracle():
+    rng = random.Random(20070415)
+    graphs = 0
+    for n in range(14):
+        for kind in ("pm1", "rational", "cancel"):
+            for _ in range(30):
+                g = differential_graph(rng, n, kind)
+                graphs += 1
+                for objective in (MAX, MIN):
+                    expect = {b: rescanning_local_search(g, objective, budget=b) for b in LOCAL_BUDGETS + (6,)}
+                    for b in LOCAL_BUDGETS:
+                        got = solve_local_search(g, objective, budget=b)
+                        assert got.clustering == expect[b].clustering, (n, kind, objective, b)
+                        assert got.value == expect[b].value, (n, kind, objective, b)
+                    # one more move changes the result iff an improving move was left
+                    for b in (1, 2, 5):
+                        left = expect[b + 1].value != expect[b].value
+                        assert solve_local_search(g, objective, budget=b).budget_exhausted is left
+    assert graphs >= 1000
+
+
+def test_local_search_matches_rescanning_oracle_on_rounded_grid():
+    # starts from singletons and merges for 141 moves down to two clusters
+    base = generate(GenSpec(n=5, model=UniformRational(density=1.0), seed=1))
+    rolled = build_roll(base, valid_roll_size(5, 1)).graph
+    grid = round_graph(rolled, RoundingParams(alpha=1, beta=1, seed=3)).after
+    assert grid.n == 125
+    for objective in (MAX, MIN):
+        got = solve_local_search(grid, objective)
+        expect = rescanning_local_search(grid, objective)
+        assert got.clustering == expect.clustering
+        assert got.value == expect.value
+        assert not got.budget_exhausted
+
+
+def test_local_search_objectives_are_complementary():
+    # MaxAgree + MinDisagree = total weight for every clustering, and both
+    # objectives take the same moves, so they end at the same clustering
+    rng = random.Random(4242)
+    for _ in range(60):
+        g = differential_graph(rng, rng.randint(0, 10), rng.choice(("pm1", "rational", "cancel")))
+        for budget in (1, 3, 1000):
+            hi = solve_local_search(g, MAX, budget=budget)
+            lo = solve_local_search(g, MIN, budget=budget)
+            assert hi.clustering == lo.clustering
+            assert hi.budget_exhausted == lo.budget_exhausted
+            assert hi.value + lo.value == g.total_abs_weight()
+            assert hi.value == clustering_value(g, hi.clustering, MAX)
+            assert lo.value == clustering_value(g, lo.clustering, MIN)
+
+
+def test_local_search_reports_budget_cut_off():
+    # all-negative path: the singletons start is optimal at once
+    assert not solve_local_search(SignedGraph(3, {(0, 1): -1, (1, 2): -1}), MAX, budget=1).budget_exhausted
+    # two positive triangles joined by heavier negative edges start from
+    # singletons and need four merges to reach the optimum
+    weights = {(u, v): Fraction(1) for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))}
+    weights.update({(u, v): Fraction(-2) for u in range(3) for v in range(3, 6)})
+    g = SignedGraph(6, weights)
+    for objective in (MAX, MIN):
+        cut = solve_local_search(g, objective, budget=1)
+        assert cut.budget_exhausted
+        assert cut.value == clustering_value(g, cut.clustering, objective)
+        done = solve_local_search(g, objective, budget=1000)
+        assert not done.budget_exhausted
+        assert done.clustering == Clustering([0, 0, 0, 1, 1, 1])
+        # a budget the search needs exactly is not a cut-off
+        exact_fit = solve_local_search(g, objective, budget=4)
+        assert exact_fit.clustering == done.clustering and not exact_fit.budget_exhausted
 
 
 def test_local_search_deterministic():
