@@ -4,131 +4,33 @@ Rolls a base graph into a grid of edge-disjoint isomorphic copies, rounds
 the weights to {-alpha, 0, beta} with exact per-edge expectations, solves
 the rounded graph, and reads candidate clusterings of the base graph back
 out of the copies, with exact accounting at every step.
+
+The top level exports the run_trials pipeline and the few names needed to
+set it up and write its inputs and reports; everything else is imported
+from the module that defines it (rollclust.core, rollclust.roll, ...).
 """
 
-from .core import (
-    Clustering,
-    GraphFormatError,
-    ObjectiveKind,
-    SignedGraph,
-    clustering_value,
-    contributing_edges,
-    format_graph,
-    normalize_weights,
-    parse_graph,
-    read_graph,
-    write_graph,
-)
-from .harness import (
-    CompleteSigned,
-    GenSpec,
-    PlantedPartition,
-    UniformRational,
-    VerifyReport,
-    generate,
-    verify_all,
-)
-from .reduction import (
-    ReductionConfig,
-    ReductionReport,
-    TrialAggregate,
-    TrialSummary,
-    aggregate_from_dict,
-    aggregate_to_dict,
-    config_from_dict,
-    config_to_dict,
-    duplication_clustering,
-    reduce_and_solve,
-    run_trials,
-)
-from .roll import (
-    DuplicateId,
-    GridNode,
-    RolledGraph,
-    build_roll,
-    duplicate_nodes,
-    duplicate_of,
-    induced_clustering,
-    is_grid_bone,
-    untrimmed_duplicate_count,
-    valid_roll_size,
-)
-from .rounding import (
-    DeviationStats,
-    RoundingOutcome,
-    RoundingParams,
-    deviation_stats,
-    hoeffding_tail,
-    round_graph,
-)
-from .solvers import (
-    EXACT_NODE_LIMIT,
-    SolveResult,
-    SolverKind,
-    SolverSpec,
-    run_solver,
-    solve_exact,
-    solve_exact_reference,
-    solve_local_search,
-    solve_pivot,
-    solve_trivial_max,
-)
+from .core import ObjectiveKind, SignedGraph, write_graph
+from .harness import GenSpec, PlantedPartition, UniformRational, generate
+from .reduction import ReductionConfig, aggregate_to_dict, run_trials
+from .rounding import RoundingParams
+from .solvers import SolverKind, SolverSpec, solve_exact_reference
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Clustering",
-    "CompleteSigned",
-    "DeviationStats",
-    "DuplicateId",
-    "EXACT_NODE_LIMIT",
     "GenSpec",
-    "GraphFormatError",
-    "GridNode",
     "ObjectiveKind",
     "PlantedPartition",
     "ReductionConfig",
-    "ReductionReport",
-    "RolledGraph",
-    "RoundingOutcome",
     "RoundingParams",
     "SignedGraph",
-    "SolveResult",
     "SolverKind",
     "SolverSpec",
-    "TrialAggregate",
-    "TrialSummary",
     "UniformRational",
-    "VerifyReport",
-    "aggregate_from_dict",
     "aggregate_to_dict",
-    "build_roll",
-    "config_from_dict",
-    "config_to_dict",
-    "clustering_value",
-    "contributing_edges",
-    "deviation_stats",
-    "duplicate_nodes",
-    "duplicate_of",
-    "duplication_clustering",
-    "format_graph",
     "generate",
-    "hoeffding_tail",
-    "induced_clustering",
-    "is_grid_bone",
-    "normalize_weights",
-    "parse_graph",
-    "read_graph",
-    "reduce_and_solve",
-    "run_solver",
     "run_trials",
-    "solve_exact",
     "solve_exact_reference",
-    "solve_local_search",
-    "solve_pivot",
-    "solve_trivial_max",
-    "untrimmed_duplicate_count",
-    "valid_roll_size",
-    "verify_all",
     "write_graph",
 ]

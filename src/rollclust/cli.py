@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: gen, roll, round, solve, reduce, verify. Every command is
-deterministic given --seed; generation, rounding, and solver randomness
-run on named sub-streams derived from that one seed. An optional config
-file supplies "key = value" defaults for any flag; explicit flags win.
-Exit status is 0 only when nothing failed.
+deterministic; all but roll take --seed, and their generation, rounding,
+and solver randomness run on named sub-streams derived from that one seed.
+An optional config file supplies "key = value" defaults for any flag;
+explicit flags win. Notes on what a run cut short go to stderr. Exit
+status is 0 only when nothing failed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .jsonutil import frac_to_str
 from .reduction import ReductionConfig, aggregate_to_dict, run_trials
 from .roll import build_roll, valid_roll_size
 from .rounding import RoundingParams, round_graph
-from .solvers import SolverKind, SolverSpec, run_solver
+from .solvers import SolverKind, SolverSpec, budget_note, run_solver
 from .streams import derive_seed
 
 
@@ -40,19 +41,23 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
+    """Shared flags: --out and --config for every subcommand, --seed for
+    the ones that draw randomness, --format for the ones with a CSV form."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format where applicable")
     common.add_argument("--config", default=None,
                         help="file of 'key = value' defaults; flags override")
-    return common
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="report format")
+    return common, seeded, report
 
 
 def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
-    common = _common_parser()
+    common, seeded, report = _parent_parsers()
     parser = argparse.ArgumentParser(
         prog="rollclust",
         description="Correlation clustering with rolls, rounding, and exact accounting",
@@ -60,7 +65,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    p = sub.add_parser("gen", parents=[common], help="generate a random instance")
+    p = sub.add_parser("gen", parents=[common, seeded], help="generate a random instance")
     p.add_argument("--n", type=int, default=None, help="node count (required here or in --config)")
     p.add_argument("--model", choices=("planted", "uniform", "complete"), default="uniform")
     p.add_argument("--k", type=int, default=2, help="planted cluster count")
@@ -76,20 +81,21 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--t", type=int, default=None, help="roll size parameter")
     subparsers["roll"] = p
 
-    p = sub.add_parser("round", parents=[common], help="randomly round weights")
+    p = sub.add_parser("round", parents=[common, seeded], help="randomly round weights")
     p.add_argument("graph")
     p.add_argument("--alpha", type=_fraction, default=Fraction(1))
     p.add_argument("--beta", type=_fraction, default=Fraction(1))
     subparsers["round"] = p
 
-    p = sub.add_parser("solve", parents=[common], help="cluster a graph")
+    p = sub.add_parser("solve", parents=[common, seeded], help="cluster a graph")
     p.add_argument("graph")
     p.add_argument("--solver", choices=[k.value for k in SolverKind], default="exact")
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--budget", type=int, default=1000)
     subparsers["solve"] = p
 
-    p = sub.add_parser("reduce", parents=[common], help="run the roll pipeline trials")
+    p = sub.add_parser("reduce", parents=[common, seeded, report],
+                       help="run the roll pipeline trials")
     p.add_argument("graph")
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--t", type=int, default=0)
@@ -102,7 +108,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--trials", type=int, default=20)
     subparsers["reduce"] = p
 
-    p = sub.add_parser("verify", parents=[common], help="run all invariant suites")
+    p = sub.add_parser("verify", parents=[common, seeded, report], help="run all invariant suites")
     p.add_argument("--sizes", default="3,4,5", help="comma-separated base sizes")
     p.add_argument("--ts", default="0,1", help="comma-separated roll parameters")
     p.add_argument("--instances", type=int, default=5)
@@ -192,13 +198,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_roll(args) -> int:
-    g = read_graph(args.graph)
-    if (args.rows is None) == (args.t is None):
-        _usage_error("roll: give exactly one of --rows or --t")
-    rows = args.rows if args.rows is not None else valid_roll_size(g.n, args.t)
-    rolled = build_roll(g, rows)
     if not args.out:
         _usage_error("roll: --out is required (a sidecar file is written next to it)")
+    if (args.rows is None) == (args.t is None):
+        _usage_error("roll: give exactly one of --rows or --t")
+    g = read_graph(args.graph)
+    rows = args.rows if args.rows is not None else valid_roll_size(g.n, args.t)
+    rolled = build_roll(g, rows)
     write_graph(rolled.graph, args.out)
     sidecar = {
         "n": g.n,
@@ -210,13 +216,13 @@ def cmd_roll(args) -> int:
 
 
 def cmd_round(args) -> int:
+    if not args.out:
+        _usage_error("round: --out is required (a sidecar file is written next to it)")
     g = read_graph(args.graph)
     params = RoundingParams(
         alpha=args.alpha, beta=args.beta, seed=derive_seed(args.seed, "round")
     )
     out = round_graph(g, params)
-    if not args.out:
-        _usage_error("round: --out is required (a sidecar file is written next to it)")
     write_graph(out.after, args.out)
     by_class: dict = {}
     for u, v, w in g.edges():
@@ -249,6 +255,8 @@ def cmd_solve(args) -> int:
     res = run_solver(g, objective, spec)
     print(" ".join(str(lbl) for lbl in res.clustering.labels))
     print(frac_to_str(res.value))
+    if res.budget_exhausted:
+        print(f"note: {budget_note(args.budget)}", file=sys.stderr)
     if args.out:
         _write_json(
             args.out,
@@ -312,6 +320,8 @@ def cmd_reduce(args) -> int:
                 writer.writerow([f"{left:.6f}", f"{right:.6f}", count])
     print(f"trials={agg.trials} opt={frac_to_str(agg.opt_value)} "
           f"bad_event_freq={frac_to_str(agg.bad_event_freq)}")
+    for note, count in agg.notes:
+        print(f"note: {note} ({count} of {agg.trials} trials)", file=sys.stderr)
     return 0
 
 

@@ -165,10 +165,6 @@ class Clustering:
     def one_cluster(cls, n: int) -> "Clustering":
         return cls([0] * n)
 
-    @property
-    def num_clusters(self) -> int:
-        return (max(self.labels) + 1) if self.labels else 0
-
     def __len__(self) -> int:
         return len(self.labels)
 

@@ -156,10 +156,6 @@ class VerifyReport:
     def ok(self) -> bool:
         return all(c.failures == 0 for c in self.checks.values())
 
-    @property
-    def total_failures(self) -> int:
-        return sum(c.failures for c in self.checks.values())
-
     def to_dict(self) -> dict:
         return {
             name: {
@@ -169,19 +165,6 @@ class VerifyReport:
             }
             for name, c in self.checks.items()
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerifyReport":
-        return cls(
-            checks={
-                name: CheckResult(
-                    instances_run=v["instances_run"],
-                    failures=v["failures"],
-                    worst_case_detail=v["worst_case_detail"],
-                )
-                for name, v in d.items()
-            }
-        )
 
 
 def check_duplicate_count(n: int, rows: int, result: CheckResult) -> None:

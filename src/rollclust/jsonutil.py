@@ -17,7 +17,3 @@ def frac_to_str(w: Fraction) -> str:
 
 def opt_frac_to_str(w) -> "str | None":
     return None if w is None else frac_to_str(w)
-
-
-def opt_fraction(text) -> "Fraction | None":
-    return None if text is None else Fraction(text)

@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges
-from .jsonutil import frac_to_str, opt_frac_to_str, opt_fraction
+from .jsonutil import frac_to_str, opt_frac_to_str
 from .roll import build_roll, induced_clustering, valid_roll_size
 from .rounding import DeviationStats, RoundingParams, deviation_stats, round_graph
-from .solvers import SolveResult, SolverKind, SolverSpec, run_solver, solve_exact
+from .solvers import SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact
 from .streams import derive_seed
 
 
@@ -48,6 +48,14 @@ class ReductionConfig:
             raise ValueError("lambda_ref must be at least 1")
         if self.t < 0:
             raise ValueError("t must be non-negative")
+        # pairs that could never run: run_solver would reject them on every
+        # trial, but only after the exact oracle has run on the base
+        kind = self.solver.kind
+        if kind is SolverKind.PIVOT:
+            raise ValueError("pivot needs a complete graph, and a rolled grid never is one"
+                             " (same-column pairs are never bones)")
+        if kind is SolverKind.TRIVIAL_MAX and self.objective is not ObjectiveKind.MAX_AGREE:
+            raise ValueError("the trivial solver only targets MaxAgree")
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,6 @@ class ReductionReport:
     rolled_value_pre: Fraction
     rolled_value_post: Fraction
     stats: Optional[DeviationStats]
-    rounding_seed: int
-    solver_seed: int
     notes: "tuple[str, ...]"
 
 
@@ -94,10 +100,7 @@ def reduce_and_solve(
     outcome = round_graph(rolled.graph, cfg.rounding)
     grid_res = run_solver(outcome.after, cfg.objective, cfg.solver)
     if grid_res.budget_exhausted:
-        notes.append(
-            f"local search stopped at its budget of {cfg.solver.budget} moves"
-            " with an improving move left"
-        )
+        notes.append(budget_note(cfg.solver.budget))
 
     candidates = [induced_clustering(rolled, grid_res.clustering, d) for d in rolled.active]
     values = tuple(clustering_value(g, c, cfg.objective) for c in candidates)
@@ -143,8 +146,6 @@ def reduce_and_solve(
         rolled_value_pre=rolled_value_pre,
         rolled_value_post=rolled_value_post,
         stats=stats,
-        rounding_seed=cfg.rounding.seed,
-        solver_seed=cfg.solver.seed,
         notes=tuple(notes),
     )
 
@@ -172,6 +173,9 @@ class TrialAggregate:
     gap_min: Optional[Fraction]
     gap_max: Optional[Fraction]
     per_trial: "tuple[TrialSummary, ...]"
+    # each distinct trial note with the number of trials that raised it,
+    # in first-seen order; reports leave them out
+    notes: "tuple[tuple[str, int], ...]"
 
 
 def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggregate:
@@ -188,6 +192,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
     summaries = []
     gaps = []
     bad_count = 0
+    note_counts: "dict[str, int]" = {}
     for i in range(trials):
         r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
         s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
@@ -213,6 +218,8 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             gaps.append(gap)
         if bad:
             bad_count += 1
+        for note in rep.notes:
+            note_counts[note] = note_counts.get(note, 0) + 1
         summaries.append(
             TrialSummary(
                 rounding_seed=r_seed,
@@ -236,10 +243,11 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         gap_min=min(gaps) if gaps else None,
         gap_max=max(gaps) if gaps else None,
         per_trial=tuple(summaries),
+        notes=tuple(note_counts.items()),
     )
 
 
-# --- JSON round-trip ------------------------------------------------------
+# --- JSON reports ---------------------------------------------------------
 
 
 def config_to_dict(cfg: ReductionConfig) -> dict:
@@ -255,25 +263,6 @@ def config_to_dict(cfg: ReductionConfig) -> dict:
         "epsilon": frac_to_str(cfg.epsilon),
         "lambda": frac_to_str(cfg.lambda_ref),
     }
-
-
-def config_from_dict(d: dict) -> ReductionConfig:
-    return ReductionConfig(
-        objective=ObjectiveKind.parse(d["objective"]),
-        t=d["t"],
-        rounding=RoundingParams(
-            alpha=Fraction(d["alpha"]),
-            beta=Fraction(d["beta"]),
-            seed=d["rounding_seed"],
-        ),
-        solver=SolverSpec(
-            kind=SolverKind.parse(d["solver"]),
-            seed=d["solver_seed"],
-            budget=d["budget"],
-        ),
-        epsilon=Fraction(d["epsilon"]),
-        lambda_ref=Fraction(d["lambda"]),
-    )
 
 
 def aggregate_to_dict(agg: TrialAggregate) -> dict:
@@ -300,30 +289,3 @@ def aggregate_to_dict(agg: TrialAggregate) -> dict:
             for s in agg.per_trial
         ],
     }
-
-
-def aggregate_from_dict(d: dict) -> TrialAggregate:
-    summaries = tuple(
-        TrialSummary(
-            rounding_seed=s["rounding_seed"],
-            solver_seed=s["solver_seed"],
-            best_value=Fraction(s["best_value"]),
-            ratio=opt_fraction(s["ratio"]),
-            bad=s["bad"],
-            gap=opt_fraction(s["gap"]),
-        )
-        for s in d["per_trial"]
-    )
-    return TrialAggregate(
-        config=config_from_dict(d["config"]),
-        trials=d["trials"],
-        opt_value=Fraction(d["opt_value"]),
-        opt_clustering=Clustering(d["opt_clustering"]),
-        opt_below_one=d["opt_below_one"],
-        bad_event_freq=Fraction(d["bad_event_freq"]),
-        ratios=tuple(opt_fraction(r) for r in d["ratios"]),
-        gap_mean=opt_fraction(d["gap_mean"]),
-        gap_min=opt_fraction(d["gap_min"]),
-        gap_max=opt_fraction(d["gap_max"]),
-        per_trial=summaries,
-    )

@@ -327,6 +327,11 @@ def solve_local_search(
     )
 
 
+def budget_note(budget: int) -> str:
+    """What to tell the user when a local search set budget_exhausted."""
+    return f"local search stopped at its budget of {budget} moves with an improving move left"
+
+
 def run_solver(g: SignedGraph, objective: ObjectiveKind, spec: SolverSpec) -> SolveResult:
     """Dispatch on the SolverSpec; the result echoes the SolverSpec it ran under."""
     if spec.kind is SolverKind.EXACT:

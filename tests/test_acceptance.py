@@ -7,38 +7,31 @@ import random
 import time
 from fractions import Fraction
 
-from rollclust import (
-    Clustering,
-    CompleteSigned,
-    GenSpec,
-    ObjectiveKind,
-    ReductionConfig,
-    RoundingParams,
-    SolverKind,
-    SolverSpec,
-    UniformRational,
-    build_roll,
-    generate,
-    hoeffding_tail,
-    reduce_and_solve,
-    run_trials,
-    solve_exact,
-    solve_exact_reference,
-    solve_pivot,
-    solve_trivial_max,
-    valid_roll_size,
-)
+from rollclust.core import Clustering, ObjectiveKind
 from rollclust.harness import (
     CheckResult,
+    CompleteSigned,
+    GenSpec,
+    UniformRational,
     _sqrt_upper,
     check_bone_partition,
     check_edge_disjointness,
     check_isomorphism,
     check_rounding_preservation,
     check_value_decomposition,
+    generate,
 )
-from rollclust.roll import all_duplicates
-from rollclust.rounding import round_edge_weight
+from rollclust.reduction import ReductionConfig, reduce_and_solve, run_trials
+from rollclust.roll import all_duplicates, build_roll, valid_roll_size
+from rollclust.rounding import RoundingParams, hoeffding_tail, round_edge_weight
+from rollclust.solvers import (
+    SolverKind,
+    SolverSpec,
+    solve_exact,
+    solve_exact_reference,
+    solve_pivot,
+    solve_trivial_max,
+)
 from rollclust.streams import derive_seed, make_rng
 
 MAX = ObjectiveKind.MAX_AGREE

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import ObjectiveKind, parse_graph, read_graph, solve_exact
 from rollclust.cli import main, parse_config_file
+from rollclust.core import ObjectiveKind, parse_graph, read_graph
+from rollclust.solvers import budget_note, solve_exact
 
 
 def run(capsys, *argv):
@@ -274,3 +275,71 @@ def test_malformed_graph_is_reported_as_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_reduce_prints_trial_notes_on_stderr(tmp_path, capsys):
+    base = gen_graph(tmp_path, capsys)
+    code, out, err = run(capsys, "reduce", str(base), "--t", "1", "--solver", "local",
+                         "--budget", "1", "--trials", "2", "--out", str(tmp_path / "agg.json"))
+    assert code == 0
+    assert out.startswith("trials=2 ")
+    assert err.splitlines() == [
+        f"note: {budget_note(1)} (2 of 2 trials)",
+        "note: deviation stats skipped: lambda_ref is 1 (2 of 2 trials)",
+    ]
+
+
+def test_solve_notes_an_exhausted_budget(tmp_path, capsys):
+    base = gen_graph(tmp_path, capsys)
+    rolled = tmp_path / "rolled.txt"
+    assert run(capsys, "roll", str(base), "--t", "1", "--out", str(rolled))[0] == 0
+    code, out, err = run(capsys, "solve", str(rolled), "--solver", "local", "--budget", "1")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert err == f"note: {budget_note(1)}\n"
+    code, _, err = run(capsys, "solve", str(rolled), "--solver", "local")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("solver, objective", [("pivot", "min"), ("trivial", "min")])
+def test_reduce_rejects_solvers_that_cannot_run_before_solving(
+    tmp_path, capsys, monkeypatch, solver, objective
+):
+    import rollclust.reduction
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    base = gen_graph(tmp_path, capsys)
+    monkeypatch.setattr(rollclust.reduction, "solve_exact", no_solving)
+    code, out, err = run(capsys, "reduce", str(base), "--solver", solver,
+                         "--objective", objective, "--out", str(tmp_path / "agg.json"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "agg.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--format=csv"), ("roll", "--format=csv"), ("round", "--format=csv"),
+     ("solve", "--format=csv"), ("roll", "--seed=3")],
+)
+def test_flags_are_only_accepted_where_they_are_read(tmp_path, capsys, command, flag):
+    base = gen_graph(tmp_path, capsys)
+    argv = {"gen": ["--n", "3"], "roll": [str(base), "--t", "0"]}.get(command, [str(base)])
+    usage_error(capsys, command, *argv, flag, "--out", str(tmp_path / "x.txt"))
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("command, work", [("roll", "build_roll"), ("round", "round_graph")])
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, command, work):
+    import rollclust.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before checking --out")
+
+    base = gen_graph(tmp_path, capsys)
+    monkeypatch.setattr(rollclust.cli, "read_graph", no_work)
+    monkeypatch.setattr(rollclust.cli, work, no_work)
+    extra = ["--t", "0"] if command == "roll" else []
+    err = usage_error(capsys, command, str(base), *extra)
+    assert err.startswith(f"error: {command}: --out is required")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import (
+from rollclust.core import (
     Clustering,
     GraphFormatError,
     ObjectiveKind,
@@ -223,8 +223,8 @@ def test_graph_text_format_errors(text):
 def test_clustering_canonical_form():
     assert Clustering([5, 5, 2, 5]).labels == (0, 0, 1, 0)
     assert Clustering.singletons(3).labels == (0, 1, 2)
-    assert Clustering.one_cluster(3).num_clusters == 1
-    assert Clustering([]).num_clusters == 0
+    assert Clustering.one_cluster(3).labels == (0, 0, 0)
+    assert Clustering([]).labels == ()
 
 
 # --- the integer kernel against the definitions ---------------------------

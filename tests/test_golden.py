@@ -19,24 +19,12 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import (
-    CompleteSigned,
-    GenSpec,
-    ObjectiveKind,
-    PlantedPartition,
-    ReductionConfig,
-    RoundingParams,
-    SignedGraph,
-    SolverKind,
-    SolverSpec,
-    UniformRational,
-    aggregate_to_dict,
-    build_roll,
-    generate,
-    run_trials,
-    solve_local_search,
-    valid_roll_size,
-)
+from rollclust.core import ObjectiveKind, SignedGraph
+from rollclust.harness import CompleteSigned, GenSpec, PlantedPartition, UniformRational, generate
+from rollclust.reduction import ReductionConfig, aggregate_to_dict, run_trials
+from rollclust.roll import build_roll, valid_roll_size
+from rollclust.rounding import RoundingParams
+from rollclust.solvers import SolverKind, SolverSpec, solve_local_search
 
 # name -> (n, t, model, generator seed, (alpha, beta))
 BASES = {

@@ -1,32 +1,24 @@
-import json
 from fractions import Fraction
 
 import pytest
 
-from rollclust import (
-    Clustering,
-    CompleteSigned,
-    GenSpec,
-    ObjectiveKind,
-    PlantedPartition,
-    RolledGraph,
-    SignedGraph,
-    UniformRational,
-    VerifyReport,
-    build_roll,
-    generate,
-    solve_exact,
-    valid_roll_size,
-    verify_all,
-)
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph
 from rollclust.harness import (
     CheckResult,
+    CompleteSigned,
+    GenSpec,
+    PlantedPartition,
+    UniformRational,
     check_bone_partition,
     check_duplicate_count,
     check_edge_disjointness,
     check_isomorphism,
     check_value_decomposition,
+    generate,
+    verify_all,
 )
+from rollclust.roll import RolledGraph, build_roll, valid_roll_size
+from rollclust.solvers import solve_exact
 
 
 def complete_pairs(n):
@@ -98,17 +90,9 @@ def test_model_validation():
 def test_verify_all_is_green():
     report = verify_all(seed=1, sizes=(3, 4), ts=(0, 1), instances=2)
     assert report.ok
-    assert report.total_failures == 0
     assert len(report.checks) == 10
     for name, check in report.checks.items():
         assert check.instances_run > 0, name
-
-
-def test_verify_report_json_roundtrip():
-    report = verify_all(seed=5, sizes=(3,), ts=(0,), instances=1)
-    back = VerifyReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert back.checks == report.checks
-    assert back.ok == report.ok
 
 
 def test_checks_pass_on_clean_roll():

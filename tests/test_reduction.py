@@ -5,30 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import (
-    Clustering,
-    GenSpec,
-    ObjectiveKind,
-    PlantedPartition,
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
+from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
+from rollclust.reduction import (
     ReductionConfig,
-    RoundingParams,
-    SignedGraph,
-    SolverKind,
-    SolverSpec,
-    aggregate_from_dict,
     aggregate_to_dict,
-    build_roll,
-    clustering_value,
-    config_from_dict,
-    config_to_dict,
     duplication_clustering,
-    generate,
-    induced_clustering,
     reduce_and_solve,
     run_trials,
-    solve_exact,
-    valid_roll_size,
 )
+from rollclust.roll import build_roll, induced_clustering, valid_roll_size
+from rollclust.rounding import RoundingParams
+from rollclust.solvers import SolverKind, SolverSpec, budget_note, solve_exact, solve_pivot
 from rollclust.streams import derive_seed
 
 MAX = ObjectiveKind.MAX_AGREE
@@ -108,8 +96,6 @@ def test_report_accounting_fields():
     assert rep.rolled_value_pre == rep.rolled_value_post  # identity rounding
     assert rep.candidate_values[rep.best_index] == rep.best.value
     assert rep.config == cfg
-    assert rep.rounding_seed == cfg.rounding.seed
-    assert rep.solver_seed == cfg.solver.seed
 
 
 def test_reduce_with_real_rounding_and_local_search():
@@ -172,6 +158,49 @@ def test_budget_cut_off_note():
     assert any("budget of 1 moves" in note for note in cut.notes)
     full = reduce_and_solve(g, local_config())
     assert not any("budget" in note for note in full.notes)
+
+
+def test_trial_notes_are_counted_in_first_seen_order(monkeypatch):
+    import rollclust.reduction
+
+    raised = []
+    real = rollclust.reduction.reduce_and_solve
+
+    def recording(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        raised.append(rep.notes)
+        return rep
+
+    monkeypatch.setattr(rollclust.reduction, "reduce_and_solve", recording)
+    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=1))
+    cfg = replace(local_config(budget=6), objective=MAX, rounding=RoundingParams(1, 1, seed=3))
+    agg = run_trials(g, cfg, trials=6)
+    expected = {}
+    for notes in raised:
+        for note in notes:
+            expected[note] = expected.get(note, 0) + 1
+    assert agg.notes == tuple(expected.items())
+    # 4 of the 6 trials run out of moves; every trial skips the stats
+    assert dict(agg.notes) == {
+        budget_note(6): 4, "deviation stats skipped: lambda_ref is 1": 6,
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, objective",
+    [(SolverKind.PIVOT, MIN), (SolverKind.PIVOT, MAX), (SolverKind.TRIVIAL_MAX, MIN)],
+)
+def test_config_rejects_solvers_that_cannot_run_on_the_grid(kind, objective):
+    with pytest.raises(ValueError):
+        replace(identity_config(objective), solver=SolverSpec(kind))
+
+
+def test_pivot_cannot_run_on_a_rolled_grid():
+    # why the config rejects pivot: same-column pairs are never bones, so
+    # even a complete +-1 base rolls into an incomplete grid
+    g = pm1_graph(random.Random(3), 3)
+    with pytest.raises(ValueError):
+        solve_pivot(build_roll(g, valid_roll_size(3, 0)).graph)
 
 
 def test_local_pipeline_on_216_node_grid():
@@ -306,31 +335,36 @@ def test_run_trials_rejects_bad_count():
         run_trials(g, identity_config(MAX), trials=0)
 
 
-def test_config_json_roundtrip():
-    cfg = ReductionConfig(
-        objective=MIN,
-        t=2,
-        rounding=RoundingParams(alpha=Fraction(5, 4), beta=2, seed=17),
-        solver=SolverSpec(SolverKind.LOCAL_SEARCH, seed=8, budget=250),
-        epsilon=Fraction(1, 20),
-        lambda_ref=Fraction(7, 5),
-    )
-    d = json.loads(json.dumps(config_to_dict(cfg)))
-    assert config_from_dict(d) == cfg
-
-
-def test_aggregate_json_roundtrip():
+def test_report_rationals_parse_back_exactly():
+    # reports carry rationals as exact "p/q" strings that Fraction reads back
     rng = random.Random(6)
     g = pm1_graph(rng, 3)
     cfg = ReductionConfig(
         objective=MAX,
         t=0,
-        rounding=RoundingParams(alpha=1, beta=1, seed=4),
-        solver=SolverSpec(SolverKind.EXACT),
+        rounding=RoundingParams(alpha=Fraction(5, 4), beta=2, seed=4),
+        solver=SolverSpec(SolverKind.LOCAL_SEARCH, seed=8, budget=250),
         epsilon=Fraction(1, 20),
         lambda_ref=Fraction(6, 5),
     )
     agg = run_trials(g, cfg, trials=5)
-    text = json.dumps(aggregate_to_dict(agg))
-    back = aggregate_from_dict(json.loads(text))
-    assert back == agg
+    assert agg.gap_mean is not None  # lambda_ref > 1: every trial has a gap
+    d = json.loads(json.dumps(aggregate_to_dict(agg)))
+
+    def back(text):
+        return None if text is None else Fraction(text)
+
+    assert [back(d["config"][k]) for k in ("alpha", "beta", "epsilon", "lambda")] == [
+        cfg.rounding.alpha, cfg.rounding.beta, cfg.epsilon, cfg.lambda_ref
+    ]
+    assert back(d["opt_value"]) == agg.opt_value
+    assert back(d["bad_event_freq"]) == agg.bad_event_freq
+    assert [back(r) for r in d["ratios"]] == list(agg.ratios)
+    assert [back(d[k]) for k in ("gap_mean", "gap_min", "gap_max")] == [
+        agg.gap_mean, agg.gap_min, agg.gap_max
+    ]
+    assert len(d["per_trial"]) == len(agg.per_trial)
+    for row, s in zip(d["per_trial"], agg.per_trial):
+        assert (back(row["best_value"]), back(row["ratio"]), back(row["gap"])) == (
+            s.best_value, s.ratio, s.gap
+        )

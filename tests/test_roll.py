@@ -4,22 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import (
-    Clustering,
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
+from rollclust.roll import (
     DuplicateId,
     GridNode,
-    ObjectiveKind,
-    SignedGraph,
+    all_duplicates,
     build_roll,
-    clustering_value,
     duplicate_nodes,
     duplicate_of,
+    grid_index,
+    grid_node,
     induced_clustering,
     is_grid_bone,
+    max_slope,
     untrimmed_duplicate_count,
     valid_roll_size,
 )
-from rollclust.roll import all_duplicates, grid_index, grid_node, max_slope
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE

@@ -5,17 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import (
+from rollclust.core import (
     Clustering,
     ObjectiveKind,
     SignedGraph,
-    contributing_edges,
     clustering_value,
-    deviation_stats,
-    hoeffding_tail,
-    round_graph,
-    RoundingParams,
+    contributing_edges,
 )
+from rollclust.rounding import RoundingParams, deviation_stats, hoeffding_tail, round_graph
 from rollclust.streams import derive_seed
 
 MAX = ObjectiveKind.MAX_AGREE

@@ -3,29 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust import (
-    Clustering,
-    GenSpec,
-    ObjectiveKind,
-    RoundingParams,
-    SignedGraph,
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
+from rollclust.harness import GenSpec, UniformRational, generate
+from rollclust.roll import build_roll, valid_roll_size
+from rollclust.rounding import RoundingParams, round_graph
+from rollclust.solvers import (
+    EXACT_NODE_LIMIT,
     SolveResult,
-    UniformRational,
-    build_roll,
-    clustering_value,
+    SolverKind,
+    SolverSpec,
+    iter_partitions_by_merging,
     run_solver,
     solve_exact,
     solve_exact_reference,
     solve_local_search,
     solve_pivot,
     solve_trivial_max,
-    SolverKind,
-    SolverSpec,
-    generate,
-    round_graph,
-    valid_roll_size,
 )
-from rollclust.solvers import EXACT_NODE_LIMIT, iter_partitions_by_merging
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -174,7 +168,7 @@ def test_pivot_recovers_perfect_clustering():
     for seed in range(10):
         res = solve_pivot(g, seed=seed)
         assert res.value == 0
-        assert res.clustering.num_clusters == 2
+        assert res.clustering == Clustering([u % 2 for u in range(8)])
 
 
 def test_pivot_requires_complete_pm1():

@@ -1,5 +1,6 @@
 """Drift between the package, its exports and its README."""
 
+import ast
 import contextlib
 import io
 import re
@@ -11,10 +12,23 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
+def readme_quick_start() -> str:
+    section = README.read_text(encoding="utf-8").split("## Quick start (API)", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def top_level_imports(source: str) -> "set[str]":
+    """The names `source` imports `from rollclust`."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "rollclust"
+        for alias in node.names
+    }
+
+
 def test_readme_api_quick_start_runs_as_written():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Quick start (API)", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    block = readme_quick_start()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md quick start", "exec"), {})
@@ -25,6 +39,17 @@ def test_every_exported_name_resolves():
     missing = [name for name in rollclust.__all__ if not hasattr(rollclust, name)]
     assert not missing
     assert len(set(rollclust.__all__)) == len(rollclust.__all__)
+
+
+def test_exports_are_what_the_readme_and_the_benchmark_import():
+    # everything else comes from the module that defines it
+    readme = top_level_imports(readme_quick_start())
+    perfbench = set().union(
+        *(top_level_imports(path.read_text(encoding="utf-8"))
+          for path in sorted((ROOT / "perfbench").glob("*.py")))
+    )
+    assert readme and perfbench
+    assert set(rollclust.__all__) == readme | perfbench
 
 
 def test_only_core_knows_how_weights_are_stored():
