@@ -80,12 +80,28 @@ class SignedGraph:
             if w != 0:
                 store[key] = w
         scale = math.lcm(1, *(w.denominator for w in store.values()))
-        scaled = {
-            key: w.numerator * (scale // w.denominator) for key, w in sorted(store.items())
-        }
+        scaled = {key: w.numerator * (scale // w.denominator) for key, w in store.items()}
+        self._set_scaled(n, scale, scaled)
+
+    @classmethod
+    def _from_scaled(cls, n: int, scale: int, weights: dict) -> "SignedGraph":
+        """Build from nonzero ints over a positive, possibly unreduced scale; keys u < v."""
+        g = cls.__new__(cls)
+        g._set_scaled(n, scale, weights)
+        return g
+
+    def _set_scaled(self, n: int, scale: int, weights: dict) -> None:
+        # the one place the fields are set: reduce to the canonical scale,
+        # the lcm of the weights' reduced denominators, and sort the pairs
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        for (u, v), w in weights.items():
+            if not 0 <= u < v < n or w == 0:
+                raise ValueError(f"edge ({u},{v}) needs 0 <= u < v < {n} and a nonzero weight")
+        d = math.gcd(scale, *weights.values())
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_weights", scaled)
+        object.__setattr__(self, "scale", scale // d)
+        object.__setattr__(self, "_weights", {key: w // d for key, w in sorted(weights.items())})
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedGraph is immutable")
@@ -210,22 +226,6 @@ def clustering_value(
 ) -> Fraction:
     """Sum of |weight| over the contributing edges. Exact, non-negative."""
     return Fraction(sum(abs(w) for _, w in _contributing(g, c, objective)), g.scale)
-
-
-def normalize_weights(g: SignedGraph) -> "tuple[SignedGraph, bool]":
-    """Scale all weights by 1/max|weight| so the largest magnitude is 1.
-
-    Returns (graph, normalized). An all-zero graph has nothing to normalize
-    and comes back unchanged with normalized=False. Scaling every weight by
-    the same positive factor preserves the set of optimal clusterings for
-    both objectives.
-    """
-    m = max((abs(w) for _, w in g.scaled_weights()), default=0)
-    if m == 0:
-        return g, False
-    if m == g.scale:
-        return g, True
-    return SignedGraph(g.n, {pair: Fraction(w, m) for pair, w in g.scaled_weights()}), True
 
 
 # --- graph text format ----------------------------------------------------

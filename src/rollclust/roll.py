@@ -147,19 +147,18 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
 
     active = tuple(list(all_duplicates(rows, n))[: (rows * rows) // n])
 
-    base_edges = list(g.edges())
-    weights: dict[tuple[int, int], object] = {}
+    base_edges = list(g.scaled_weights())
+    weights: dict[tuple[int, int], int] = {}
     for d in active:
-        nodes = duplicate_nodes(d, rows, n)
-        for j1, j2, w in base_edges:
-            a = grid_index(nodes[j1], n)
-            b = grid_index(nodes[j2], n)
+        flat = [grid_index(node, n) for node in duplicate_nodes(d, rows, n)]
+        for (j1, j2), w in base_edges:
+            a, b = flat[j1], flat[j2]
             key = (a, b) if a < b else (b, a)
             if key in weights:
                 raise AssertionError(f"bone {key} claimed by two active duplicates")
             weights[key] = w
 
-    return RolledGraph(g, rows, SignedGraph(rows * n, weights), active)
+    return RolledGraph(g, rows, SignedGraph._from_scaled(rows * n, g.scale, weights), active)
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:

@@ -4,7 +4,10 @@ Each edge is rounded independently: a positive weight w becomes beta with
 probability w/beta and 0 otherwise; a negative weight becomes -alpha with
 probability -w/alpha. The per-edge expectation equals the original weight
 exactly, because the Bernoulli draws use exact rational probabilities (an
-integer comparison on the per-edge stream, never a float threshold).
+integer comparison on the per-edge stream, never a float threshold). An
+edge whose probability is 1 (|w| equal to beta or alpha) is kept without
+drawing, so it builds no stream. The rounded graph is built in integers:
+beta and -alpha over the product of their denominators.
 
 Rounding never flips a sign, so a clustering's contributing edge set after
 rounding is a subset of its contributing set before; summing |rounded
@@ -62,31 +65,29 @@ def bernoulli(rng: random.Random, p: Fraction) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
-def round_edge_weight(w: Fraction, params: RoundingParams, rng: random.Random) -> Fraction:
-    """Round one weight; expectation is exactly w."""
-    if w > 0:
-        return params.beta if bernoulli(rng, w / params.beta) else Fraction(0)
-    if w < 0:
-        return -params.alpha if bernoulli(rng, -w / params.alpha) else Fraction(0)
-    return Fraction(0)
-
-
 def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     """Round every edge independently on its own named stream.
 
-    Requires |w| <= 1 for all edges (normalize first). The per-edge stream
-    is derived from (seed, u, v), so the outcome does not depend on edge
-    iteration order and all graphs sharing a seed agree edge by edge.
+    Requires |w| <= 1 for all edges. The per-edge stream is derived from
+    (seed, u, v), so the outcome does not depend on edge iteration order
+    and all graphs sharing a seed agree edge by edge.
     """
     if g.max_abs_weight() > 1:
         raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
-    weights: dict[tuple[int, int], Fraction] = {}
-    for u, v, w in g.edges():
-        rng = make_rng(params.seed, "edge", u, v)
-        w2 = round_edge_weight(w, params, rng)
-        if w2 != 0:
-            weights[(u, v)] = w2
-    return RoundingOutcome(g, SignedGraph(g.n, weights))
+    alpha, beta = params.alpha, params.beta
+    up, down = beta.numerator * alpha.denominator, -alpha.numerator * beta.denominator
+    # keep probability per distinct scaled weight; None when it is 1
+    probs: dict[int, Fraction | None] = {}
+    weights: dict[tuple[int, int], int] = {}
+    for (u, v), w in g.scaled_weights():
+        if w not in probs:
+            p = Fraction(w, g.scale) / beta if w > 0 else Fraction(-w, g.scale) / alpha
+            probs[w] = p if p < 1 else None
+        p = probs[w]
+        if p is None or bernoulli(make_rng(params.seed, "edge", u, v), p):
+            weights[(u, v)] = up if w > 0 else down
+    scale = alpha.denominator * beta.denominator  # up / scale = beta, down / scale = -alpha
+    return RoundingOutcome(g, SignedGraph._from_scaled(g.n, scale, weights))
 
 
 @dataclass(frozen=True, eq=True)

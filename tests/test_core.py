@@ -11,10 +11,9 @@ from rollclust.core import (
     clustering_value,
     contributing_edges,
     format_graph,
-    normalize_weights,
     parse_graph,
 )
-from rollclust.solvers import iter_partitions_by_merging, solve_exact, solve_local_search
+from rollclust.solvers import solve_exact, solve_local_search
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -153,48 +152,6 @@ def test_clustering_domain_mismatch():
         clustering_value(g, Clustering([0, 0]), MAX)
 
 
-def test_normalize_examples():
-    g = SignedGraph(2, {(0, 1): 2})
-    h = SignedGraph(3, {(0, 1): 2, (1, 2): -4})
-    norm, flag = normalize_weights(h)
-    assert flag
-    assert norm.weight(0, 1) == Fraction(1, 2)
-    assert norm.weight(1, 2) == -1
-    same, flag = normalize_weights(SignedGraph(2, {(0, 1): 1}))
-    assert flag and same.weight(0, 1) == 1
-    empty, flag = normalize_weights(SignedGraph(3))
-    assert not flag and empty.edge_count == 0
-    norm2, _ = normalize_weights(g)
-    assert norm2.weight(0, 1) == 1
-
-
-def test_normalize_preserves_argmax_set():
-    # brute force the full optimal set before and after scaling
-    rng = random.Random(47)
-    for _ in range(20):
-        n = rng.randint(3, 5)
-        weights = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                p = rng.randint(-4, 4)
-                if p:
-                    weights[(u, v)] = Fraction(p, 2)
-        g = SignedGraph(n, weights)
-        if g.edge_count == 0:
-            continue
-        norm, _ = normalize_weights(g)
-        for objective in (MAX, MIN):
-            best = {}
-            for graph in (g, norm):
-                values = {}
-                for labels in iter_partitions_by_merging(n):
-                    c = Clustering(labels)
-                    values[c] = clustering_value(graph, c, objective)
-                extreme = max(values.values()) if objective is MAX else min(values.values())
-                best[graph] = {c for c, v in values.items() if v == extreme}
-            assert best[g] == best[norm]
-
-
 def test_graph_text_roundtrip():
     g = SignedGraph(4, {(0, 1): Fraction(1, 2), (2, 3): -2, (0, 3): Fraction(5, 6)})
     text = format_graph(g)
@@ -278,6 +235,41 @@ def test_equal_weights_in_any_spelling_make_equal_graphs():
     for g in graphs:
         assert g == graphs[0] and hash(g) == hash(graphs[0])
     assert SignedGraph(3, {(0, 1): 1, (1, 2): -3}) != graphs[0]
+
+
+def test_from_scaled_matches_the_fraction_built_graph():
+    rng = random.Random(229)
+    graphs = [SignedGraph(0), SignedGraph(3), SignedGraph(3, {(0, 1): 1, (1, 2): -1})]
+    graphs += [mixed_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+    for g in graphs:
+        for factor in (1, 6):
+            # a scale that is not reduced must come back reduced
+            scaled = {pair: w * factor for pair, w in g.scaled_weights()}
+            h = SignedGraph._from_scaled(g.n, g.scale * factor, scaled)
+            assert h == g and hash(h) == hash(g)
+            assert h.scale == g.scale
+            assert list(h.scaled_weights()) == list(g.scaled_weights())
+    unsorted = SignedGraph._from_scaled(4, 4, {(2, 3): 2, (0, 1): -1, (1, 3): 4})
+    assert unsorted == SignedGraph(4, {(0, 1): Fraction(-1, 4), (1, 3): 1, (2, 3): Fraction(1, 2)})
+    assert [pair for pair, _ in unsorted.scaled_weights()] == [(0, 1), (1, 3), (2, 3)]
+    assert SignedGraph._from_scaled(2, 3, {(0, 1): 3}).scale == 1
+
+
+@pytest.mark.parametrize(
+    "n, scale, weights",
+    [
+        (3, 1, {(1, 0): 1}),
+        (3, 1, {(1, 1): 1}),
+        (3, 1, {(0, 3): 1}),
+        (3, 1, {(-1, 2): 1}),
+        (3, 2, {(0, 1): 0}),
+        (3, 0, {(0, 1): 1}),
+        (3, -2, {(0, 1): 1}),
+    ],
+)
+def test_from_scaled_rejects_bad_input(n, scale, weights):
+    with pytest.raises(ValueError):
+        SignedGraph._from_scaled(n, scale, weights)
 
 
 def scaled_by(g, c):

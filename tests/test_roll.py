@@ -174,6 +174,29 @@ def test_rolled_edges_carry_base_weights():
                 assert r.graph.weight(grid_index(nodes[j1], 3), grid_index(nodes[j2], 3)) == 0
 
 
+def public_roll_graph(g, rows):
+    """The rolled graph built edge by edge through the public constructor."""
+    n = g.n
+    weights = {}
+    for d in list(all_duplicates(rows, n))[: rows * rows // n]:
+        nodes = duplicate_nodes(d, rows, n)
+        for j1, j2, w in g.edges():
+            weights[(grid_index(nodes[j1], n), grid_index(nodes[j2], n))] = w
+    return SignedGraph(rows * n, weights)
+
+
+def test_build_roll_matches_the_public_constructor():
+    rng = random.Random(31)
+    for n, t in [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0)]:
+        rows = valid_roll_size(n, t)
+        for g in (SignedGraph(n), random_graph(rng, n), random_graph(rng, n, density=1.0)):
+            rolled = build_roll(g, rows).graph
+            expected = public_roll_graph(g, rows)
+            assert rolled == expected and hash(rolled) == hash(expected)
+            assert rolled.scale == g.scale
+            assert list(rolled.scaled_weights()) == list(expected.scaled_weights())
+
+
 def test_zero_edge_base_rolls_to_zero_edges():
     g = SignedGraph(3)
     r = build_roll(g, 3)

@@ -12,8 +12,15 @@ from rollclust.core import (
     clustering_value,
     contributing_edges,
 )
-from rollclust.rounding import RoundingParams, deviation_stats, hoeffding_tail, round_graph
-from rollclust.streams import derive_seed
+import rollclust.rounding
+from rollclust.rounding import (
+    RoundingParams,
+    bernoulli,
+    deviation_stats,
+    hoeffding_tail,
+    round_graph,
+)
+from rollclust.streams import derive_seed, make_rng
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -29,6 +36,104 @@ def random_graph(rng, n, density=0.8):
                 if p:
                     weights[(u, v)] = Fraction(p, q)
     return SignedGraph(n, weights)
+
+
+def fraction_round_edge_weight(w, params, rng):
+    if w > 0:
+        return params.beta if bernoulli(rng, w / params.beta) else Fraction(0)
+    if w < 0:
+        return -params.alpha if bernoulli(rng, -w / params.alpha) else Fraction(0)
+    return Fraction(0)
+
+
+def fraction_round_graph(g, params):
+    """The per-edge Fraction rounding loop: one stream per edge, rounded
+    weights rebuilt through the public constructor. Oracle for round_graph."""
+    if g.max_abs_weight() > 1:
+        raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
+    weights = {}
+    for u, v, w in g.edges():
+        rng = make_rng(params.seed, "edge", u, v)
+        w2 = fraction_round_edge_weight(w, params, rng)
+        if w2 != 0:
+            weights[(u, v)] = w2
+    return SignedGraph(g.n, weights)
+
+
+SPREADS = [(1, 1), (Fraction(3, 2), 2), (2, 1), (Fraction(5, 3), Fraction(7, 4))]
+
+
+def oracle_cases():
+    """Graphs covering +-1 weights, mixed denominators, |w| equal to alpha
+    or beta (p = 1), and the empty graph."""
+    rng = random.Random(41)
+    graphs = [SignedGraph(0), SignedGraph(5)]
+    for n in (3, 5, 8):
+        graphs.append(SignedGraph(n, {
+            (u, v): rng.choice((-1, 1)) for u in range(n) for v in range(u + 1, n)
+        }))
+        graphs.append(random_graph(rng, n))
+        weights = {}
+        for u in range(n):
+            for v in range(u + 1, n):
+                q = rng.choice((1, 2, 3, 7, 12))
+                weights[(u, v)] = Fraction(rng.randint(-q, q) or q, q)
+        graphs.append(SignedGraph(n, weights))
+    return graphs
+
+
+@pytest.mark.parametrize("alpha, beta", SPREADS)
+def test_round_graph_matches_the_fraction_oracle(alpha, beta):
+    graphs = oracle_cases()
+    # weights equal to beta or -alpha where those fit under 1: kept with p = 1
+    graphs.append(SignedGraph(4, {(0, 1): 1, (1, 2): -1, (2, 3): Fraction(1, 2), (0, 3): -1}))
+    for seed in (0, 1, 7, 2**40 + 3):
+        params = RoundingParams(alpha=alpha, beta=beta, seed=seed)
+        for g in graphs:
+            after = round_graph(g, params).after
+            expected = fraction_round_graph(g, params)
+            assert after == expected
+            assert after.scale == expected.scale
+
+
+def test_round_graph_reduces_the_scale_when_only_beta_survives():
+    # every edge positive: the output lives on beta's denominator alone
+    params = RoundingParams(alpha=Fraction(5, 3), beta=Fraction(7, 4), seed=3)
+    g = SignedGraph(4, {(0, 1): Fraction(1, 2), (1, 2): 1, (2, 3): Fraction(1, 3)})
+    after = round_graph(g, params).after
+    assert after == fraction_round_graph(g, params)
+    assert after.edge_count > 0
+    assert after.scale == 4
+    # a graph with no surviving edges has scale 1
+    assert round_graph(SignedGraph(3), params).after.scale == 1
+
+
+@pytest.mark.parametrize("alpha, beta", SPREADS)
+def test_streams_are_built_only_for_fractional_probabilities(monkeypatch, alpha, beta):
+    calls = []
+
+    def counting_make_rng(root, *parts):
+        calls.append((root, parts))
+        return make_rng(root, *parts)
+
+    monkeypatch.setattr(rollclust.rounding, "make_rng", counting_make_rng)
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    params = RoundingParams(alpha=alpha, beta=beta, seed=5)
+    for g in oracle_cases():
+        calls.clear()
+        round_graph(g, params)
+        fractional = sorted(
+            (u, v) for u, v, w in g.edges() if (w / beta if w > 0 else -w / alpha) < 1
+        )
+        assert sorted((parts[1], parts[2]) for _, parts in calls) == fractional
+        assert all(root == 5 and parts[0] == "edge" for root, parts in calls)
+    if alpha == beta == 1:
+        # the identity regime: +-1 weights all have p = 1 and draw nothing
+        calls.clear()
+        rng = random.Random(43)
+        g = SignedGraph(6, {(u, v): rng.choice((-1, 1)) for u in range(6) for v in range(u + 1, 6)})
+        assert round_graph(g, params).after == g
+        assert calls == []
 
 
 def test_rounding_params_validation():
