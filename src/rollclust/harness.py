@@ -39,6 +39,7 @@ from .roll import (
     untrimmed_duplicate_count,
     valid_roll_size,
 )
+from .reduction import duplication_clustering
 from .rounding import RoundingParams, round_graph
 from .solvers import solve_exact, solve_exact_reference, solve_trivial_max
 from .streams import derive_seed, make_rng
@@ -356,8 +357,6 @@ def check_duplication_roundtrip(
 ) -> None:
     """Inducing the duplication clustering on any active duplicate gives
     back the original base clustering."""
-    from .reduction import duplication_clustering
-
     result.instances_run += 1
     lifted = duplication_clustering(u, r.rows)
     for d in r.active:

@@ -105,14 +105,8 @@ def reduce_and_solve(
     candidates = [induced_clustering(rolled, grid_res.clustering, d) for d in rolled.active]
     values = tuple(clustering_value(g, c, cfg.objective) for c in candidates)
 
-    best_index = 0
-    for i, val in enumerate(values):
-        if cfg.objective is ObjectiveKind.MAX_AGREE:
-            if val > values[best_index]:
-                best_index = i
-        elif val < values[best_index]:
-            best_index = i
-    best = SolveResult(candidates[best_index], values[best_index], cfg.objective, cfg.solver)
+    best_index = values.index((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(values))
+    best = SolveResult(candidates[best_index], values[best_index])
 
     rolled_value_pre = clustering_value(rolled.graph, grid_res.clustering, cfg.objective)
     if sum(values, Fraction(0)) != rolled_value_pre:

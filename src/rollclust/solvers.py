@@ -1,11 +1,17 @@
 """Clustering solvers: exact, trivial half-bound, randomized pivot, local search.
 
+Every solver returns a SolveResult: (clustering, value, budget_exhausted).
+MaxAgree and MinDisagree sum to the total absolute weight on every
+clustering, so they share their optima; the exact solver and the local
+search work in agreement only and read MinDisagree off it at the end.
+
 The exact solver walks restricted-growth label strings depth first, scoring
-incrementally in scaled-integer arithmetic and pruning branches that cannot
-strictly beat the incumbent, so the first optimum in enumeration order is
-kept. A second, deliberately naive enumerator (bitmask block merging plus a
-from-scratch value scan) exists purely as a cross-check; the two share no
-enumeration or scoring code.
+agreement incrementally in scaled-integer arithmetic and pruning branches
+that cannot strictly beat the incumbent, so the first optimum in
+enumeration order is kept for both objectives. A second, deliberately
+naive enumerator (bitmask block merging plus a from-scratch value scan)
+exists purely as a cross-check; the two share no enumeration or scoring
+code.
 
 solve_trivial_max returns the better of one-cluster and all-singletons,
 which always captures at least half the total absolute weight. solve_pivot
@@ -14,12 +20,12 @@ MinDisagree. solve_local_search improves single-node moves under a move
 budget with deterministic tie-breaking. It keeps each node's signed scaled
 weight to every cluster it touches and updates those sums over the moved
 node's edges only; a move gains MaxAgree exactly what it takes off
-MinDisagree, so both objectives share one move rule.
+MinDisagree, so both objectives take the same moves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
@@ -60,8 +66,6 @@ class SolverSpec:
 class SolveResult:
     clustering: Clustering
     value: Fraction
-    objective: ObjectiveKind
-    solver: SolverSpec
     budget_exhausted: bool = False
 
 
@@ -77,76 +81,54 @@ def _sign_totals(g: SignedGraph) -> "tuple[int, int]":
 def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     """Optimal clustering by exhaustive search over set partitions.
 
-    Enumerates restricted-growth strings depth first; ties go to the first
-    optimum in that order. Rejects graphs with more than EXACT_NODE_LIMIT
-    nodes.
+    Enumerates restricted-growth strings depth first, maximizing agreement;
+    ties go to the first optimum in that order. MaxAgree and MinDisagree sum
+    to the total weight on every clustering, so the MinDisagree optimum is
+    the same clustering, valued at the total minus its agreement. Rejects
+    graphs with more than EXACT_NODE_LIMIT nodes.
     """
     n = g.n
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
-    spec = SolverSpec(SolverKind.EXACT)
-    if n == 0:
-        return SolveResult(Clustering([]), Fraction(0), objective, spec)
-
     one_cluster, singletons = _sign_totals(g)
     # prev[v] lists (u, w * scale) for u < v
     prev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v), w in g.scaled_weights():
         prev[v].append((u, w))
-    maximize = objective is ObjectiveKind.MAX_AGREE
-    total = one_cluster + singletons
-
-    # Largest value the not-yet-assigned suffix can still add (MaxAgree) or
-    # must at least not add (MinDisagree prunes on current alone).
+    # placing v agrees with all of its negative edges back to earlier nodes
+    # (fresh[v]) plus the net weight back to the cluster it joins
+    fresh = [-sum(w for _, w in prev[v] if w < 0) for v in range(n)]
+    # the most agreement the not-yet-assigned suffix can still add
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] + sum(abs(w) for _, w in prev[v])
 
-    if maximize:
-        best_val = max(one_cluster, singletons) - 1
-    else:
-        best_val = min(total - one_cluster, total - singletons) + 1
+    best_val = max(one_cluster, singletons) - 1
     best_labels: "list[int] | None" = None
     labels = [0] * n
 
     def walk(v: int, k: int, current: int) -> None:
         nonlocal best_val, best_labels
-        if maximize:
-            if current + suffix[v] <= best_val:
-                return
-        else:
-            if current >= best_val:
-                return
+        if current + suffix[v] <= best_val:
+            return
         if v == n:
             best_val = current
             best_labels = labels.copy()
             return
-        pos = [0] * (k + 1)
-        neg = [0] * (k + 1)
-        tot_pos = 0
-        tot_neg = 0
+        net = [0] * (k + 1)
         for u, w in prev[v]:
-            lbl = labels[u]
-            if w > 0:
-                pos[lbl] += w
-                tot_pos += w
-            else:
-                neg[lbl] -= w
-                tot_neg -= w
+            net[labels[u]] += w
+        current += fresh[v]
         for lbl in range(k + 1):
-            if maximize:
-                delta = pos[lbl] + tot_neg - neg[lbl]
-            else:
-                delta = neg[lbl] + tot_pos - pos[lbl]
             labels[v] = lbl
-            walk(v + 1, k + 1 if lbl == k else k, current + delta)
+            walk(v + 1, k + 1 if lbl == k else k, current + net[lbl])
         labels[v] = 0
 
     walk(0, 0, 0)
     assert best_labels is not None
-    return SolveResult(
-        Clustering(best_labels), Fraction(best_val, g.scale), objective, spec
-    )
+    if objective is ObjectiveKind.MIN_DISAGREE:
+        best_val = one_cluster + singletons - best_val
+    return SolveResult(Clustering(best_labels), Fraction(best_val, g.scale))
 
 
 def iter_partitions_by_merging(n: int) -> Iterator["list[int]"]:
@@ -186,7 +168,6 @@ def solve_exact_reference(g: SignedGraph, objective: ObjectiveKind) -> SolveResu
     evaluation. Slow on purpose; exists to cross-check solve_exact."""
     if g.n > 10:
         raise ValueError("reference solver is for small cross-checks (n <= 10)")
-    spec = SolverSpec(SolverKind.EXACT)
     maximize = objective is ObjectiveKind.MAX_AGREE
     best: "tuple[Fraction, Clustering] | None" = None
     for labels in iter_partitions_by_merging(g.n):
@@ -195,7 +176,7 @@ def solve_exact_reference(g: SignedGraph, objective: ObjectiveKind) -> SolveResu
         if best is None or (val > best[0] if maximize else val < best[0]):
             best = (val, c)
     assert best is not None  # every n >= 0 has at least one partition
-    return SolveResult(best[1], best[0], objective, spec)
+    return SolveResult(best[1], best[0])
 
 
 def solve_trivial_max(g: SignedGraph) -> SolveResult:
@@ -204,7 +185,7 @@ def solve_trivial_max(g: SignedGraph) -> SolveResult:
     pos, neg = _sign_totals(g)
     c = Clustering.one_cluster(g.n) if pos >= neg else Clustering.singletons(g.n)
     value = Fraction(max(pos, neg), g.scale)
-    return SolveResult(c, value, ObjectiveKind.MAX_AGREE, SolverSpec(SolverKind.TRIVIAL_MAX))
+    return SolveResult(c, value)
 
 
 def _require_complete_pm1(g: SignedGraph) -> None:
@@ -230,8 +211,7 @@ def solve_pivot(g: SignedGraph, seed: int = 0) -> SolveResult:
         next_label += 1
         remaining = [v for v in remaining if labels[v] < 0]
     c = Clustering(labels)
-    value = clustering_value(g, c, ObjectiveKind.MIN_DISAGREE)
-    return SolveResult(c, value, ObjectiveKind.MIN_DISAGREE, SolverSpec(SolverKind.PIVOT, seed=seed))
+    return SolveResult(c, clustering_value(g, c, ObjectiveKind.MIN_DISAGREE))
 
 
 def _shift(sums: "dict[int, int]", label: int, w: int) -> None:
@@ -243,17 +223,14 @@ def _shift(sums: "dict[int, int]", label: int, w: int) -> None:
         del sums[label]
 
 
-def solve_local_search(
-    g: SignedGraph, objective: ObjectiveKind, seed: int = 0, budget: int = 1000
-) -> SolveResult:
+def solve_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
     """Single-node-move local search from the better trivial clustering.
 
     Each step applies the best strictly improving move of one node to an
     existing cluster or a fresh singleton; ties break to the lowest node
     index, then the lowest target label. Stops at a local optimum or after
     `budget` moves; `budget_exhausted` is set when the budget ran out while
-    an improving move was still left. Deterministic; the seed is carried
-    only for provenance.
+    an improving move was still left. Deterministic.
 
     net[v][l] holds the signed scaled weight from v to cluster l, with zero
     sums dropped. Moving v from a to l raises MaxAgree and lowers
@@ -261,8 +238,9 @@ def solve_local_search(
     serves both objectives. Every cluster to which v has no net weight
     scores like the fresh singleton, so the lowest such label stands for
     all of them. A move from a to b updates the sums of v's neighbours in
-    O(deg v), and each step is one pass over the sums. The value is the
-    start value plus the running total of the gains.
+    O(deg v), and each step is one pass over the sums. The search tracks
+    agreement, the start value plus the running total of the gains, and
+    reads MinDisagree off it at the end.
 
     Only strictly improving moves are taken, so a graph whose positive and
     negative totals tie never leaves the one-cluster start, even when a
@@ -270,17 +248,15 @@ def solve_local_search(
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    spec = SolverSpec(SolverKind.LOCAL_SEARCH, seed=seed, budget=budget)
     n = g.n
     if n == 0:
-        return SolveResult(Clustering([]), Fraction(0), objective, spec)
+        return SolveResult(Clustering([]), Fraction(0))
 
-    maximize = objective is ObjectiveKind.MAX_AGREE
     pos, neg = _sign_totals(g)
     # one cluster scores pos agreements and neg disagreements, singletons
     # the reverse, so both objectives prefer one cluster iff pos >= neg
     labels = [0] * n if pos >= neg else list(range(n))
-    value = max(pos, neg) if maximize else min(pos, neg)
+    agree = max(pos, neg)
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     net: list[dict[int, int]] = [{} for _ in range(n)]
@@ -316,15 +292,14 @@ def solve_local_search(
             break
         a = labels[best_v]
         labels[best_v] = best_target
-        value += best_gain if maximize else -best_gain
+        agree += best_gain
         for u, w in adj[best_v]:
             _shift(net[u], a, -w)
             _shift(net[u], best_target, w)
 
-    return SolveResult(
-        Clustering(labels), Fraction(value, g.scale), objective, spec,
-        budget_exhausted=budget_exhausted,
-    )
+    if objective is ObjectiveKind.MIN_DISAGREE:
+        agree = pos + neg - agree
+    return SolveResult(Clustering(labels), Fraction(agree, g.scale), budget_exhausted)
 
 
 def budget_note(budget: int) -> str:
@@ -333,17 +308,15 @@ def budget_note(budget: int) -> str:
 
 
 def run_solver(g: SignedGraph, objective: ObjectiveKind, spec: SolverSpec) -> SolveResult:
-    """Dispatch on the SolverSpec; the result echoes the SolverSpec it ran under."""
+    """Dispatch on the SolverSpec's kind."""
     if spec.kind is SolverKind.EXACT:
-        res = solve_exact(g, objective)
-    elif spec.kind is SolverKind.TRIVIAL_MAX:
+        return solve_exact(g, objective)
+    if spec.kind is SolverKind.TRIVIAL_MAX:
         if objective is not ObjectiveKind.MAX_AGREE:
             raise ValueError("trivial solver only targets MaxAgree")
-        res = solve_trivial_max(g)
-    elif spec.kind is SolverKind.PIVOT:
+        return solve_trivial_max(g)
+    if spec.kind is SolverKind.PIVOT:
         if objective is not ObjectiveKind.MIN_DISAGREE:
             raise ValueError("pivot only targets MinDisagree")
-        res = solve_pivot(g, seed=spec.seed)
-    else:
-        res = solve_local_search(g, objective, seed=spec.seed, budget=spec.budget)
-    return replace(res, solver=spec)
+        return solve_pivot(g, seed=spec.seed)
+    return solve_local_search(g, objective, budget=spec.budget)

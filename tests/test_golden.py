@@ -98,7 +98,7 @@ def rolled_grid(name) -> SignedGraph:
 
 
 def local_result(name, objective):
-    return solve_local_search(rolled_grid(name), ObjectiveKind.parse(objective), seed=3, budget=1000)
+    return solve_local_search(rolled_grid(name), ObjectiveKind.parse(objective), budget=1000)
 
 
 REPORTS = {

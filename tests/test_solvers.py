@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
-from rollclust.harness import GenSpec, UniformRational, generate
+from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.roll import build_roll, valid_roll_size
 from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
@@ -96,6 +96,102 @@ def test_exact_node_limit():
         solve_exact(g, MAX)
 
 
+def two_objective_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
+    """solve_exact as it was when it searched each objective on its own, with
+    a MinDisagree incumbent, prune rule and per-label delta. Kept as the
+    oracle the agreement-only walk must match clustering for clustering."""
+    n = g.n
+    if n > EXACT_NODE_LIMIT:
+        raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
+    if n == 0:
+        return SolveResult(Clustering([]), Fraction(0))
+
+    one_cluster = sum(w for _, w in g.scaled_weights() if w > 0)
+    singletons = -sum(w for _, w in g.scaled_weights() if w < 0)
+    # prev[v] lists (u, w * scale) for u < v
+    prev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in g.scaled_weights():
+        prev[v].append((u, w))
+    maximize = objective is ObjectiveKind.MAX_AGREE
+    total = one_cluster + singletons
+
+    # Largest value the not-yet-assigned suffix can still add (MaxAgree) or
+    # must at least not add (MinDisagree prunes on current alone).
+    suffix = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix[v] = suffix[v + 1] + sum(abs(w) for _, w in prev[v])
+
+    if maximize:
+        best_val = max(one_cluster, singletons) - 1
+    else:
+        best_val = min(total - one_cluster, total - singletons) + 1
+    best_labels: "list[int] | None" = None
+    labels = [0] * n
+
+    def walk(v: int, k: int, current: int) -> None:
+        nonlocal best_val, best_labels
+        if maximize:
+            if current + suffix[v] <= best_val:
+                return
+        else:
+            if current >= best_val:
+                return
+        if v == n:
+            best_val = current
+            best_labels = labels.copy()
+            return
+        pos = [0] * (k + 1)
+        neg = [0] * (k + 1)
+        tot_pos = 0
+        tot_neg = 0
+        for u, w in prev[v]:
+            lbl = labels[u]
+            if w > 0:
+                pos[lbl] += w
+                tot_pos += w
+            else:
+                neg[lbl] -= w
+                tot_neg -= w
+        for lbl in range(k + 1):
+            if maximize:
+                delta = pos[lbl] + tot_neg - neg[lbl]
+            else:
+                delta = neg[lbl] + tot_pos - pos[lbl]
+            labels[v] = lbl
+            walk(v + 1, k + 1 if lbl == k else k, current + delta)
+        labels[v] = 0
+
+    walk(0, 0, 0)
+    assert best_labels is not None
+    return SolveResult(Clustering(best_labels), Fraction(best_val, g.scale))
+
+
+def exact_differential_graph(rng, n, kind):
+    if kind == "complete":
+        return random_complete_pm1(rng, n, plus=rng.choice((0.3, 0.5, 0.7)))
+    if kind == "planted":
+        model = PlantedPartition(clusters=rng.randint(1, max(n, 1)), flip_prob=0.15)
+        return generate(GenSpec(n=n, model=model, seed=rng.randrange(2**32)))
+    return differential_graph(rng, n, kind)
+
+
+def test_exact_matches_two_objective_oracle():
+    rng = random.Random(1463)
+    cases = [(n, kind, 23) for n in range(11) for kind in ("complete", "planted", "rational", "cancel")]
+    cases += [(12, kind, 1) for kind in ("complete", "planted", "rational", "cancel")]
+    graphs = 0
+    for n, kind, count in cases:
+        for _ in range(count):
+            g = exact_differential_graph(rng, n, kind)
+            graphs += 1
+            for objective in (MAX, MIN):
+                got = solve_exact(g, objective)
+                expect = two_objective_exact(g, objective)
+                assert got.clustering == expect.clustering, (n, kind, objective)
+                assert got.value == expect.value, (n, kind, objective)
+    assert graphs >= 1000
+
+
 def test_partition_enumerators_are_complete():
     for n in range(1, 8):
         partitions = {tuple(Clustering(labels).labels) for labels in iter_partitions_by_merging(n)}
@@ -125,8 +221,10 @@ def test_exact_optima_are_complementary():
         vmax = solve_exact(g, MAX)
         vmin = solve_exact(g, MIN)
         assert vmax.value + vmin.value == g.total_abs_weight()
-        # the same clustering is optimal for both objectives
+        # the same clustering is optimal for both objectives, and the walk
+        # keeps the same first optimum for each
         assert clustering_value(g, vmax.clustering, MIN) == vmin.value
+        assert vmax.clustering == vmin.clustering
 
 
 def test_trivial_half_bound():
@@ -155,7 +253,7 @@ def test_no_solver_beats_exact_on_max_agree():
         g = random_graph(rng, 6)
         opt = solve_exact(g, MAX).value
         assert solve_trivial_max(g).value <= opt
-        assert solve_local_search(g, MAX, seed=trial).value <= opt
+        assert solve_local_search(g, MAX).value <= opt
 
 
 def test_pivot_recovers_perfect_clustering():
@@ -199,7 +297,7 @@ def test_pivot_expected_three_approx_small():
 def test_local_search_improves_and_respects_budget():
     # path +1, -1: both trivial clusterings score 1, one move reaches 2
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
-    res = solve_local_search(g, MAX, seed=0, budget=100)
+    res = solve_local_search(g, MAX, budget=100)
     assert res.value == 2
     assert res.value == solve_exact(g, MAX).value
     assert res.value > solve_trivial_max(g).value
@@ -209,10 +307,10 @@ def test_local_search_improves_and_respects_budget():
 
 def test_local_search_never_below_start():
     rng = random.Random(83)
-    for trial in range(30):
+    for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8))
         for objective in (MAX, MIN):
-            res = solve_local_search(g, objective, seed=trial, budget=50)
+            res = solve_local_search(g, objective, budget=50)
             ones = clustering_value(g, Clustering.one_cluster(g.n), objective)
             sing = clustering_value(g, Clustering.singletons(g.n), objective)
             start = max(ones, sing) if objective is MAX else min(ones, sing)
@@ -223,18 +321,15 @@ def test_local_search_never_below_start():
             assert clustering_value(g, res.clustering, objective) == res.value
 
 
-def rescanning_local_search(
-    g: SignedGraph, objective: ObjectiveKind, seed: int = 0, budget: int = 1000
-) -> SolveResult:
+def rescanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
     """The local search as it was before it kept per-cluster sums: every
     move rescans every edge and scores every node against every used label.
     Kept as the oracle the incremental search must match move for move."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    spec = SolverSpec(SolverKind.LOCAL_SEARCH, seed=seed, budget=budget)
     n = g.n
     if n == 0:
-        return SolveResult(Clustering([]), Fraction(0), objective, spec)
+        return SolveResult(Clustering([]), Fraction(0))
 
     maximize = objective is ObjectiveKind.MAX_AGREE
     pos = sum(w for _, w in g.scaled_weights() if w > 0)
@@ -288,7 +383,7 @@ def rescanning_local_search(
         labels[v] = target
 
     c = Clustering(labels)
-    return SolveResult(c, clustering_value(g, c, objective), objective, spec)
+    return SolveResult(c, clustering_value(g, c, objective))
 
 
 def differential_graph(rng, n, kind):
@@ -387,20 +482,20 @@ def test_local_search_reports_budget_cut_off():
 def test_local_search_deterministic():
     rng = random.Random(19)
     g = random_graph(rng, 8)
-    a = solve_local_search(g, MIN, seed=1, budget=200)
-    b = solve_local_search(g, MIN, seed=1, budget=200)
+    a = solve_local_search(g, MIN, budget=200)
+    b = solve_local_search(g, MIN, budget=200)
     assert a.clustering == b.clustering and a.value == b.value
 
 
 def test_run_solver_dispatch_and_echo():
     rng = random.Random(3)
     g = random_complete_pm1(rng, 6)
-    spec = SolverSpec(SolverKind.PIVOT, seed=11)
-    res = run_solver(g, MIN, spec)
-    assert res.solver == spec
-    assert res.objective is MIN
-    exact_spec = SolverSpec(SolverKind.EXACT)
-    assert run_solver(g, MAX, exact_spec).solver == exact_spec
+    assert run_solver(g, MIN, SolverSpec(SolverKind.PIVOT, seed=11)) == solve_pivot(g, seed=11)
+    assert run_solver(g, MAX, SolverSpec(SolverKind.TRIVIAL_MAX)) == solve_trivial_max(g)
+    for objective in (MAX, MIN):
+        assert run_solver(g, objective, SolverSpec(SolverKind.EXACT)) == solve_exact(g, objective)
+        local = SolverSpec(SolverKind.LOCAL_SEARCH, seed=5, budget=2)
+        assert run_solver(g, objective, local) == solve_local_search(g, objective, budget=2)
     with pytest.raises(ValueError):
         run_solver(g, MIN, SolverSpec(SolverKind.TRIVIAL_MAX))
     with pytest.raises(ValueError):

@@ -62,3 +62,36 @@ def test_only_core_knows_how_weights_are_stored():
         if needle in path.read_text(encoding="utf-8")
     ]
     assert not leaks
+
+
+def imported_names(tree: ast.Module) -> "set[str]":
+    """Names a module binds by import, other than `from __future__`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def used_names(tree: ast.Module) -> "set[str]":
+    """Names a module reads, including those inside string annotations."""
+    annotations = [
+        ann
+        for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str)
+    ]
+    trees = [tree] + [ast.parse(ann.value, mode="eval") for ann in annotations]
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def test_src_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted((ROOT / "src" / "rollclust").glob("*.py")):
+        if path.name == "__init__.py":  # imports only to re-export
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused += [f"{path.name}: {name}" for name in sorted(imported_names(tree) - used_names(tree))]
+    assert not unused
