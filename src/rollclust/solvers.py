@@ -5,13 +5,13 @@ MaxAgree and MinDisagree sum to the total absolute weight on every
 clustering, so they share their optima; the exact solver and the local
 search work in agreement only and read MinDisagree off it at the end.
 
-The exact solver walks restricted-growth label strings depth first, scoring
-agreement incrementally in scaled-integer arithmetic and pruning branches
-that cannot strictly beat the incumbent, so the first optimum in
-enumeration order is kept for both objectives. A second, deliberately
-naive enumerator (bitmask block merging plus a from-scratch value scan)
-exists purely as a cross-check; the two share no enumeration or scoring
-code.
+The exact solver walks restricted-growth label strings depth first in
+scaled-integer arithmetic. Its incumbent starts just below the local
+search's agreement, and a per-node placement bound prunes the branches
+that cannot strictly beat it, so the first optimum in enumeration order is
+kept for both objectives. A second, deliberately naive enumerator (bitmask
+block merging plus a from-scratch value scan) exists purely as a
+cross-check; the two share no enumeration or scoring code.
 
 solve_trivial_max returns the better of one-cluster and all-singletons,
 which always captures at least half the total absolute weight. solve_pivot
@@ -33,7 +33,8 @@ from typing import Iterator
 from .core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from .streams import make_rng
 
-# Bell(13) is about 2.8e7; beyond that exhaustive search stops being a desk tool.
+# Bell(13), about 2.8e7 leaves, is the worst case when nothing prunes, not the
+# typical cost; beyond it exhaustive search stops being a desk tool.
 EXACT_NODE_LIMIT = 13
 
 
@@ -86,43 +87,53 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     to the total weight on every clustering, so the MinDisagree optimum is
     the same clustering, valued at the total minus its agreement. Rejects
     graphs with more than EXACT_NODE_LIMIT nodes.
+
+    Placement bound: an unplaced node x agrees with neg[x], the |weight| of
+    its negative edges to placed nodes, plus to[x][l] if it joins placed
+    cluster l, and with neg[x] alone anywhere else. So no leaf under depth
+    v beats current + slack[v] + sum over x >= v of max(0, max_l to[x][l]),
+    slack[v] being the |weight| among unplaced nodes plus their neg[x].
+    The incumbent starts at the local search's agreement minus 1; as the
+    bound never undercuts a subtree's best leaf, no ancestor of the first
+    optimal leaf is pruned, and that leaf is the one kept.
     """
     n = g.n
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
     one_cluster, singletons = _sign_totals(g)
-    # prev[v] lists (u, w * scale) for u < v
-    prev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # later[u] lists (v, w * scale), v > u; neg[v] is v's neg[x] at depth v;
+    # an edge leaves slack once its earlier (w > 0) or later (w < 0) end is placed
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    neg = [0] * n
+    slack = [0] * (n + 1)
     for (u, v), w in g.scaled_weights():
-        prev[v].append((u, w))
-    # placing v agrees with all of its negative edges back to earlier nodes
-    # (fresh[v]) plus the net weight back to the cluster it joins
-    fresh = [-sum(w for _, w in prev[v] if w < 0) for v in range(n)]
-    # the most agreement the not-yet-assigned suffix can still add
-    suffix = [0] * (n + 1)
+        later[u].append((v, w))
+        neg[v] -= min(w, 0)
+        slack[u if w > 0 else v] += abs(w)
     for v in range(n - 1, -1, -1):
-        suffix[v] = suffix[v + 1] + sum(abs(w) for _, w in prev[v])
+        slack[v] += slack[v + 1]
+    # a label no placed node holds reads 0, the fresh cluster's max(0, .)
+    to = [[0] * n for _ in range(n)]
 
-    best_val = max(one_cluster, singletons) - 1
+    best_val = int(solve_local_search(g, ObjectiveKind.MAX_AGREE).value * g.scale) - 1
     best_labels: "list[int] | None" = None
     labels = [0] * n
 
     def walk(v: int, k: int, current: int) -> None:
         nonlocal best_val, best_labels
-        if current + suffix[v] <= best_val:
+        if current + slack[v] + sum([max(row[: k + 1]) for row in to[v:]]) <= best_val:
             return
         if v == n:
             best_val = current
             best_labels = labels.copy()
             return
-        net = [0] * (k + 1)
-        for u, w in prev[v]:
-            net[labels[u]] += w
-        current += fresh[v]
         for lbl in range(k + 1):
             labels[v] = lbl
-            walk(v + 1, k + 1 if lbl == k else k, current + net[lbl])
-        labels[v] = 0
+            for x, w in later[v]:
+                to[x][lbl] += w
+            walk(v + 1, k + 1 if lbl == k else k, current + neg[v] + to[v][lbl])
+            for x, w in later[v]:
+                to[x][lbl] -= w
 
     walk(0, 0, 0)
     assert best_labels is not None

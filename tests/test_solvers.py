@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
-from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
+from rollclust.harness import CompleteSigned, GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.roll import build_roll, valid_roll_size
 from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
@@ -179,6 +179,8 @@ def test_exact_matches_two_objective_oracle():
     rng = random.Random(1463)
     cases = [(n, kind, 23) for n in range(11) for kind in ("complete", "planted", "rational", "cancel")]
     cases += [(12, kind, 1) for kind in ("complete", "planted", "rational", "cancel")]
+    # the node limit, where the placement bound does most of its pruning
+    cases += [(EXACT_NODE_LIMIT, kind, 3) for kind in ("complete", "planted", "rational", "cancel")]
     graphs = 0
     for n, kind, count in cases:
         for _ in range(count):
@@ -190,6 +192,22 @@ def test_exact_matches_two_objective_oracle():
                 assert got.clustering == expect.clustering, (n, kind, objective)
                 assert got.value == expect.value, (n, kind, objective)
     assert graphs >= 1000
+
+
+def test_exact_keeps_first_optimum_when_local_search_finds_another():
+    # the warm incumbent sits one below the local search's value, so a local
+    # optimum that is optimal but later in enumeration order must not win
+    tied = 0
+    for seed in range(300):
+        g = generate(GenSpec(n=6, model=CompleteSigned(), seed=seed))
+        local = solve_local_search(g, MAX)
+        expect = two_objective_exact(g, MAX)
+        if local.value != expect.value or local.clustering == expect.clustering:
+            continue
+        tied += 1
+        for objective in (MAX, MIN):
+            assert solve_exact(g, objective) == two_objective_exact(g, objective), (seed, objective)
+    assert tied >= 50
 
 
 def test_partition_enumerators_are_complete():
