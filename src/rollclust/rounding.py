@@ -2,12 +2,13 @@
 
 Each edge is rounded independently: a positive weight w becomes beta with
 probability w/beta and 0 otherwise; a negative weight becomes -alpha with
-probability -w/alpha. The per-edge expectation equals the original weight
-exactly, because the Bernoulli draws use exact rational probabilities (an
-integer comparison on the per-edge stream, never a float threshold). An
-edge whose probability is 1 (|w| equal to beta or alpha) is kept without
-drawing, so it builds no stream. The rounded graph is built in integers:
-beta and -alpha over the product of their denominators.
+probability -w/alpha. The expectation is exact: a keep probability num/den
+< 1 keeps the edge iff s % den < num, where s is the edge's 64-bit derived
+seed, accepted below the largest multiple of den not above 2**64; a
+rejected s falls back to an exact draw on the edge's "retry" stream. An
+edge with probability 1 (|w| equal to beta or alpha) is kept without
+drawing. The rounded graph is built in integers: beta and -alpha over the
+product of their denominators.
 
 Rounding never flips a sign, so a clustering's contributing edge set after
 rounding is a subset of its contributing set before; summing |rounded
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Clustering, ObjectiveKind, SignedGraph, contributing_edges
-from .streams import make_rng
+from .streams import derive_seed, make_rng
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,36 @@ def bernoulli(rng: random.Random, p: Fraction) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
-def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
-    """Round every edge independently on its own named stream.
+def acceptance_limit(den: int) -> int:
+    """The largest multiple of den <= 2**64: a derived seed below it is uniform mod den."""
+    return (1 << 64) - (1 << 64) % den
 
-    Requires |w| <= 1 for all edges. The per-edge stream is derived from
-    (seed, u, v), so the outcome does not depend on edge iteration order
-    and all graphs sharing a seed agree edge by edge.
+
+def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
+    """Round every edge independently on its own derived seed.
+
+    Requires |w| <= 1 for all edges. The seed is derived from (seed, u, v),
+    so the outcome does not depend on edge iteration order and all graphs
+    sharing a seed agree edge by edge.
     """
     if g.max_abs_weight() > 1:
         raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
     alpha, beta = params.alpha, params.beta
     up, down = beta.numerator * alpha.denominator, -alpha.numerator * beta.denominator
-    # keep probability per distinct scaled weight; None when it is 1
-    probs: dict[int, Fraction | None] = {}
+    # per distinct scaled weight: (num, den, acceptance limit) of p < 1, or None
+    draws: dict[int, tuple[int, int, int] | None] = {}
     weights: dict[tuple[int, int], int] = {}
     for (u, v), w in g.scaled_weights():
-        if w not in probs:
+        if w not in draws:
             p = Fraction(w, g.scale) / beta if w > 0 else Fraction(-w, g.scale) / alpha
-            probs[w] = p if p < 1 else None
-        p = probs[w]
-        if p is None or bernoulli(make_rng(params.seed, "edge", u, v), p):
-            weights[(u, v)] = up if w > 0 else down
+            draws[w] = (p.numerator, p.denominator, acceptance_limit(p.denominator)) if p < 1 else None
+        if draws[w] is not None:
+            num, den, limit = draws[w]
+            s = derive_seed(params.seed, "edge", u, v)
+            if not (s % den < num if s < limit
+                    else bernoulli(make_rng(params.seed, "edge", u, v, "retry"), Fraction(num, den))):
+                continue
+        weights[(u, v)] = up if w > 0 else down
     scale = alpha.denominator * beta.denominator  # up / scale = beta, down / scale = -alpha
     return RoundingOutcome(g, SignedGraph._from_scaled(g.n, scale, weights))
 

@@ -116,24 +116,24 @@ REPORTS = {
     ("rational-3-0", "max", "exact", "3/2", 2): "5a7753133525643e",
     ("rational-3-0", "min", "local", "1", 1): "f44407e8094b33c2",
     ("rational-3-0", "min", "local", "1", 2): "2b94cf83a9ef5577",
-    ("rational-3-0", "min", "local", "3/2", 1): "ca9c40c4aadd9bb8",
-    ("rational-3-0", "min", "local", "3/2", 2): "630095bfddbb1c85",
+    ("rational-3-0", "min", "local", "3/2", 1): "c3f5a83cfc520efd",
+    ("rational-3-0", "min", "local", "3/2", 2): "f48cefc9dabc522b",
     ("rational-3-0", "min", "exact", "1", 1): "117b0f7c03d8a9be",
     ("rational-3-0", "min", "exact", "1", 2): "0c8f508727783a39",
-    ("rational-3-0", "min", "exact", "3/2", 1): "13fd69e83ea14fe7",
-    ("rational-3-0", "min", "exact", "3/2", 2): "ed89060771ac6d2a",
+    ("rational-3-0", "min", "exact", "3/2", 1): "a08e4b034c59ecfe",
+    ("rational-3-0", "min", "exact", "3/2", 2): "5984ad88788fcf2d",
     ("rational-3-1", "max", "local", "1", 1): "1d2aa498440e5efe",
     ("rational-3-1", "max", "local", "1", 2): "a75fccae09bcf6fb",
-    ("rational-3-1", "max", "local", "3/2", 1): "10daeca3656df8ca",
-    ("rational-3-1", "max", "local", "3/2", 2): "ff8ddca7acc96960",
+    ("rational-3-1", "max", "local", "3/2", 1): "50b2196d07369cb5",
+    ("rational-3-1", "max", "local", "3/2", 2): "3052bd4bee2f7e6c",
     ("rational-3-1", "max", "trivial", "1", 1): "a2c6fbf93af1b0c5",
     ("rational-3-1", "max", "trivial", "1", 2): "c7de1d6d02a5f3a3",
-    ("rational-3-1", "max", "trivial", "3/2", 1): "1fa71f09e2564d0a",
-    ("rational-3-1", "max", "trivial", "3/2", 2): "e356d6e80b3d3f45",
+    ("rational-3-1", "max", "trivial", "3/2", 1): "80c8e7f1cf200ddb",
+    ("rational-3-1", "max", "trivial", "3/2", 2): "f3716bc272a83aaa",
     ("rational-3-1", "min", "local", "1", 1): "b21a76c55b0e4e8c",
     ("rational-3-1", "min", "local", "1", 2): "f01f9292d1cc3965",
-    ("rational-3-1", "min", "local", "3/2", 1): "53d03f8c4929296c",
-    ("rational-3-1", "min", "local", "3/2", 2): "3916ef88408ae3d3",
+    ("rational-3-1", "min", "local", "3/2", 1): "0d51d09863ea1b64",
+    ("rational-3-1", "min", "local", "3/2", 2): "9658bd0bad6eb4ae",
     ("planted-4-1", "max", "local", "1", 1): "4732ea7b89f2d50a",
     ("planted-4-1", "max", "local", "1", 2): "461fb6269fc78025",
     ("planted-4-1", "max", "local", "3/2", 1): "4fae544876615b5d",
@@ -158,18 +158,18 @@ REPORTS = {
     ("signed-3-1", "min", "local", "1", 2): "773bf8091735a62d",
     ("signed-3-1", "min", "local", "3/2", 1): "dca0fcc5e13403af",
     ("signed-3-1", "min", "local", "3/2", 2): "76110db0f5503a81",
-    ("sparse-4-0", "max", "local", "1", 1): "e4e7ec9d01ef908b",
-    ("sparse-4-0", "max", "local", "1", 2): "eab0de715043c19a",
-    ("sparse-4-0", "max", "local", "3/2", 1): "5595acbb783327c8",
-    ("sparse-4-0", "max", "local", "3/2", 2): "85f2f7b4c629409e",
-    ("sparse-4-0", "max", "trivial", "1", 1): "a4a71ffad0c0328e",
-    ("sparse-4-0", "max", "trivial", "1", 2): "b6677657e896f473",
-    ("sparse-4-0", "max", "trivial", "3/2", 1): "6926c632d9748c93",
-    ("sparse-4-0", "max", "trivial", "3/2", 2): "aff86d3c317a97ac",
-    ("sparse-4-0", "min", "local", "1", 1): "480712cd6150ef21",
-    ("sparse-4-0", "min", "local", "1", 2): "14c43fe6899c37f2",
-    ("sparse-4-0", "min", "local", "3/2", 1): "3d3f3223141cec2b",
-    ("sparse-4-0", "min", "local", "3/2", 2): "609f576ef5977d26",
+    ("sparse-4-0", "max", "local", "1", 1): "f1c39dc69a1b6d75",
+    ("sparse-4-0", "max", "local", "1", 2): "7ccf94c7436761b7",
+    ("sparse-4-0", "max", "local", "3/2", 1): "b2351ca077e1fc49",
+    ("sparse-4-0", "max", "local", "3/2", 2): "2c6a80bac76621b8",
+    ("sparse-4-0", "max", "trivial", "1", 1): "0a298bbd9b2c6a6f",
+    ("sparse-4-0", "max", "trivial", "1", 2): "cf7906490bb5d369",
+    ("sparse-4-0", "max", "trivial", "3/2", 1): "d7ec9b6c54f59152",
+    ("sparse-4-0", "max", "trivial", "3/2", 2): "2ab14cf7fafb67a7",
+    ("sparse-4-0", "min", "local", "1", 1): "a978160f52a5201f",
+    ("sparse-4-0", "min", "local", "1", 2): "c5ab615adfcbe936",
+    ("sparse-4-0", "min", "local", "3/2", 1): "5103916a41c43aed",
+    ("sparse-4-0", "min", "local", "3/2", 2): "f00015ed4af048c1",
 }
 
 LOCAL = {

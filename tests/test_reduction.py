@@ -180,9 +180,9 @@ def test_trial_notes_are_counted_in_first_seen_order(monkeypatch):
         for note in notes:
             expected[note] = expected.get(note, 0) + 1
     assert agg.notes == tuple(expected.items())
-    # 4 of the 6 trials run out of moves; every trial skips the stats
+    # 1 of the 6 trials runs out of moves; every trial skips the stats
     assert dict(agg.notes) == {
-        budget_note(6): 4, "deviation stats skipped: lambda_ref is 1": 6,
+        budget_note(6): 1, "deviation stats skipped: lambda_ref is 1": 6,
     }
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,23 +39,30 @@ def random_graph(rng, n, density=0.8):
     return SignedGraph(n, weights)
 
 
-def fraction_round_edge_weight(w, params, rng):
-    if w > 0:
-        return params.beta if bernoulli(rng, w / params.beta) else Fraction(0)
-    if w < 0:
-        return -params.alpha if bernoulli(rng, -w / params.alpha) else Fraction(0)
-    return Fraction(0)
+def fraction_round_edge_weight(w, params, u, v):
+    """One edge's rounded weight in Fractions: keep with p = |w| / magnitude,
+    read off the edge's derived seed when it lies below the largest multiple
+    of p's denominator that fits in 64 bits, else drawn on the retry stream."""
+    magnitude = params.beta if w > 0 else params.alpha
+    p = abs(w) / magnitude
+    keep = p == 1
+    if 0 < p < 1:
+        s = derive_seed(params.seed, "edge", u, v)
+        if s < 2**64 // p.denominator * p.denominator:
+            keep = Fraction(s % p.denominator, p.denominator) < p
+        else:
+            keep = bernoulli(make_rng(params.seed, "edge", u, v, "retry"), p)
+    return (magnitude if w > 0 else -magnitude) if keep else Fraction(0)
 
 
 def fraction_round_graph(g, params):
-    """The per-edge Fraction rounding loop: one stream per edge, rounded
-    weights rebuilt through the public constructor. Oracle for round_graph."""
+    """The per-edge Fraction rounding loop, rounded weights rebuilt through
+    the public constructor. Oracle for round_graph."""
     if g.max_abs_weight() > 1:
         raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
     weights = {}
     for u, v, w in g.edges():
-        rng = make_rng(params.seed, "edge", u, v)
-        w2 = fraction_round_edge_weight(w, params, rng)
+        w2 = fraction_round_edge_weight(w, params, u, v)
         if w2 != 0:
             weights[(u, v)] = w2
     return SignedGraph(g.n, weights)
@@ -98,18 +106,36 @@ def test_round_graph_matches_the_fraction_oracle(alpha, beta):
 
 def test_round_graph_reduces_the_scale_when_only_beta_survives():
     # every edge positive: the output lives on beta's denominator alone
-    params = RoundingParams(alpha=Fraction(5, 3), beta=Fraction(7, 4), seed=3)
     g = SignedGraph(4, {(0, 1): Fraction(1, 2), (1, 2): 1, (2, 3): Fraction(1, 3)})
-    after = round_graph(g, params).after
-    assert after == fraction_round_graph(g, params)
-    assert after.edge_count > 0
-    assert after.scale == 4
+    scales = set()
+    for seed in range(3, 13):
+        params = RoundingParams(alpha=Fraction(5, 3), beta=Fraction(7, 4), seed=seed)
+        after = round_graph(g, params).after
+        assert after == fraction_round_graph(g, params)
+        scales.add((after.edge_count > 0, after.scale))
+    assert (True, 4) in scales and scales <= {(True, 4), (False, 1)}
     # a graph with no surviving edges has scale 1
     assert round_graph(SignedGraph(3), params).after.scale == 1
 
 
-@pytest.mark.parametrize("alpha, beta", SPREADS)
-def test_streams_are_built_only_for_fractional_probabilities(monkeypatch, alpha, beta):
+def keep_probability(w, alpha, beta):
+    return w / beta if w > 0 else -w / alpha
+
+
+def inject_seeds(monkeypatch, seed_of):
+    """Replace the derived seed of each edge (u, v) by seed_of(u, v), or by the
+    real one where seed_of returns None."""
+    real = rollclust.rounding.derive_seed
+
+    def injected(root, *parts):
+        assert parts[0] == "edge" and len(parts) == 3
+        s = seed_of(parts[1], parts[2])
+        return real(root, *parts) if s is None else s
+
+    monkeypatch.setattr(rollclust.rounding, "derive_seed", injected)
+
+
+def record_streams(monkeypatch):
     calls = []
 
     def counting_make_rng(root, *parts):
@@ -117,23 +143,128 @@ def test_streams_are_built_only_for_fractional_probabilities(monkeypatch, alpha,
         return make_rng(root, *parts)
 
     monkeypatch.setattr(rollclust.rounding, "make_rng", counting_make_rng)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, beta", SPREADS)
+def test_streams_are_built_only_for_fractional_probabilities(monkeypatch, alpha, beta):
+    # and only on rejection: one "retry" stream per rejected derived seed
+    calls = record_streams(monkeypatch)
     alpha, beta = Fraction(alpha), Fraction(beta)
     params = RoundingParams(alpha=alpha, beta=beta, seed=5)
     for g in oracle_cases():
+        # real derived seeds: no rejection on these graphs
+        calls.clear()
+        assert round_graph(g, params).after == fraction_round_graph(g, params)
+        assert calls == []
+    # 2**64 - 1 is rejected for every denominator but a power of two
+    inject_seeds(monkeypatch, lambda u, v: 2**64 - 1)
+    for g in oracle_cases():
         calls.clear()
         round_graph(g, params)
-        fractional = sorted(
-            (u, v) for u, v, w in g.edges() if (w / beta if w > 0 else -w / alpha) < 1
-        )
-        assert sorted((parts[1], parts[2]) for _, parts in calls) == fractional
-        assert all(root == 5 and parts[0] == "edge" for root, parts in calls)
+        dens = [(u, v, keep_probability(w, alpha, beta).denominator) for u, v, w in g.edges()]
+        rejected = [(u, v) for u, v, den in dens if den & (den - 1)]
+        assert calls == [(5, ("edge", u, v, "retry")) for u, v in rejected]
     if alpha == beta == 1:
         # the identity regime: +-1 weights all have p = 1 and draw nothing
+        inject_seeds(monkeypatch, lambda u, v: pytest.fail("drew a p = 1 edge"))
         calls.clear()
         rng = random.Random(43)
         g = SignedGraph(6, {(u, v): rng.choice((-1, 1)) for u in range(6) for v in range(u + 1, 6)})
         assert round_graph(g, params).after == g
         assert calls == []
+
+
+def test_acceptance_limit():
+    for den in list(range(1, 200)) + [3**40, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 5**30]:
+        limit = rollclust.rounding.acceptance_limit(den)
+        assert limit % den == 0
+        assert limit <= 2**64
+        assert 2**64 - limit < den
+    assert rollclust.rounding.acceptance_limit(2**64 + 1) == 0
+
+
+def pairs(count):
+    n = 2
+    while n * (n - 1) // 2 < count:
+        n += 1
+    return n, [(u, v) for u in range(n) for v in range(u + 1, n)][:count]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_injected_seeds_keep_exactly_num_of_every_den(monkeypatch, sign):
+    # k * den consecutive seeds hit each residue mod den k times, so
+    # exactly k * num edges survive: P(keep) = num / den on accepted seeds
+    k = 3
+    calls = record_streams(monkeypatch)
+    params = RoundingParams(alpha=1, beta=1, seed=9)
+    magnitude = params.beta if sign > 0 else params.alpha
+    for den in range(2, 13):
+        n, edges = pairs(k * den)
+        index = {e: i for i, e in enumerate(edges)}
+        for num in range(den):
+            w = sign * magnitude * Fraction(num, den)
+            if w == 0:
+                continue
+            g = SignedGraph(n, {e: w for e in edges})
+            limit = rollclust.rounding.acceptance_limit(den)
+            for first in (0, 12345 * den + 7, limit - k * den):
+                inject_seeds(monkeypatch, lambda u, v: first + index[(u, v)])
+                after = round_graph(g, params).after
+                assert after.edge_count == k * num, (den, num, first)
+                assert {w2 for _, _, w2 in after.edges()} <= {sign * magnitude}
+    assert calls == []
+
+
+class FixedRng:
+    def __init__(self, value):
+        self.value, self.ranges = value, []
+
+    def randrange(self, stop):
+        self.ranges.append(stop)
+        return self.value
+
+
+@pytest.mark.parametrize("den", (3, 10, 2**64 + 1, 3**41))
+def test_rejected_seeds_fall_back_to_the_retry_stream(monkeypatch, den):
+    # s = limit is the first rejected seed; above 2**64 every seed is
+    # rejected (limit 0), so real derived seeds take the fallback too
+    params = RoundingParams(alpha=1, beta=1, seed=21)
+    g = SignedGraph(3, {(0, 1): Fraction(1, den), (1, 2): -Fraction(den - 1, den)})
+    limit = rollclust.rounding.acceptance_limit(den)
+    if den <= 2**64:
+        inject_seeds(monkeypatch, lambda u, v: limit)
+    for kept in (False, True):
+        streams = []
+
+        def fixed_make_rng(root, *parts):
+            # randrange answers so that the draw keeps the edge iff kept
+            num = 1 if parts[1:3] == (0, 1) else den - 1
+            streams.append((root, parts, FixedRng(num - 1 if kept else num)))
+            return streams[-1][2]
+
+        monkeypatch.setattr(rollclust.rounding, "make_rng", fixed_make_rng)
+        after = round_graph(g, params).after
+        assert [(root, parts) for root, parts, _ in streams] == [
+            (21, ("edge", 0, 1, "retry")), (21, ("edge", 1, 2, "retry")),
+        ]
+        assert all(rng.ranges == [den] for _, _, rng in streams)
+        assert after.edge_count == (2 if kept else 0)
+    # the real retry stream decides the edge exactly as bernoulli on it does
+    monkeypatch.setattr(rollclust.rounding, "make_rng", make_rng)
+    for seed in range(20):
+        params = RoundingParams(alpha=1, beta=1, seed=seed)
+        after = round_graph(g, params).after
+        for u, v, w in g.edges():
+            keep = bernoulli(make_rng(seed, "edge", u, v, "retry"), abs(w))
+            assert after.weight(u, v) == ((1 if w > 0 else -1) if keep else 0)
+    # one seed below the limit is read off directly: no stream
+    if 0 < limit:
+        calls = record_streams(monkeypatch)
+        inject_seeds(monkeypatch, lambda u, v: limit - 1)
+        after = round_graph(g, params).after
+        assert calls == []
+        assert after.weight(0, 1) == (1 if (limit - 1) % den < 1 else 0)
 
 
 def test_rounding_params_validation():
@@ -175,9 +306,9 @@ def test_determinism_and_order_independence():
     p = RoundingParams(alpha=2, beta=2, seed=12345)
     assert round_graph(g1, p).after == round_graph(g2, p).after
     assert round_graph(g1, p).after == round_graph(g1, p).after
-    # a different seed should eventually differ
-    q = RoundingParams(alpha=2, beta=2, seed=12346)
-    assert any(round_graph(g1, q).after != round_graph(g1, p).after for _ in range(1))
+    # other seeds give other outcomes: 3 fractional edges have 8 outcomes
+    outcomes = {round_graph(g1, replace(p, seed=seed)).after for seed in range(12345, 12345 + 40)}
+    assert len(outcomes) >= 4
 
 
 def test_per_edge_streams_are_stable_across_subgraphs():
