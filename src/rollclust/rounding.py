@@ -108,7 +108,7 @@ class DeviationStats:
     s1 sums (|rounded| - |original|) over the candidate's pre-rounding
     contributing edges; s2 does the same for the reference, scaled by
     1/lam. Both have expectation zero. gap is the diagnostic difference
-    s1 - s2/lam.
+    s1 - s2, which weighs the reference drift by 1/lam once.
     """
 
     s1: Fraction
@@ -117,7 +117,7 @@ class DeviationStats:
 
     @property
     def gap(self) -> Fraction:
-        return self.s1 - self.s2 / self.lam
+        return self.s1 - self.s2
 
 
 def deviation_stats(

@@ -116,20 +116,20 @@ REPORTS = {
     ("rational-3-0", "max", "exact", "3/2", 2): "5a7753133525643e",
     ("rational-3-0", "min", "local", "1", 1): "f44407e8094b33c2",
     ("rational-3-0", "min", "local", "1", 2): "2b94cf83a9ef5577",
-    ("rational-3-0", "min", "local", "3/2", 1): "c3f5a83cfc520efd",
-    ("rational-3-0", "min", "local", "3/2", 2): "f48cefc9dabc522b",
+    ("rational-3-0", "min", "local", "3/2", 1): "72a447f17ba6dd21",
+    ("rational-3-0", "min", "local", "3/2", 2): "55ea9754e8e10b3c",
     ("rational-3-0", "min", "exact", "1", 1): "117b0f7c03d8a9be",
     ("rational-3-0", "min", "exact", "1", 2): "0c8f508727783a39",
-    ("rational-3-0", "min", "exact", "3/2", 1): "a08e4b034c59ecfe",
-    ("rational-3-0", "min", "exact", "3/2", 2): "5984ad88788fcf2d",
+    ("rational-3-0", "min", "exact", "3/2", 1): "99b539bfad1031e4",
+    ("rational-3-0", "min", "exact", "3/2", 2): "9b282e05b2c87e94",
     ("rational-3-1", "max", "local", "1", 1): "1d2aa498440e5efe",
     ("rational-3-1", "max", "local", "1", 2): "a75fccae09bcf6fb",
-    ("rational-3-1", "max", "local", "3/2", 1): "50b2196d07369cb5",
-    ("rational-3-1", "max", "local", "3/2", 2): "3052bd4bee2f7e6c",
+    ("rational-3-1", "max", "local", "3/2", 1): "3173efa4aadd9dfb",
+    ("rational-3-1", "max", "local", "3/2", 2): "0006be8aa62a4ea4",
     ("rational-3-1", "max", "trivial", "1", 1): "a2c6fbf93af1b0c5",
     ("rational-3-1", "max", "trivial", "1", 2): "c7de1d6d02a5f3a3",
-    ("rational-3-1", "max", "trivial", "3/2", 1): "80c8e7f1cf200ddb",
-    ("rational-3-1", "max", "trivial", "3/2", 2): "f3716bc272a83aaa",
+    ("rational-3-1", "max", "trivial", "3/2", 1): "c260390e34c3a15f",
+    ("rational-3-1", "max", "trivial", "3/2", 2): "76088b243c258ad0",
     ("rational-3-1", "min", "local", "1", 1): "b21a76c55b0e4e8c",
     ("rational-3-1", "min", "local", "1", 2): "f01f9292d1cc3965",
     ("rational-3-1", "min", "local", "3/2", 1): "0d51d09863ea1b64",
@@ -160,16 +160,16 @@ REPORTS = {
     ("signed-3-1", "min", "local", "3/2", 2): "76110db0f5503a81",
     ("sparse-4-0", "max", "local", "1", 1): "f1c39dc69a1b6d75",
     ("sparse-4-0", "max", "local", "1", 2): "7ccf94c7436761b7",
-    ("sparse-4-0", "max", "local", "3/2", 1): "b2351ca077e1fc49",
-    ("sparse-4-0", "max", "local", "3/2", 2): "2c6a80bac76621b8",
+    ("sparse-4-0", "max", "local", "3/2", 1): "d6ddf44cd5c13ac7",
+    ("sparse-4-0", "max", "local", "3/2", 2): "1f4f3bac55e0c4a4",
     ("sparse-4-0", "max", "trivial", "1", 1): "0a298bbd9b2c6a6f",
     ("sparse-4-0", "max", "trivial", "1", 2): "cf7906490bb5d369",
-    ("sparse-4-0", "max", "trivial", "3/2", 1): "d7ec9b6c54f59152",
-    ("sparse-4-0", "max", "trivial", "3/2", 2): "2ab14cf7fafb67a7",
+    ("sparse-4-0", "max", "trivial", "3/2", 1): "45f6219f147d2394",
+    ("sparse-4-0", "max", "trivial", "3/2", 2): "2c7492dca39e9413",
     ("sparse-4-0", "min", "local", "1", 1): "a978160f52a5201f",
     ("sparse-4-0", "min", "local", "1", 2): "c5ab615adfcbe936",
-    ("sparse-4-0", "min", "local", "3/2", 1): "5103916a41c43aed",
-    ("sparse-4-0", "min", "local", "3/2", 2): "f00015ed4af048c1",
+    ("sparse-4-0", "min", "local", "3/2", 1): "768594f41b9cee32",
+    ("sparse-4-0", "min", "local", "3/2", 2): "8f70ed1eda9c243f",
 }
 
 LOCAL = {

@@ -411,6 +411,8 @@ def test_deviation_stats_match_per_pair_sums():
         stats = deviation_stats(out, cand, ref, lam, MAX)
         assert stats.s1 == drift(cand)
         assert stats.s2 == drift(ref) / lam
+        # the reference drift is weighed by 1/lam once
+        assert stats.gap == drift(cand) - drift(ref) / lam
 
 
 def test_deviation_stats_rejects_lambda_at_most_one():
