@@ -422,7 +422,6 @@ def verify_all(seed: int = 0, sizes=(3, 4, 5), ts=(0, 1), instances: int = 5) ->
             result=checks["unbiasedness"],
         )
 
-    rng = make_rng(seed, "oracle")
     for n in sizes:
         for i in range(instances):
             g = generate(

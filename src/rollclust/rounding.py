@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Clustering, ObjectiveKind, SignedGraph, contributing_edges
-from .streams import derive_seed, make_rng
+from .streams import make_rng, prefixed_seed, seed_prefix
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,14 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     # per distinct scaled weight: (num, den, acceptance limit) of p < 1, or None
     draws: dict[int, tuple[int, int, int] | None] = {}
     weights: dict[tuple[int, int], int] = {}
+    edge_stream = seed_prefix(params.seed, "edge")
     for (u, v), w in g.scaled_weights():
         if w not in draws:
             p = Fraction(w, g.scale) / beta if w > 0 else Fraction(-w, g.scale) / alpha
             draws[w] = (p.numerator, p.denominator, acceptance_limit(p.denominator)) if p < 1 else None
         if draws[w] is not None:
             num, den, limit = draws[w]
-            s = derive_seed(params.seed, "edge", u, v)
+            s = prefixed_seed(edge_stream, u, v)
             if not (s % den < num if s < limit
                     else bernoulli(make_rng(params.seed, "edge", u, v, "retry"), Fraction(num, den))):
                 continue

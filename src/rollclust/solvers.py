@@ -18,8 +18,9 @@ which always captures at least half the total absolute weight. solve_pivot
 is the classic randomized pivot rule for complete +-1 instances under
 MinDisagree. solve_local_search improves single-node moves under a move
 budget with deterministic tie-breaking. It keeps each node's signed scaled
-weight to every cluster it touches and updates those sums over the moved
-node's edges only; a move gains MaxAgree exactly what it takes off
+weight to every cluster it touches and caches each node's best move; a
+move updates the sums over the moved node's edges and re-scores only that
+node and its neighbours. A move gains MaxAgree exactly what it takes off
 MinDisagree, so both objectives take the same moves.
 """
 
@@ -234,6 +235,17 @@ def _shift(sums: "dict[int, int]", label: int, w: int) -> None:
         del sums[label]
 
 
+def _best_move(sums: "dict[int, int]", a: int) -> "tuple[int, int | None]":
+    """The gain of a node's best move out of cluster a, and its target: the
+    heaviest other cluster with positive net weight (lowest label on a tie),
+    or None when there is none; zero sums are never stored."""
+    top, target = 0, None
+    for lbl, s in sums.items():
+        if lbl != a and (s > top or s == top and lbl < target):
+            top, target = s, lbl
+    return top - sums.get(a, 0), target
+
+
 def solve_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
     """Single-node-move local search from the better trivial clustering.
 
@@ -248,10 +260,14 @@ def solve_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1
     MinDisagree by the same gain, net[v][l] - net[v][a], so one move rule
     serves both objectives. Every cluster to which v has no net weight
     scores like the fresh singleton, so the lowest such label stands for
-    all of them. A move from a to b updates the sums of v's neighbours in
-    O(deg v), and each step is one pass over the sums. The search tracks
-    agreement, the start value plus the running total of the gains, and
-    reads MinDisagree off it at the end.
+    all of them. gains[v] and targets[v] cache v's best move, with target
+    None for such a cluster; a step takes the first largest gain and
+    resolves a None target from the labels in use only for the node it
+    moves. A move of v from a to b updates the sums of v's neighbours in
+    O(deg v) and re-scores only v and those neighbours: no other node's
+    sums or label changed, and no gain depends on which labels are in use.
+    The search tracks agreement, the start value plus the running total of
+    the gains, and reads MinDisagree off it at the end.
 
     Only strictly improving moves are taken, so a graph whose positive and
     negative totals tie never leaves the one-cluster start, even when a
@@ -276,37 +292,31 @@ def solve_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1
         adj[v].append((u, w))
         _shift(net[u], labels[v], w)
         _shift(net[v], labels[u], w)
+    gains: list[int] = [0] * n
+    targets: "list[int | None]" = [None] * n
+    for v in range(n):
+        gains[v], targets[v] = _best_move(net[v], labels[v])
 
     budget_exhausted = False
     for move in range(budget + 1):
-        used = sorted(set(labels))
-        fresh = used[-1] + 1
-        best_gain, best_v, best_target = 0, -1, -1
-        for v in range(n):
-            sums = net[v]
-            a = labels[v]
-            # the heaviest other cluster with positive net weight to v, else
-            # (target None) one with none; zero sums are never stored
-            top, target = 0, None
-            for lbl, s in sums.items():
-                if lbl != a and (s > top or s == top and lbl < target):
-                    top, target = s, lbl
-            gain = top - sums.get(a, 0)
-            if gain > best_gain:
-                if target is None:
-                    target = next((l for l in used if l != a and l not in sums), fresh)
-                best_gain, best_v, best_target = gain, v, target
-        if best_v < 0:
+        gain = max(gains)
+        if gain <= 0:
             break
         if move == budget:
             budget_exhausted = True
             break
-        a = labels[best_v]
-        labels[best_v] = best_target
-        agree += best_gain
-        for u, w in adj[best_v]:
+        v = gains.index(gain)
+        a, b = labels[v], targets[v]
+        if b is None:
+            used = sorted(set(labels))
+            b = next((l for l in used if l != a and l not in net[v]), used[-1] + 1)
+        labels[v] = b
+        agree += gain
+        for u, w in adj[v]:
             _shift(net[u], a, -w)
-            _shift(net[u], best_target, w)
+            _shift(net[u], b, w)
+            gains[u], targets[u] = _best_move(net[u], labels[u])
+        gains[v], targets[v] = _best_move(net[v], b)
 
     if objective is ObjectiveKind.MIN_DISAGREE:
         agree = pos + neg - agree

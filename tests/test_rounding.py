@@ -121,14 +121,14 @@ def test_round_graph_reduces_the_scale_when_only_beta_survives():
 def inject_seeds(monkeypatch, seed_of):
     """Replace the derived seed of each edge (u, v) by seed_of(u, v), or by the
     real one where seed_of returns None."""
-    real = rollclust.rounding.derive_seed
+    real = rollclust.rounding.prefixed_seed
 
-    def injected(root, *parts):
-        assert parts[0] == "edge" and len(parts) == 3
-        s = seed_of(parts[1], parts[2])
-        return real(root, *parts) if s is None else s
+    def injected(prefix, *parts):
+        assert len(parts) == 2
+        s = seed_of(*parts)
+        return real(prefix, *parts) if s is None else s
 
-    monkeypatch.setattr(rollclust.rounding, "derive_seed", injected)
+    monkeypatch.setattr(rollclust.rounding, "prefixed_seed", injected)
 
 
 def record_streams(monkeypatch):

@@ -404,6 +404,71 @@ def rescanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: in
     return SolveResult(c, clustering_value(g, c, objective))
 
 
+def scanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
+    """The local search as it was before it cached each node's best move:
+    per-node cluster sums are updated over the moved node's edges, but every
+    move scans every node's sums. Kept as the second oracle the cached
+    search must match move for move, budget_exhausted included."""
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    n = g.n
+    if n == 0:
+        return SolveResult(Clustering([]), Fraction(0))
+
+    def shift(sums, label, w):
+        s = sums.get(label, 0) + w
+        if s:
+            sums[label] = s
+        else:
+            del sums[label]
+
+    pos = sum(w for _, w in g.scaled_weights() if w > 0)
+    neg = -sum(w for _, w in g.scaled_weights() if w < 0)
+    labels = [0] * n if pos >= neg else list(range(n))
+    agree = max(pos, neg)
+
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    net: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v), w in g.scaled_weights():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+        shift(net[u], labels[v], w)
+        shift(net[v], labels[u], w)
+
+    budget_exhausted = False
+    for move in range(budget + 1):
+        used = sorted(set(labels))
+        fresh = used[-1] + 1
+        best_gain, best_v, best_target = 0, -1, -1
+        for v in range(n):
+            sums = net[v]
+            a = labels[v]
+            top, target = 0, None
+            for lbl, s in sums.items():
+                if lbl != a and (s > top or s == top and lbl < target):
+                    top, target = s, lbl
+            gain = top - sums.get(a, 0)
+            if gain > best_gain:
+                if target is None:
+                    target = next((l for l in used if l != a and l not in sums), fresh)
+                best_gain, best_v, best_target = gain, v, target
+        if best_v < 0:
+            break
+        if move == budget:
+            budget_exhausted = True
+            break
+        a = labels[best_v]
+        labels[best_v] = best_target
+        agree += best_gain
+        for u, w in adj[best_v]:
+            shift(net[u], a, -w)
+            shift(net[u], best_target, w)
+
+    if objective is ObjectiveKind.MIN_DISAGREE:
+        agree = pos + neg - agree
+    return SolveResult(Clustering(labels), Fraction(agree, g.scale), budget_exhausted)
+
+
 def differential_graph(rng, n, kind):
     """Random graph whose weights tie (+-1), mix denominators (rational), or
     let a node's net weight to a cluster cancel to 0 (cancel: +-1/2 and +-1,
@@ -428,6 +493,7 @@ LOCAL_BUDGETS = (1, 2, 3, 5, 1000)
 
 def test_local_search_matches_rescanning_oracle():
     rng = random.Random(20070415)
+    rescan_budgets = sorted({c for b in LOCAL_BUDGETS for c in (b, b + 1)})
     graphs = 0
     for n in range(14):
         for kind in ("pm1", "rational", "cancel"):
@@ -435,23 +501,26 @@ def test_local_search_matches_rescanning_oracle():
                 g = differential_graph(rng, n, kind)
                 graphs += 1
                 for objective in (MAX, MIN):
-                    expect = {b: rescanning_local_search(g, objective, budget=b) for b in LOCAL_BUDGETS + (6,)}
+                    rescan = {b: rescanning_local_search(g, objective, budget=b) for b in rescan_budgets}
                     for b in LOCAL_BUDGETS:
                         got = solve_local_search(g, objective, budget=b)
-                        assert got.clustering == expect[b].clustering, (n, kind, objective, b)
-                        assert got.value == expect[b].value, (n, kind, objective, b)
-                    # one more move changes the result iff an improving move was left
-                    for b in (1, 2, 5):
-                        left = expect[b + 1].value != expect[b].value
-                        assert solve_local_search(g, objective, budget=b).budget_exhausted is left
+                        assert got == scanning_local_search(g, objective, budget=b), (n, kind, objective, b)
+                        assert got.clustering == rescan[b].clustering, (n, kind, objective, b)
+                        assert got.value == rescan[b].value, (n, kind, objective, b)
+                        # one more move changes the result iff an improving move was left
+                        assert got.budget_exhausted is (rescan[b + 1].value != rescan[b].value)
     assert graphs >= 1000
+
+
+def rounded_grid(n, t, gen_seed, round_seed):
+    base = generate(GenSpec(n=n, model=UniformRational(density=1.0), seed=gen_seed))
+    rolled = build_roll(base, valid_roll_size(n, t)).graph
+    return round_graph(rolled, RoundingParams(alpha=1, beta=1, seed=round_seed)).after
 
 
 def test_local_search_matches_rescanning_oracle_on_rounded_grid():
     # starts from singletons and merges for 141 moves down to two clusters
-    base = generate(GenSpec(n=5, model=UniformRational(density=1.0), seed=1))
-    rolled = build_roll(base, valid_roll_size(5, 1)).graph
-    grid = round_graph(rolled, RoundingParams(alpha=1, beta=1, seed=3)).after
+    grid = rounded_grid(5, 1, gen_seed=1, round_seed=3)
     assert grid.n == 125
     for objective in (MAX, MIN):
         got = solve_local_search(grid, objective)
@@ -459,6 +528,29 @@ def test_local_search_matches_rescanning_oracle_on_rounded_grid():
         assert got.clustering == expect.clustering
         assert got.value == expect.value
         assert not got.budget_exhausted
+
+
+def test_local_search_matches_scanning_oracle_on_large_grid():
+    grid = rounded_grid(6, 2, gen_seed=3, round_seed=0)
+    assert grid.n == 396
+    for objective in (MAX, MIN):
+        for budget in (1, 7, 1000):
+            assert solve_local_search(grid, objective, budget) == scanning_local_search(grid, objective, budget)
+
+
+def test_local_search_commutes_with_positive_scaling():
+    rng = random.Random(77)
+    for c in (Fraction(1, 3), Fraction(7, 2), Fraction(5)):
+        for _ in range(20):
+            g = differential_graph(rng, rng.randint(0, 10), rng.choice(("pm1", "rational", "cancel")))
+            scaled = SignedGraph(g.n, {(u, v): c * w for u, v, w in g.edges()})
+            for objective in (MAX, MIN):
+                for budget in (1, 1000):
+                    res = solve_local_search(g, objective, budget)
+                    big = solve_local_search(scaled, objective, budget)
+                    assert big.clustering == res.clustering
+                    assert big.budget_exhausted == res.budget_exhausted
+                    assert big.value == c * res.value
 
 
 def test_local_search_objectives_are_complementary():
