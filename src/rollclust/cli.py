@@ -128,7 +128,7 @@ def parse_config_file(path: str) -> "dict[str, str]":
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _usage_error(f"cannot read config file: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,6 +172,16 @@ def _apply_config(argv, subparsers) -> None:
             applicable[action.dest] = value
         if applicable:
             p.set_defaults(**applicable)
+
+
+def _rounding_params(args) -> RoundingParams:
+    return RoundingParams(alpha=args.alpha, beta=args.beta, seed=derive_seed(args.seed, "round"))
+
+
+def _solver_spec(args) -> SolverSpec:
+    return SolverSpec(
+        kind=SolverKind(args.solver), seed=derive_seed(args.seed, "solver"), budget=args.budget
+    )
 
 
 def _write_json(path, payload) -> None:
@@ -219,9 +229,7 @@ def cmd_round(args) -> int:
     if not args.out:
         _usage_error("round: --out is required (a sidecar file is written next to it)")
     g = read_graph(args.graph)
-    params = RoundingParams(
-        alpha=args.alpha, beta=args.beta, seed=derive_seed(args.seed, "round")
-    )
+    params = _rounding_params(args)
     out = round_graph(g, params)
     write_graph(out.after, args.out)
     by_class: dict = {}
@@ -246,13 +254,8 @@ def cmd_round(args) -> int:
 
 def cmd_solve(args) -> int:
     g = read_graph(args.graph)
-    objective = ObjectiveKind.parse(args.objective)
-    spec = SolverSpec(
-        kind=SolverKind.parse(args.solver),
-        seed=derive_seed(args.seed, "solver"),
-        budget=args.budget,
-    )
-    res = run_solver(g, objective, spec)
+    objective = ObjectiveKind(args.objective)
+    res = run_solver(g, objective, _solver_spec(args))
     print(" ".join(str(lbl) for lbl in res.clustering.labels))
     print(frac_to_str(res.value))
     if res.budget_exhausted:
@@ -291,16 +294,10 @@ def _ratio_histogram(ratios, bins: int = 10):
 def cmd_reduce(args) -> int:
     g = read_graph(args.graph)
     cfg = ReductionConfig(
-        objective=ObjectiveKind.parse(args.objective),
+        objective=ObjectiveKind(args.objective),
         t=args.t,
-        rounding=RoundingParams(
-            alpha=args.alpha, beta=args.beta, seed=derive_seed(args.seed, "round")
-        ),
-        solver=SolverSpec(
-            kind=SolverKind.parse(args.solver),
-            seed=derive_seed(args.seed, "solver"),
-            budget=args.budget,
-        ),
+        rounding=_rounding_params(args),
+        solver=_solver_spec(args),
         epsilon=args.epsilon,
         lambda_ref=args.lambda_ref,
     )

@@ -30,13 +30,6 @@ class ObjectiveKind(Enum):
     MAX_AGREE = "max"
     MIN_DISAGREE = "min"
 
-    @classmethod
-    def parse(cls, text: str) -> "ObjectiveKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown objective {text!r} (expected 'max' or 'min')")
-
 
 class GraphFormatError(ValueError):
     """Raised when graph text input violates the file format."""

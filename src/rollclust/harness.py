@@ -9,13 +9,15 @@ instances: the duplicate-count formula, the bone partition, edge
 disjointness, per-duplicate isomorphism, the value decomposition over
 duplicates, contributing-set preservation under rounding, per-edge
 unbiasedness, the exact-solver cross-check, the trivial half bound, and
-the duplication round-trip. Check functions are exposed individually so
-tests can also run them on deliberately corrupted structures.
+the duplication round-trip. Each check returns the first failure it finds
+as a string, or None, and CheckResult.record counts it. Check functions
+are exposed individually so tests can also run them on deliberately
+corrupted structures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -32,6 +34,7 @@ from .roll import (
     build_roll,
     duplicate_nodes,
     duplicate_of,
+    duplication_clustering,
     grid_index,
     grid_node,
     induced_clustering,
@@ -39,7 +42,6 @@ from .roll import (
     untrimmed_duplicate_count,
     valid_roll_size,
 )
-from .reduction import duplication_clustering
 from .rounding import RoundingParams, round_graph
 from .solvers import solve_exact, solve_exact_reference, solve_trivial_max
 from .streams import derive_seed, make_rng
@@ -141,12 +143,15 @@ def generate(spec: GenSpec) -> SignedGraph:
 class CheckResult:
     instances_run: int = 0
     failures: int = 0
-    worst_case_detail: str = ""
+    worst_case_detail: str = ""  # the first failure found
 
-    def fail(self, detail: str) -> None:
-        self.failures += 1
-        if not self.worst_case_detail:
-            self.worst_case_detail = detail
+    def record(self, detail: "str | None") -> None:
+        """Count one instance checked; a detail is its failure."""
+        self.instances_run += 1
+        if detail is not None:
+            self.failures += 1
+            if not self.worst_case_detail:
+                self.worst_case_detail = detail
 
 
 @dataclass
@@ -158,31 +163,22 @@ class VerifyReport:
         return all(c.failures == 0 for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            name: {
-                "instances_run": c.instances_run,
-                "failures": c.failures,
-                "worst_case_detail": c.worst_case_detail,
-            }
-            for name, c in self.checks.items()
-        }
+        return {name: asdict(c) for name, c in self.checks.items()}
 
 
-def check_duplicate_count(n: int, rows: int, result: CheckResult) -> None:
+def check_duplicate_count(n: int, rows: int) -> "str | None":
     """Untrimmed duplicate count matches the closed form and exceeds rows^2/n."""
-    result.instances_run += 1
     count = sum(1 for _ in all_duplicates(rows, n))
     expected = untrimmed_duplicate_count(n, rows)
     if count != expected:
-        result.fail(f"n={n} rows={rows}: counted {count}, formula {expected}")
-    elif n >= 1 and rows * rows % n == 0 and count <= rows * rows // n:
-        result.fail(f"n={n} rows={rows}: {count} duplicates, need more than {rows * rows // n}")
+        return f"n={n} rows={rows}: counted {count}, formula {expected}"
+    if n >= 1 and rows * rows % n == 0 and count <= rows * rows // n:
+        return f"n={n} rows={rows}: {count} duplicates, need more than {rows * rows // n}"
 
 
-def check_bone_partition(n: int, rows: int, result: CheckResult) -> None:
+def check_bone_partition(n: int, rows: int) -> "str | None":
     """Every grid bone belongs to exactly one duplicate, and the bone count
     is duplicates * C(n,2). Exhaustive over all node pairs."""
-    result.instances_run += 1
     total_nodes = rows * n
     bones = []
     for a_flat in range(total_nodes):
@@ -195,27 +191,21 @@ def check_bone_partition(n: int, rows: int, result: CheckResult) -> None:
         d = duplicate_of(a, b, rows, n)
         nodes = set(duplicate_nodes(d, rows, n))
         if a not in nodes or b not in nodes:
-            result.fail(f"n={n} rows={rows}: bone {a},{b} not inside duplicate {d}")
-            return
+            return f"n={n} rows={rows}: bone {a},{b} not inside duplicate {d}"
         seen.setdefault(d, set()).add((a, b))
     expected_per_dup = n * (n - 1) // 2
     dup_count = untrimmed_duplicate_count(n, rows)
     if len(bones) != dup_count * expected_per_dup:
-        result.fail(
-            f"n={n} rows={rows}: {len(bones)} bones, expected {dup_count * expected_per_dup}"
-        )
-        return
+        return f"n={n} rows={rows}: {len(bones)} bones, expected {dup_count * expected_per_dup}"
     for d, owned in seen.items():
         if len(owned) != expected_per_dup:
-            result.fail(f"n={n} rows={rows}: duplicate {d} owns {len(owned)} bones")
-            return
+            return f"n={n} rows={rows}: duplicate {d} owns {len(owned)} bones"
 
 
-def check_edge_disjointness(r: RolledGraph, result: CheckResult) -> None:
+def check_edge_disjointness(r: RolledGraph) -> "str | None":
     """Active duplicates' bone sets are pairwise disjoint and cover every
     nonzero edge of the rolled graph. Recomputed from scratch so corrupted
     structures are caught."""
-    result.instances_run += 1
     n = r.base.n
     claimed: dict = {}
     for d in r.active:
@@ -225,19 +215,16 @@ def check_edge_disjointness(r: RolledGraph, result: CheckResult) -> None:
                 a, b = grid_index(nodes[j1], n), grid_index(nodes[j2], n)
                 key = (a, b) if a < b else (b, a)
                 if key in claimed:
-                    result.fail(f"edge {key} claimed by {claimed[key]} and {d}")
-                    return
+                    return f"edge {key} claimed by {claimed[key]} and {d}"
                 claimed[key] = d
     for u, v, _ in r.graph.edges():
         if (u, v) not in claimed:
-            result.fail(f"rolled edge ({u},{v}) belongs to no active duplicate")
-            return
+            return f"rolled edge ({u},{v}) belongs to no active duplicate"
 
 
-def check_isomorphism(r: RolledGraph, result: CheckResult) -> None:
+def check_isomorphism(r: RolledGraph) -> "str | None":
     """Each active duplicate's induced subgraph matches the base graph
     weight for weight under the column map."""
-    result.instances_run += 1
     n = r.base.n
     for d in r.active:
         nodes = duplicate_nodes(d, r.rows, n)
@@ -246,16 +233,12 @@ def check_isomorphism(r: RolledGraph, result: CheckResult) -> None:
                 got = r.graph.weight(grid_index(nodes[j1], n), grid_index(nodes[j2], n))
                 want = r.base.weight(j1, j2)
                 if got != want:
-                    result.fail(f"duplicate {d}: pair ({j1},{j2}) weight {got} != {want}")
-                    return
+                    return f"duplicate {d}: pair ({j1},{j2}) weight {got} != {want}"
 
 
-def check_value_decomposition(
-    r: RolledGraph, c: Clustering, result: CheckResult
-) -> None:
+def check_value_decomposition(r: RolledGraph, c: Clustering) -> "str | None":
     """A grid clustering's value equals the sum of its induced clusterings'
     values on the base graph, exactly, for both objectives."""
-    result.instances_run += 1
     for objective in ObjectiveKind:
         whole = clustering_value(r.graph, c, objective)
         parts = sum(
@@ -266,36 +249,29 @@ def check_value_decomposition(
             Fraction(0),
         )
         if whole != parts:
-            result.fail(f"{objective.value}: rolled value {whole} != sum of parts {parts}")
-            return
+            return f"{objective.value}: rolled value {whole} != sum of parts {parts}"
 
 
 def check_rounding_preservation(
-    g: SignedGraph, c: Clustering, params: RoundingParams, result: CheckResult
-) -> None:
+    g: SignedGraph, c: Clustering, params: RoundingParams
+) -> "str | None":
     """Rounding never adds contributing edges, and the post-rounding value
     equals the |rounded| sum over the pre-rounding contributing set."""
-    result.instances_run += 1
     out = round_graph(g, params)
     for objective in ObjectiveKind:
         pre = contributing_edges(out.before, c, objective)
         post = contributing_edges(out.after, c, objective)
         if not post <= pre:
-            result.fail(f"{objective.value}: contributing set grew under rounding")
-            return
+            return f"{objective.value}: contributing set grew under rounding"
         direct = clustering_value(out.after, c, objective)
-        summed = sum((abs(out.after.weight(u, v)) for u, v in pre), Fraction(0))
+        summed = out.after.abs_weight(pre)
         if direct != summed:
-            result.fail(f"{objective.value}: value {direct} != surviving sum {summed}")
-            return
+            return f"{objective.value}: value {direct} != surviving sum {summed}"
 
 
-def check_unbiasedness(
-    w: Fraction, alpha, beta, samples: int, seed: int, result: CheckResult
-) -> None:
+def check_unbiasedness(w: Fraction, alpha, beta, samples: int, seed: int) -> "str | None":
     """Empirical mean of the rounded weight stays within 4 standard errors
     of the original weight."""
-    result.instances_run += 1
     g = SignedGraph(2, {(0, 1): w})
     total = Fraction(0)
     for i in range(samples):
@@ -306,7 +282,7 @@ def check_unbiasedness(
     variance = magnitude * abs(w) - w * w
     tolerance = 4 * _sqrt_upper(variance / samples)
     if abs(mean - w) > tolerance:
-        result.fail(f"w={w}: mean {mean} drifted more than {tolerance} from {w}")
+        return f"w={w}: mean {mean} drifted more than {tolerance} from {w}"
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
@@ -319,50 +295,40 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return r
 
 
-def check_oracle_agreement(g: SignedGraph, result: CheckResult) -> None:
+def check_oracle_agreement(g: SignedGraph) -> "str | None":
     """The incremental exact solver and the naive reference enumerator agree
     on the optimal value for both objectives, and both sides' reported
     values re-evaluate correctly."""
-    result.instances_run += 1
     for objective in ObjectiveKind:
         fast = solve_exact(g, objective)
         slow = solve_exact_reference(g, objective)
         if fast.value != slow.value:
-            result.fail(f"{objective.value}: fast {fast.value} != reference {slow.value}")
-            return
+            return f"{objective.value}: fast {fast.value} != reference {slow.value}"
         if clustering_value(g, fast.clustering, objective) != fast.value:
-            result.fail(f"{objective.value}: fast result value does not re-evaluate")
-            return
+            return f"{objective.value}: fast result value does not re-evaluate"
         if clustering_value(g, slow.clustering, objective) != slow.value:
-            result.fail(f"{objective.value}: reference result value does not re-evaluate")
-            return
+            return f"{objective.value}: reference result value does not re-evaluate"
 
 
-def check_trivial_bound(g: SignedGraph, result: CheckResult) -> None:
+def check_trivial_bound(g: SignedGraph) -> "str | None":
     """2 * trivial >= total |weight| >= OPT >= trivial, all exact."""
-    result.instances_run += 1
     trivial = solve_trivial_max(g)
     total = g.total_abs_weight()
     if 2 * trivial.value < total:
-        result.fail(f"2*{trivial.value} < total {total}")
-        return
+        return f"2*{trivial.value} < total {total}"
     if g.n <= 8:
         opt = solve_exact(g, ObjectiveKind.MAX_AGREE)
         if not (total >= opt.value >= trivial.value):
-            result.fail(f"ordering violated: total {total}, opt {opt.value}, trivial {trivial.value}")
+            return f"ordering violated: total {total}, opt {opt.value}, trivial {trivial.value}"
 
 
-def check_duplication_roundtrip(
-    r: RolledGraph, u: Clustering, result: CheckResult
-) -> None:
+def check_duplication_roundtrip(r: RolledGraph, u: Clustering) -> "str | None":
     """Inducing the duplication clustering on any active duplicate gives
     back the original base clustering."""
-    result.instances_run += 1
     lifted = duplication_clustering(u, r.rows)
     for d in r.active:
         if induced_clustering(r, lifted, d) != u:
-            result.fail(f"duplicate {d} does not round-trip")
-            return
+            return f"duplicate {d} does not round-trip"
 
 
 def _random_clustering(rng, n: int) -> Clustering:
@@ -392,34 +358,32 @@ def verify_all(seed: int = 0, sizes=(3, 4, 5), ts=(0, 1), instances: int = 5) ->
     for n in sizes:
         for t in ts:
             rows = valid_roll_size(n, t)
-            check_duplicate_count(n, rows, checks["duplicate_count"])
+            checks["duplicate_count"].record(check_duplicate_count(n, rows))
             if rows <= 15:
-                check_bone_partition(n, rows, checks["bone_partition"])
+                checks["bone_partition"].record(check_bone_partition(n, rows))
             for i in range(instances):
                 gen_seed = derive_seed(seed, "verify", n, t, i)
                 g = generate(GenSpec(n=n, model=UniformRational(density=0.7), seed=gen_seed))
                 r = build_roll(g, rows)
                 rng = make_rng(gen_seed, "clusterings")
-                check_edge_disjointness(r, checks["edge_disjointness"])
-                check_isomorphism(r, checks["isomorphism"])
-                check_value_decomposition(
-                    r, _random_clustering(rng, rows * n), checks["value_decomposition"]
+                checks["edge_disjointness"].record(check_edge_disjointness(r))
+                checks["isomorphism"].record(check_isomorphism(r))
+                checks["value_decomposition"].record(
+                    check_value_decomposition(r, _random_clustering(rng, rows * n))
                 )
                 params = RoundingParams(alpha=1, beta=2, seed=derive_seed(gen_seed, "round"))
-                check_rounding_preservation(
-                    r.graph, _random_clustering(rng, rows * n), params,
-                    checks["rounding_preservation"],
+                checks["rounding_preservation"].record(
+                    check_rounding_preservation(r.graph, _random_clustering(rng, rows * n), params)
                 )
-                check_duplication_roundtrip(
-                    r, _random_clustering(rng, n), checks["duplication_roundtrip"]
+                checks["duplication_roundtrip"].record(
+                    check_duplication_roundtrip(r, _random_clustering(rng, n))
                 )
 
     for idx, (w, alpha, beta) in enumerate(
         [(Fraction(1, 2), 1, 2), (Fraction(-1, 3), 2, 1), (Fraction(1), 1, 1)]
     ):
-        check_unbiasedness(
-            w, alpha, beta, samples=2000, seed=derive_seed(seed, "unbias", idx),
-            result=checks["unbiasedness"],
+        checks["unbiasedness"].record(
+            check_unbiasedness(w, alpha, beta, samples=2000, seed=derive_seed(seed, "unbias", idx))
         )
 
     for n in sizes:
@@ -431,7 +395,7 @@ def verify_all(seed: int = 0, sizes=(3, 4, 5), ts=(0, 1), instances: int = 5) ->
                     seed=derive_seed(seed, "oracle", n, i),
                 )
             )
-            check_oracle_agreement(g, checks["oracle_agreement"])
-            check_trivial_bound(g, checks["trivial_bound"])
+            checks["oracle_agreement"].record(check_oracle_agreement(g))
+            checks["trivial_bound"].record(check_trivial_bound(g))
 
     return VerifyReport(checks=checks)

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .core import Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges
 from .jsonutil import frac_to_str, opt_frac_to_str
-from .roll import build_roll, induced_clustering, valid_roll_size
+from .roll import build_roll, duplication_clustering, induced_clustering, valid_roll_size
 from .rounding import DeviationStats, RoundingParams, deviation_stats, round_graph
 from .solvers import SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact
 from .streams import derive_seed
@@ -70,13 +70,6 @@ class ReductionReport:
     rolled_value_post: Fraction
     stats: Optional[DeviationStats]
     notes: "tuple[str, ...]"
-
-
-def duplication_clustering(u: Clustering, rows: int) -> Clustering:
-    """Lift a base clustering to the grid: node (i, j) takes u's label of
-    column j. Its value on the pre-rounding rolled graph is exactly
-    (rows^2/n) times u's value on the base graph."""
-    return Clustering(list(u.labels) * rows)
 
 
 def reduce_and_solve(

@@ -17,6 +17,9 @@ copies of the edge set. Only the first N^2/n duplicates in lexicographic
 copies; the trimmed duplicates' bones carry no weight in the rolled graph.
 The sum of any clustering's value over the active duplicates' induced
 clusterings equals its value on the rolled graph exactly.
+
+duplication_clustering lifts a base clustering onto the grid, and
+induced_clustering reads a base clustering back out of one active duplicate.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class RolledGraph:
     def __repr__(self) -> str:
         return (
             f"RolledGraph(n={self.base.n}, rows={self.rows}, "
-            f"active={len(self.active)} of {self.rows * (max_slope(self.rows, self.base.n) + 1)})"
+            f"active={len(self.active)} of {untrimmed_duplicate_count(self.base.n, self.rows)})"
         )
 
 
@@ -140,6 +143,8 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
     n = g.n
     if n < 2:
         raise ValueError("base graph must have at least 2 nodes")
+    if rows < 1:
+        raise ValueError(f"rows must be at least 1; got rows={rows}")
     if (rows - 1) % (n - 1) != 0:
         raise ValueError(f"(rows-1) must be divisible by (n-1); got rows={rows}, n={n}")
     if (rows * rows) % n != 0:
@@ -173,3 +178,10 @@ def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Cluster
     return Clustering(
         c.labels[grid_index(node, n)] for node in duplicate_nodes(d, r.rows, n)
     )
+
+
+def duplication_clustering(u: Clustering, rows: int) -> Clustering:
+    """Lift a base clustering to the grid: node (i, j) takes u's label of
+    column j. Its value on the pre-rounding rolled graph is exactly
+    (rows^2/n) times u's value on the base graph."""
+    return Clustering(list(u.labels) * rows)

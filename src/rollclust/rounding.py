@@ -16,14 +16,11 @@ weight| over the pre-rounding contributing set gives the post-rounding
 value exactly.
 
 Deviation accounting compares a candidate clustering against a reference on
-the same rounding outcome (drift sums s1 and s2 and their gap), and the
-Hoeffding helper gives the standard tail bound for sums of centered
-roundings.
+the same rounding outcome (drift sums s1 and s2 and their gap).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,19 +141,3 @@ def deviation_stats(
     s1 = after.abs_weight(cand) - before.abs_weight(cand)
     s2 = (after.abs_weight(ref) - before.abs_weight(ref)) / lam
     return DeviationStats(s1=s1, s2=s2, lam=lam)
-
-
-def hoeffding_tail(z: int, t, alpha, beta) -> float:
-    """Tail bound exp(-2 t^2 / (z (alpha+beta)^2)) for the probability that
-    a sum of z independent centered roundings exceeds t. Returns 0 for an
-    empty sum and never exceeds 1."""
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if z == 0:
-        return 0.0
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    exponent = Fraction(-2) * t * t / (z * (alpha + beta) ** 2)
-    return min(1.0, math.exp(exponent))

@@ -45,13 +45,6 @@ class SolverKind(Enum):
     PIVOT = "pivot"
     LOCAL_SEARCH = "local"
 
-    @classmethod
-    def parse(cls, text: str) -> "SolverKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown solver {text!r}")
-
 
 @dataclass(frozen=True)
 class SolverSpec:

@@ -67,6 +67,15 @@ def test_roll_writes_graph_and_sidecar(tmp_path, capsys):
     assert (tmp_path / "r2.txt").read_text() == out.read_text()
 
 
+def test_roll_rejects_negative_rows(tmp_path, capsys):
+    base = gen_graph(tmp_path, capsys, "g4.txt", "--n", "4")
+    out = tmp_path / "r.txt"
+    code, _, err = run(capsys, "roll", str(base), "--rows", "-2", "--out", str(out))
+    assert code == 2
+    assert err == "error: rows must be at least 1; got rows=-2\n"
+    assert list(tmp_path.iterdir()) == [base]
+
+
 def test_roll_needs_exactly_one_size_flag(tmp_path, capsys):
     base = gen_graph(tmp_path, capsys)
     with pytest.raises(SystemExit):
@@ -188,6 +197,14 @@ def usage_error(capsys, *argv):
 def test_missing_config_file_is_reported_as_error(tmp_path, capsys):
     err = usage_error(capsys, "gen", "--n", "3", "--config", str(tmp_path / "nope.cfg"))
     assert err.startswith("error: cannot read config file:")
+
+
+def test_config_file_that_is_not_utf8_is_reported_as_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n = 3\nmodel = \xff\n")
+    err = usage_error(capsys, "gen", "--config", str(cfg))
+    assert err.startswith("error: cannot read config file:")
+    assert err.count("\n") == 1
 
 
 def test_malformed_config_line_is_reported_as_error(tmp_path, capsys):

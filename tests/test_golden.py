@@ -61,10 +61,10 @@ def report_digest(name, objective, solver, lam, seed) -> str:
     n, t, model, gen_seed, (alpha, beta) = BASES[name]
     g = generate(GenSpec(n=n, model=model, seed=gen_seed))
     cfg = ReductionConfig(
-        objective=ObjectiveKind.parse(objective),
+        objective=ObjectiveKind(objective),
         t=t,
         rounding=RoundingParams(alpha=alpha, beta=beta, seed=seed),
-        solver=SolverSpec(SolverKind.parse(solver), seed=seed + 100),
+        solver=SolverSpec(SolverKind(solver), seed=seed + 100),
         epsilon=Fraction(1, 20),
         lambda_ref=LAMBDAS[lam],
     )
@@ -98,7 +98,7 @@ def rolled_grid(name) -> SignedGraph:
 
 
 def local_result(name, objective):
-    return solve_local_search(rolled_grid(name), ObjectiveKind.parse(objective), budget=1000)
+    return solve_local_search(rolled_grid(name), ObjectiveKind(objective), budget=1000)
 
 
 REPORTS = {

@@ -10,11 +10,10 @@ from rollclust.harness import GenSpec, PlantedPartition, UniformRational, genera
 from rollclust.reduction import (
     ReductionConfig,
     aggregate_to_dict,
-    duplication_clustering,
     reduce_and_solve,
     run_trials,
 )
-from rollclust.roll import build_roll, induced_clustering, valid_roll_size
+from rollclust.roll import build_roll, duplication_clustering, induced_clustering, valid_roll_size
 from rollclust.rounding import RoundingParams
 from rollclust.solvers import SolverKind, SolverSpec, budget_note, solve_exact, solve_pivot
 from rollclust.streams import derive_seed

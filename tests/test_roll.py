@@ -155,6 +155,14 @@ def test_build_roll_requires_divisibility():
         build_roll(g, 7)   # 49 % 4 != 0
 
 
+def test_build_roll_rejects_rows_below_one():
+    # both pass the divisibility checks
+    with pytest.raises(ValueError, match="rows must be at least 1"):
+        build_roll(SignedGraph(4, {(0, 1): 1}), -2)
+    with pytest.raises(ValueError, match="rows must be at least 1"):
+        build_roll(SignedGraph(2, {(0, 1): 1}), 0)
+
+
 def test_rolled_edges_carry_base_weights():
     g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): -1})
     r = build_roll(g, 3)

@@ -18,10 +18,11 @@ from rollclust.rounding import (
     RoundingParams,
     bernoulli,
     deviation_stats,
-    hoeffding_tail,
     round_graph,
 )
 from rollclust.streams import derive_seed, make_rng
+
+from hoeffding import hoeffding_tail
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE

@@ -95,3 +95,25 @@ def test_src_modules_use_every_name_they_import():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused += [f"{path.name}: {name}" for name in sorted(imported_names(tree) - used_names(tree))]
     assert not unused
+
+
+def test_every_verify_check_is_wired_in_and_keeps_no_books():
+    # verify_all's CheckResult.record is the one place that counts instances
+    tree = ast.parse((ROOT / "src" / "rollclust" / "harness.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    checks = {name: node for name, node in functions.items() if name.startswith("check_")}
+    called = {
+        node.func.id
+        for node in ast.walk(functions["verify_all"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert checks and not set(checks) - called
+    for name, node in checks.items():
+        annotations = [ast.unparse(a.annotation) for a in node.args.args if a.annotation]
+        assert not [ann for ann in annotations if "CheckResult" in ann], name
+        bookkeeping = [
+            sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr in ("instances_run", "failures", "record")
+        ]
+        assert not bookkeeping, name
