@@ -30,7 +30,7 @@ from .jsonutil import frac_to_str
 from .reduction import ReductionConfig, aggregate_to_dict, run_trials
 from .roll import build_roll, valid_roll_size
 from .rounding import RoundingParams, round_graph
-from .solvers import SolverKind, SolverSpec, budget_note, run_solver
+from .solvers import DEFAULT_BUDGET, SolverKind, SolverSpec, budget_note, run_solver
 from .streams import derive_seed
 
 
@@ -91,7 +91,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("graph")
     p.add_argument("--solver", choices=[k.value for k in SolverKind], default="exact")
     p.add_argument("--objective", choices=("max", "min"), default="max")
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     subparsers["solve"] = p
 
     p = sub.add_parser("reduce", parents=[common, seeded, report],
@@ -104,7 +104,7 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
     p.add_argument("--lambda", dest="lambda_ref", type=_fraction, default=Fraction(1))
     p.add_argument("--solver", choices=[k.value for k in SolverKind], default="exact")
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trials", type=int, default=20)
     subparsers["reduce"] = p
 

@@ -19,6 +19,7 @@ All arithmetic is exact; nothing here uses floats.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -42,15 +43,19 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class SignedGraph:
     """Undirected graph on n nodes with exact rational edge weights.
 
     Immutable after construction. Pairs are stored with the smaller node
     first; zero weights are dropped; self-loops are rejected. Weights are
-    stored as ints over `scale`, the lcm of their reduced denominators.
+    stored as ints over `scale`, the lcm of their reduced denominators, so
+    equal weights share a scale and equality compares n, scale and weights.
     """
 
-    __slots__ = ("n", "scale", "_weights")
+    n: int
+    scale: int
+    _weights: "dict[tuple[int, int], int]"
 
     def __init__(self, n: int, weights: Mapping | Iterable | None = None):
         if n < 0:
@@ -96,9 +101,6 @@ class SignedGraph:
         object.__setattr__(self, "scale", scale // d)
         object.__setattr__(self, "_weights", {key: w // d for key, w in sorted(weights.items())})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedGraph is immutable")
-
     def weight(self, u: int, v: int) -> Fraction:
         """Weight of the pair, Fraction(0) when absent."""
         key = (u, v) if u < v else (v, u)
@@ -130,19 +132,15 @@ class SignedGraph:
     def max_abs_weight(self) -> Fraction:
         return Fraction(max((abs(w) for w in self._weights.values()), default=0), self.scale)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedGraph):
-            return NotImplemented
-        # scale is a function of the weights, so equal weights share it
-        return self.n == other.n and self.scale == other.scale and self._weights == other._weights
-
     def __hash__(self) -> int:
+        # _weights is a dict, so hash its items
         return hash((self.n, self.scale, tuple(self._weights.items())))
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={self.edge_count})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Clustering:
     """Total assignment of nodes 0..n-1 to clusters.
 
@@ -151,7 +149,7 @@ class Clustering:
     equal. Immutable.
     """
 
-    __slots__ = ("labels",)
+    labels: "tuple[int, ...]"
 
     def __init__(self, labels: Iterable[int]):
         raw = list(labels)
@@ -163,9 +161,6 @@ class Clustering:
             canon.append(remap[lbl])
         object.__setattr__(self, "labels", tuple(canon))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Clustering is immutable")
-
     @classmethod
     def singletons(cls, n: int) -> "Clustering":
         return cls(range(n))
@@ -176,14 +171,6 @@ class Clustering:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Clustering):
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
 
     def __repr__(self) -> str:
         return f"Clustering({list(self.labels)})"

@@ -17,6 +17,7 @@ corrupted structures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Union
@@ -286,13 +287,10 @@ def check_unbiasedness(w: Fraction, alpha, beta, samples: int, seed: int) -> "st
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(x), tight enough for tolerances."""
-    if x == 0:
-        return Fraction(0)
-    r = Fraction(float(x) ** 0.5)
-    while r * r < x:
-        r *= Fraction(1000001, 1000000)
-    return r
+    """A rational upper bound on sqrt(x), within a relative 1e-6 of it,
+    computed in integers so that no x underflows or overflows a float."""
+    p, q = x.numerator, x.denominator
+    return Fraction(math.isqrt(p * q * 10**12) + (p != 0), q * 10**6)
 
 
 def check_oracle_agreement(g: SignedGraph) -> "str | None":

@@ -18,6 +18,7 @@ certificates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -177,9 +178,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
     target = cfg.lambda_ref + cfg.epsilon
 
     summaries = []
-    gaps = []
-    bad_count = 0
-    note_counts: "dict[str, int]" = {}
+    note_counts: "Counter[str]" = Counter()
     for i in range(trials):
         r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
         s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
@@ -199,24 +198,18 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             bad = rep.best.value < opt.value / target
         else:
             bad = rep.best.value > target * opt.value
-        ratio = None if opt.value == 0 else rep.best.value / opt.value
-        gap = rep.stats.gap if rep.stats is not None else None
-        if gap is not None:
-            gaps.append(gap)
-        if bad:
-            bad_count += 1
-        for note in rep.notes:
-            note_counts[note] = note_counts.get(note, 0) + 1
+        note_counts.update(rep.notes)
         summaries.append(
             TrialSummary(
                 rounding_seed=r_seed,
                 solver_seed=s_seed,
                 best_value=rep.best.value,
-                ratio=ratio,
+                ratio=None if opt.value == 0 else rep.best.value / opt.value,
                 bad=bad,
-                gap=gap,
+                gap=rep.stats.gap if rep.stats is not None else None,
             )
         )
+    gaps = [s.gap for s in summaries if s.gap is not None]
 
     return TrialAggregate(
         config=cfg,
@@ -224,7 +217,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         opt_value=opt.value,
         opt_clustering=opt.clustering,
         opt_below_one=opt.value < 1,
-        bad_event_freq=Fraction(bad_count, trials),
+        bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
         ratios=tuple(s.ratio for s in summaries),
         gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
         gap_min=min(gaps) if gaps else None,

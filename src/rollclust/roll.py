@@ -24,6 +24,7 @@ induced_clustering reads a base clustering back out of one active duplicate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .core import Clustering, SignedGraph
@@ -101,6 +102,7 @@ def grid_node(flat: int, cols: int) -> GridNode:
     return GridNode(*divmod(flat, cols))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RolledGraph:
     """A base graph rolled into an N-row grid.
 
@@ -110,17 +112,15 @@ class RolledGraph:
     any bone, trimmed or not, to its duplicate.
     """
 
-    __slots__ = ("base", "rows", "graph", "active", "_active_set")
+    base: SignedGraph
+    rows: int
+    graph: SignedGraph
+    active: "tuple[DuplicateId, ...]"
+    _active_set: "frozenset[DuplicateId]" = field(init=False)
 
-    def __init__(self, base, rows, graph, active):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "active", tuple(active))
-        object.__setattr__(self, "_active_set", frozenset(active))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RolledGraph is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "active", tuple(self.active))
+        object.__setattr__(self, "_active_set", frozenset(self.active))
 
     def is_active(self, d: DuplicateId) -> bool:
         return d in self._active_set

@@ -37,6 +37,8 @@ from .streams import make_rng
 # Bell(13), about 2.8e7 leaves, is the worst case when nothing prunes, not the
 # typical cost; beyond it exhaustive search stops being a desk tool.
 EXACT_NODE_LIMIT = 13
+# local-search moves allowed by default, in the API and on the command line
+DEFAULT_BUDGET = 1000
 
 
 class SolverKind(Enum):
@@ -50,7 +52,7 @@ class SolverKind(Enum):
 class SolverSpec:
     kind: SolverKind
     seed: int = 0
-    budget: int = 1000
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.budget < 1:
@@ -239,7 +241,9 @@ def _best_move(sums: "dict[int, int]", a: int) -> "tuple[int, int | None]":
     return top - sums.get(a, 0), target
 
 
-def solve_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
+def solve_local_search(
+    g: SignedGraph, objective: ObjectiveKind, budget: int = DEFAULT_BUDGET
+) -> SolveResult:
     """Single-node-move local search from the better trivial clustering.
 
     Each step applies the best strictly improving move of one node to an

@@ -1,12 +1,13 @@
+import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rollclust.cli import main, parse_config_file
+from rollclust.cli import build_parser, main, parse_config_file
 from rollclust.core import ObjectiveKind, parse_graph, read_graph
-from rollclust.solvers import budget_note, solve_exact
+from rollclust.solvers import SolverKind, SolverSpec, budget_note, solve_exact, solve_local_search
 
 
 def run(capsys, *argv):
@@ -360,3 +361,12 @@ def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, command, 
     extra = ["--t", "0"] if command == "roll" else []
     err = usage_error(capsys, command, str(base), *extra)
     assert err.startswith(f"error: {command}: --out is required")
+
+
+def test_budget_defaults_agree_with_solver_spec():
+    # the local-search budget has one default, whichever way a search starts
+    parser, _ = build_parser()
+    default = SolverSpec(SolverKind.LOCAL_SEARCH).budget
+    for command in ("solve", "reduce"):
+        assert parser.parse_args([command, "g.txt"]).budget == default
+    assert inspect.signature(solve_local_search).parameters["budget"].default == default

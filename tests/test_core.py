@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -310,3 +311,18 @@ def test_node_relabeling_preserves_values():
                 g, Clustering(labels), objective
             )
             assert solve_exact(h, objective).value == solve_exact(g, objective).value
+
+
+def test_graphs_and_clusterings_are_frozen_slotted_records():
+    g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): -1})
+    c = Clustering([2, 2, 0])
+    assert (repr(g), repr(c)) == ("SignedGraph(n=3, edges=2)", "Clustering([0, 0, 1])")
+    for record, name in ((g, "n"), (g, "_weights"), (c, "labels")):
+        assert dataclasses.is_dataclass(record) and not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+    # equality and hashing follow (n, scale, weights) and the canonical labels
+    same = SignedGraph(3, {(2, 1): -1, (1, 0): Fraction(2, 4)})
+    assert g == same and hash(g) == hash(same)
+    assert g != SignedGraph(4, {(0, 1): Fraction(1, 2), (1, 2): -1})
+    assert c == Clustering([1, 1, 5]) and hash(c) == hash(Clustering([1, 1, 5]))

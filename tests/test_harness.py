@@ -13,9 +13,11 @@ from rollclust.harness import (
     check_duplicate_count,
     check_edge_disjointness,
     check_isomorphism,
+    check_unbiasedness,
     check_value_decomposition,
     generate,
     verify_all,
+    _sqrt_upper,
 )
 from rollclust.roll import RolledGraph, build_roll, valid_roll_size
 from rollclust.solvers import solve_exact
@@ -146,3 +148,13 @@ def test_check_result_keeps_first_detail():
     assert result.instances_run == 3
     assert result.failures == 2
     assert result.worst_case_detail == "first"
+
+
+def test_unbiasedness_check_takes_weights_beyond_float_range():
+    # a float-seeded square root looped forever on the first (the float
+    # underflows to 0) and overflowed on the second
+    assert check_unbiasedness(Fraction(1, 10**400), 1, 1, samples=3, seed=0) is None
+    assert check_unbiasedness(Fraction(1, 2), 1, 10**400, samples=3, seed=0) is None
+    for x in (Fraction(0), Fraction(1, 10**400), Fraction(10**400), Fraction(3, 8000), Fraction(2)):
+        r = _sqrt_upper(x)
+        assert x <= r * r <= x * Fraction(1000001, 1000000) ** 2

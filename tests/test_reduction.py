@@ -367,3 +367,34 @@ def test_report_rationals_parse_back_exactly():
         assert (back(row["best_value"]), back(row["ratio"]), back(row["gap"])) == (
             s.best_value, s.ratio, s.gap
         )
+
+
+# The paper's concentration claim as a seeded table: a UniformRational
+# (density 1) base from generator seed 3, MaxAgree by local search, lambda 1,
+# epsilon 1/20, rounding and solver seed 1, 20 trials. Each cell is
+# (t, bad-event frequency, smallest best/OPT ratio). The README shows the
+# loop. At n=5 the ratio stays at 209/214 (0.977) for t = 1 and 2 with no
+# bad event: the local search falls short of OPT there, not the rounding.
+CONCENTRATION = [
+    (4, 4, [(0, Fraction(19, 20), Fraction(13, 22)), (1, 0, 1), (2, 0, 1)]),
+    (4, 8, [(0, Fraction(19, 20), Fraction(13, 22)), (1, Fraction(1, 5), Fraction(19, 22)),
+            (2, 0, 1)]),
+    (5, 4, [(0, Fraction(3, 4), Fraction(60, 107)), (1, 0, Fraction(209, 214)),
+            (2, 0, Fraction(209, 214)), (3, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("n, spread, cells", CONCENTRATION)
+def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
+    g = generate(GenSpec(n=n, model=UniformRational(density=1.0), seed=3))
+    for t, freq, worst in cells:
+        cfg = ReductionConfig(
+            objective=MAX,
+            t=t,
+            rounding=RoundingParams(alpha=spread, beta=spread, seed=1),
+            solver=SolverSpec(SolverKind.LOCAL_SEARCH, seed=1),
+            epsilon=Fraction(1, 20),
+            lambda_ref=1,
+        )
+        agg = run_trials(g, cfg, trials=20)
+        assert (agg.bad_event_freq, min(agg.ratios)) == (freq, worst), t

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_va
 from rollclust.roll import (
     DuplicateId,
     GridNode,
+    RolledGraph,
     all_duplicates,
     build_roll,
     duplicate_nodes,
@@ -145,6 +147,18 @@ def test_build_roll_rejects_two_active_duplicates_on_one_bone(monkeypatch):
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
     with pytest.raises(AssertionError, match="claimed by two active duplicates"):
         build_roll(g, 3)
+
+
+def test_rolled_graph_is_a_frozen_slotted_record_compared_by_identity():
+    r = build_roll(random_graph(random.Random(5), 3, density=1.0), 9)
+    assert repr(r) == "RolledGraph(n=3, rows=9, active=27 of 45)"
+    assert dataclasses.is_dataclass(r) and not hasattr(r, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.rows = 3
+    # built positionally from any iterable of duplicates
+    again = RolledGraph(r.base, r.rows, r.graph, list(r.active))
+    assert again.active == r.active and again.is_active(r.active[-1])
+    assert again != r and r == r
 
 
 def test_build_roll_requires_divisibility():

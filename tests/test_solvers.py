@@ -232,6 +232,23 @@ def test_exact_agrees_with_reference():
             assert clustering_value(g, slow.clustering, objective) == slow.value
 
 
+def test_exact_solvers_commute_with_node_relabeling():
+    # node v of g is node perm[v] of h: the optimum value is the same, and
+    # h's optimum read back through perm scores it on g
+    rng = random.Random(4242)
+    for n in list(range(2, 9)) * 2:
+        g = random_graph(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = SignedGraph(n, {(perm[u], perm[v]): w for u, v, w in g.edges()})
+        for objective in (MAX, MIN):
+            for solve in (solve_exact, solve_exact_reference):
+                a, b = solve(g, objective), solve(h, objective)
+                assert b.value == a.value
+                back = Clustering(b.clustering.labels[perm[v]] for v in range(n))
+                assert clustering_value(g, back, objective) == a.value
+
+
 def test_exact_optima_are_complementary():
     rng = random.Random(99)
     for _ in range(30):

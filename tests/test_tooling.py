@@ -117,3 +117,20 @@ def test_every_verify_check_is_wired_in_and_keeps_no_books():
             if isinstance(sub, ast.Attribute) and sub.attr in ("instances_run", "failures", "record")
         ]
         assert not bookkeeping, name
+
+
+def test_no_class_hand_rolls_record_machinery():
+    # records are frozen dataclasses, the one immutability idiom in src/
+    hand_rolled = []
+    for path in sorted((ROOT / "src" / "rollclust").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name] if node.name in ("__setattr__", "__eq__") else []
+                else:
+                    targets = getattr(node, "targets", [getattr(node, "target", None)])
+                    names = [t.id for t in targets if isinstance(t, ast.Name) and t.id == "__slots__"]
+                hand_rolled += [f"{path.name}: {cls.name}.{name}" for name in names]
+    assert not hand_rolled
