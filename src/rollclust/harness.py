@@ -337,6 +337,8 @@ def _random_clustering(rng, n: int) -> Clustering:
 def verify_all(seed: int = 0, sizes=(3, 4, 5), ts=(0, 1), instances: int = 5) -> VerifyReport:
     """Run every invariant suite over generated instances. All randomness
     derives from the seed; the report counts failures per check."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     checks = {
         name: CheckResult()
         for name in (

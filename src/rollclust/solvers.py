@@ -87,11 +87,15 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     Placement bound: an unplaced node x agrees with neg[x], the |weight| of
     its negative edges to placed nodes, plus to[x][l] if it joins placed
     cluster l, and with neg[x] alone anywhere else. So no leaf under depth
-    v beats current + slack[v] + sum over x >= v of max(0, max_l to[x][l]),
-    slack[v] being the |weight| among unplaced nodes plus their neg[x].
-    The incumbent starts at the local search's agreement minus 1; as the
-    bound never undercuts a subtree's best leaf, no ancestor of the first
-    optimal leaf is pruned, and that leaf is the one kept.
+    v beats current + slack[v] + sum over x >= v of top[x], where top[x] =
+    max(0, max_l to[x][l]) and slack[v] is the |weight| among unplaced
+    nodes plus their neg[x]. top[x] is kept as a running maximum: placing
+    a node raises it along a positive edge, a negative edge rescans x's row
+    only when the entry it lowers was the maximum, and backtracking puts
+    the saved values back. The incumbent starts at the local search's
+    agreement minus 1; as the bound never undercuts a subtree's best leaf,
+    no ancestor of the first optimal leaf is pruned, and that leaf is the
+    one kept.
     """
     n = g.n
     if n > EXACT_NODE_LIMIT:
@@ -108,8 +112,11 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
         slack[u if w > 0 else v] += abs(w)
     for v in range(n - 1, -1, -1):
         slack[v] += slack[v + 1]
-    # a label no placed node holds reads 0, the fresh cluster's max(0, .)
+    # a label no placed node holds reads 0, the fresh cluster's max(0, .);
+    # fewer than n labels are in use while a node is unplaced, so top[x] =
+    # max(to[x]) is x's best placement
     to = [[0] * n for _ in range(n)]
+    top = [0] * n
 
     best_val = int(solve_local_search(g, ObjectiveKind.MAX_AGREE).value * g.scale) - 1
     best_labels: "list[int] | None" = None
@@ -117,19 +124,27 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
 
     def walk(v: int, k: int, current: int) -> None:
         nonlocal best_val, best_labels
-        if current + slack[v] + sum([max(row[: k + 1]) for row in to[v:]]) <= best_val:
+        if current + slack[v] + sum(top[v:]) <= best_val:
             return
         if v == n:
             best_val = current
             best_labels = labels.copy()
             return
+        saved = top[v + 1 :]
         for lbl in range(k + 1):
             labels[v] = lbl
             for x, w in later[v]:
-                to[x][lbl] += w
+                row = to[x]
+                s = row[lbl] = row[lbl] + w
+                if w > 0:
+                    if s > top[x]:
+                        top[x] = s
+                elif s - w == top[x]:
+                    top[x] = max(row)
             walk(v + 1, k + 1 if lbl == k else k, current + neg[v] + to[v][lbl])
             for x, w in later[v]:
                 to[x][lbl] -= w
+            top[v + 1 :] = saved
 
     walk(0, 0, 0)
     assert best_labels is not None

@@ -161,6 +161,15 @@ def test_verify_green_and_report_files(tmp_path, capsys):
     assert csv_out.read_text().startswith("check,instances_run,failures")
 
 
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_verify_with_no_instances_is_reported_as_error(capsys, instances):
+    # a run that checks nothing must not report every check ok
+    code, out, err = run(capsys, "verify", "--sizes", "3", "--ts", "0", "--instances", instances)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: instances must be at least 1, got {instances}\n"
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 5\nmodel = complete\nplus-prob = 1.0  # all positive\n")

@@ -97,6 +97,12 @@ def test_verify_all_is_green():
         assert check.instances_run > 0, name
 
 
+@pytest.mark.parametrize("instances", [0, -1])
+def test_verify_all_rejects_fewer_than_one_instance(instances):
+    with pytest.raises(ValueError, match="instances must be at least 1"):
+        verify_all(seed=1, sizes=(3,), ts=(0,), instances=instances)
+
+
 def test_checks_pass_on_clean_roll():
     g = generate(GenSpec(n=4, model=UniformRational(density=0.8), seed=9))
     rows = valid_roll_size(4, 0)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,93 @@ def test_exact_keeps_first_optimum_when_local_search_finds_another():
         for objective in (MAX, MIN):
             assert solve_exact(g, objective) == two_objective_exact(g, objective), (seed, objective)
     assert tied >= 50
+
+
+def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
+    """solve_exact as it was when every search node rescanned each unplaced
+    node's row for its best placement. Kept as the oracle the incremental
+    bound must match clustering for clustering and node for node."""
+    n = g.n
+    if n > EXACT_NODE_LIMIT:
+        raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
+    one_cluster = sum(w for _, w in g.scaled_weights() if w > 0)
+    singletons = -sum(w for _, w in g.scaled_weights() if w < 0)
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    neg = [0] * n
+    slack = [0] * (n + 1)
+    for (u, v), w in g.scaled_weights():
+        later[u].append((v, w))
+        neg[v] -= min(w, 0)
+        slack[u if w > 0 else v] += abs(w)
+    for v in range(n - 1, -1, -1):
+        slack[v] += slack[v + 1]
+    to = [[0] * n for _ in range(n)]
+
+    best_val = int(solve_local_search(g, MAX).value * g.scale) - 1
+    best_labels: "list[int] | None" = None
+    labels = [0] * n
+
+    def walk(v: int, k: int, current: int) -> None:
+        nonlocal best_val, best_labels
+        if current + slack[v] + sum([max(row[: k + 1]) for row in to[v:]]) <= best_val:
+            return
+        if v == n:
+            best_val = current
+            best_labels = labels.copy()
+            return
+        for lbl in range(k + 1):
+            labels[v] = lbl
+            for x, w in later[v]:
+                to[x][lbl] += w
+            walk(v + 1, k + 1 if lbl == k else k, current + neg[v] + to[v][lbl])
+            for x, w in later[v]:
+                to[x][lbl] -= w
+
+    walk(0, 0, 0)
+    assert best_labels is not None
+    if objective is MIN:
+        best_val = one_cluster + singletons - best_val
+    return SolveResult(Clustering(best_labels), Fraction(best_val, g.scale))
+
+
+def walk_calls(solve, g: SignedGraph) -> int:
+    """How many search nodes solve(g, MAX) visits: calls of a function named walk."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "walk":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        solve(g, MAX)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_exact_matches_rescanning_oracle():
+    # the incremental bound equals the rescanned one at every search node, so
+    # both walks visit the same nodes and keep the same first optimum; +-1
+    # complete and planted graphs are tie-heavy, so which optimum is first
+    # matters there
+    rng = random.Random(1313)
+    for n in range(10, EXACT_NODE_LIMIT + 1):
+        for kind in ("complete", "planted", "uniform"):
+            for _ in range(8):
+                if kind == "uniform":
+                    model = UniformRational(density=rng.choice((0.5, 0.8, 1.0)))
+                    g = generate(GenSpec(n=n, model=model, seed=rng.randrange(2**32)))
+                else:
+                    g = exact_differential_graph(rng, n, kind)
+                for objective in (MAX, MIN):
+                    got = solve_exact(g, objective)
+                    expect = rescanning_exact(g, objective)
+                    assert got.clustering == expect.clustering, (n, kind, objective)
+                    assert got.value == expect.value, (n, kind, objective)
+                nodes = walk_calls(solve_exact, g)
+                assert nodes > n and nodes == walk_calls(rescanning_exact, g), (n, kind)
 
 
 def test_partition_enumerators_are_complete():
