@@ -201,11 +201,17 @@ def contributing_edges(
     return frozenset(pair for pair, _ in _contributing(g, c, objective))
 
 
+def scaled_value(g: SignedGraph, c: Clustering, objective: ObjectiveKind) -> int:
+    """clustering_value times g.scale: the int sum of |weight * scale| over
+    the contributing edges."""
+    return sum(abs(w) for _, w in _contributing(g, c, objective))
+
+
 def clustering_value(
     g: SignedGraph, c: Clustering, objective: ObjectiveKind
 ) -> Fraction:
     """Sum of |weight| over the contributing edges. Exact, non-negative."""
-    return Fraction(sum(abs(w) for _, w in _contributing(g, c, objective)), g.scale)
+    return Fraction(scaled_value(g, c, objective), g.scale)
 
 
 # --- graph text format ----------------------------------------------------

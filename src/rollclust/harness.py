@@ -339,6 +339,9 @@ def verify_all(seed: int = 0, sizes=(3, 4, 5), ts=(0, 1), instances: int = 5) ->
     derives from the seed; the report counts failures per check."""
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    # with no size or no t, most checks would run nothing and still read ok
+    if not sizes or not ts:
+        raise ValueError("sizes and ts must each name at least one value")
     checks = {
         name: CheckResult()
         for name in (

@@ -12,8 +12,10 @@ contributing set. Both identities are checked on every call.
 run_trials repeats the pipeline with per-trial derived seeds against the
 exact optimum of the base graph and reports how often the best candidate
 fails the (lambda+epsilon) target, the distribution of best/OPT ratios,
-and drift statistics when available. Frequencies are measurements, not
-certificates.
+and drift statistics when available. The roll depends only on the base
+and t, so run_trials builds it once per call, and its trials share the
+roll and its duplicate cells; each trial rounds it afresh. Frequencies
+are measurements, not certificates.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges
+from .core import (
+    Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges, scaled_value,
+)
 from .jsonutil import frac_to_str, opt_frac_to_str
-from .roll import build_roll, duplication_clustering, induced_clustering, valid_roll_size
+from .roll import (
+    RolledGraph, build_roll, duplication_clustering, induced_clustering, valid_roll_size,
+)
 from .rounding import DeviationStats, RoundingParams, deviation_stats, round_graph
 from .solvers import SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact
 from .streams import derive_seed
@@ -74,18 +80,23 @@ class ReductionReport:
 
 
 def reduce_and_solve(
-    g: SignedGraph, cfg: ReductionConfig, u_ref: "Clustering | None" = None
+    g: SignedGraph, cfg: ReductionConfig, u_ref: "Clustering | None" = None,
+    *, rolled: "RolledGraph | None" = None,
 ) -> ReductionReport:
     """Run roll, round, solve once and account for the results exactly.
 
     g must be normalized (all |weight| <= 1). When u_ref is given and
     lambda_ref > 1, deviation statistics against u_ref's duplication
-    clustering are included.
+    clustering are included. rolled, when given, must be g's roll at
+    cfg.t; by default the roll is built here.
     """
     if g.max_abs_weight() > 1:
         raise ValueError("base graph must be normalized to |weight| <= 1")
     rows = valid_roll_size(g.n, cfg.t)
-    rolled = build_roll(g, rows)
+    if rolled is None:
+        rolled = build_roll(g, rows)
+    elif rolled.base != g or rolled.rows != rows:
+        raise ValueError(f"rolled is {rolled!r}, not the roll of this base at t={cfg.t}")
     notes: "list[str]" = []
     spread = cfg.rounding.alpha + cfg.rounding.beta
     if spread * spread > rows * g.n:
@@ -97,13 +108,14 @@ def reduce_and_solve(
         notes.append(budget_note(cfg.solver.budget))
 
     candidates = [induced_clustering(rolled, grid_res.clustering, d) for d in rolled.active]
-    values = tuple(clustering_value(g, c, cfg.objective) for c in candidates)
+    # scored in ints over g.scale; Fractions only for the report
+    scaled = [scaled_value(g, c, cfg.objective) for c in candidates]
 
-    best_index = values.index((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(values))
-    best = SolveResult(candidates[best_index], values[best_index])
+    best_index = scaled.index((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(scaled))
+    best = SolveResult(candidates[best_index], Fraction(scaled[best_index], g.scale))
 
     rolled_value_pre = clustering_value(rolled.graph, grid_res.clustering, cfg.objective)
-    if sum(values, Fraction(0)) != rolled_value_pre:
+    if sum(scaled) * rolled_value_pre.denominator != rolled_value_pre.numerator * g.scale:
         raise RuntimeError("candidate values do not sum to the pre-rounding rolled value")
 
     rolled_value_post = clustering_value(outcome.after, grid_res.clustering, cfg.objective)
@@ -128,7 +140,7 @@ def reduce_and_solve(
         config=cfg,
         rows=rows,
         grid_clustering=grid_res.clustering,
-        candidate_values=values,
+        candidate_values=tuple(Fraction(v, g.scale) for v in scaled),
         best_index=best_index,
         best=best,
         rolled_value_pre=rolled_value_pre,
@@ -176,6 +188,8 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         raise ValueError("trials must be at least 1")
     opt = solve_exact(g, cfg.objective)
     target = cfg.lambda_ref + cfg.epsilon
+    # the roll depends only on (g, t): every trial rounds the same one
+    rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
 
     summaries = []
     note_counts: "Counter[str]" = Counter()
@@ -188,7 +202,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             solver=replace(cfg.solver, seed=s_seed),
         )
         try:
-            rep = reduce_and_solve(g, cfg_i, u_ref=opt.clustering)
+            rep = reduce_and_solve(g, cfg_i, u_ref=opt.clustering, rolled=rolled)
         except RuntimeError as exc:
             # name the seeds that replay the failing trial on its own
             raise RuntimeError(

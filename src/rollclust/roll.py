@@ -25,7 +25,7 @@ induced_clustering reads a base clustering back out of one active duplicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Clustering, SignedGraph
 
@@ -102,6 +102,16 @@ def grid_node(flat: int, cols: int) -> GridNode:
     return GridNode(*divmod(flat, cols))
 
 
+def duplicate_cells(
+    active: "Iterable[DuplicateId]", rows: int, cols: int
+) -> "dict[DuplicateId, tuple[int, ...]]":
+    """Each duplicate's flat grid indices, one per column."""
+    return {
+        d: tuple(grid_index(node, cols) for node in duplicate_nodes(d, rows, cols))
+        for d in active
+    }
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RolledGraph:
     """A base graph rolled into an N-row grid.
@@ -109,21 +119,29 @@ class RolledGraph:
     Fields: base (the original graph), rows (N), graph (the rolled graph on
     rows*n nodes, flat index row*n + col), active (kept duplicates in trim
     order). Only the active duplicates' copies are built; duplicate_of maps
-    any bone, trimmed or not, to its duplicate.
+    any bone, trimmed or not, to its duplicate. Each active duplicate's flat
+    grid cells are computed once, when the roll is built, and every reader
+    of the roll shares them: run_trials builds one roll per call, and all of
+    its trials read their candidates through the same cells.
     """
 
     base: SignedGraph
     rows: int
     graph: SignedGraph
     active: "tuple[DuplicateId, ...]"
-    _active_set: "frozenset[DuplicateId]" = field(init=False)
+    # active duplicate -> its flat grid cells by column; build_roll hands
+    # in the cells it built the graph from, any other caller gets them here
+    _cells: "dict[DuplicateId, tuple[int, ...]] | None" = field(default=None, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "active", tuple(self.active))
-        object.__setattr__(self, "_active_set", frozenset(self.active))
+        if self._cells is None:
+            object.__setattr__(
+                self, "_cells", duplicate_cells(self.active, self.rows, self.base.n)
+            )
 
     def is_active(self, d: DuplicateId) -> bool:
-        return d in self._active_set
+        return d in self._cells
 
     def __repr__(self) -> str:
         return (
@@ -151,19 +169,20 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
         raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
 
     active = tuple(list(all_duplicates(rows, n))[: (rows * rows) // n])
+    cells = duplicate_cells(active, rows, n)
 
     base_edges = list(g.scaled_weights())
     weights: dict[tuple[int, int], int] = {}
-    for d in active:
-        flat = [grid_index(node, n) for node in duplicate_nodes(d, rows, n)]
+    for flat in cells.values():
         for (j1, j2), w in base_edges:
             a, b = flat[j1], flat[j2]
-            key = (a, b) if a < b else (b, a)
-            if key in weights:
-                raise AssertionError(f"bone {key} claimed by two active duplicates")
-            weights[key] = w
+            weights[(a, b) if a < b else (b, a)] = w
+    # each active copy adds one key per base edge unless two copies share a bone
+    if len(weights) != len(active) * len(base_edges):
+        raise AssertionError("a bone is claimed by two active duplicates")
 
-    return RolledGraph(g, rows, SignedGraph._from_scaled(rows * n, g.scale, weights), active)
+    graph = SignedGraph._from_scaled(rows * n, g.scale, weights)
+    return RolledGraph(g, rows, graph, active, _cells=cells)
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:
@@ -172,12 +191,11 @@ def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Cluster
     grid node."""
     if len(c) != r.rows * r.base.n:
         raise ValueError("clustering does not cover the rolled graph")
-    if not r.is_active(d):
+    cells = r._cells.get(d)
+    if cells is None:
         raise ValueError(f"duplicate {d} is not active")
-    n = r.base.n
-    return Clustering(
-        c.labels[grid_index(node, n)] for node in duplicate_nodes(d, r.rows, n)
-    )
+    labels = c.labels
+    return Clustering([labels[i] for i in cells])
 
 
 def duplication_clustering(u: Clustering, rows: int) -> Clustering:

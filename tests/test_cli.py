@@ -170,6 +170,15 @@ def test_verify_with_no_instances_is_reported_as_error(capsys, instances):
     assert err == f"error: instances must be at least 1, got {instances}\n"
 
 
+@pytest.mark.parametrize("sizes, ts", [("", ""), ("", "0"), ("3", ""), (",", "0")])
+def test_verify_with_no_sizes_or_ts_is_reported_as_error(capsys, sizes, ts):
+    # an empty grid of cases must not report the checks ok
+    code, out, err = run(capsys, "verify", "--sizes", sizes, "--ts", ts)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sizes and ts must each name at least one value\n"
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 5\nmodel = complete\nplus-prob = 1.0  # all positive\n")

@@ -13,6 +13,7 @@ from rollclust.core import (
     contributing_edges,
     format_graph,
     parse_graph,
+    scaled_value,
 )
 from rollclust.solvers import solve_exact, solve_local_search
 
@@ -227,6 +228,19 @@ def test_kernel_matches_naive_definition_on_mixed_denominators():
         assert g.abs_weight(all_pairs(g.n)) == g.total_abs_weight()
     empty = SignedGraph(0)
     assert empty.scale == 1 and empty.abs_weight([]) == 0 and empty.max_abs_weight() == 0
+
+
+def test_scaled_value_times_scale_is_the_clustering_value():
+    rng = random.Random(223)
+    graphs = [SignedGraph(0), SignedGraph(4)] + [mixed_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+    for g in graphs:
+        for _ in range(4):
+            c = Clustering([rng.randrange(3) for _ in range(g.n)])
+            for objective in (MAX, MIN):
+                value = scaled_value(g, c, objective)
+                assert type(value) is int
+                assert Fraction(value, g.scale) == clustering_value(g, c, objective)
+                assert Fraction(value, g.scale) == naive_value(g, c, objective)
 
 
 def test_equal_weights_in_any_spelling_make_equal_graphs():

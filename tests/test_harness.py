@@ -103,6 +103,28 @@ def test_verify_all_rejects_fewer_than_one_instance(instances):
         verify_all(seed=1, sizes=(3,), ts=(0,), instances=instances)
 
 
+@pytest.mark.parametrize("sizes, ts", [((), (0,)), ((3,), ()), ((), ())])
+def test_verify_all_rejects_empty_sizes_or_ts(sizes, ts):
+    # most checks would run no instance and still read ok
+    with pytest.raises(ValueError, match="sizes and ts must each name at least one value"):
+        verify_all(seed=1, sizes=sizes, ts=ts, instances=1)
+
+
+def test_structural_checks_do_not_read_the_cached_cells():
+    # the edge-disjointness and isomorphism checks recompute every
+    # duplicate's nodes, so a roll whose cached cells are wrong still passes
+    # them on a sound graph, while reading candidates through those cells
+    # breaks the value decomposition
+    g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
+    r = build_roll(g, valid_roll_size(4, 1))
+    wrong = RolledGraph(r.base, r.rows, r.graph, r.active, _cells={d: (0, 1, 2, 3) for d in r.active})
+    assert check_edge_disjointness(wrong) is None
+    assert check_isomorphism(wrong) is None
+    c = Clustering([i // 5 % 2 for i in range(r.rows * 4)])
+    assert check_value_decomposition(r, c) is None
+    assert "sum of parts" in check_value_decomposition(wrong, c)
+
+
 def test_checks_pass_on_clean_roll():
     g = generate(GenSpec(n=4, model=UniformRational(density=0.8), seed=9))
     rows = valid_roll_size(4, 0)

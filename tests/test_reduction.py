@@ -9,13 +9,29 @@ from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_va
 from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.reduction import (
     ReductionConfig,
+    TrialAggregate,
+    TrialSummary,
     aggregate_to_dict,
     reduce_and_solve,
     run_trials,
 )
-from rollclust.roll import build_roll, duplication_clustering, induced_clustering, valid_roll_size
-from rollclust.rounding import RoundingParams
-from rollclust.solvers import SolverKind, SolverSpec, budget_note, solve_exact, solve_pivot
+from rollclust.roll import (
+    build_roll,
+    duplicate_nodes,
+    duplication_clustering,
+    grid_index,
+    induced_clustering,
+    valid_roll_size,
+)
+from rollclust.rounding import RoundingParams, deviation_stats, round_graph
+from rollclust.solvers import (
+    SolverKind,
+    SolverSpec,
+    budget_note,
+    run_solver,
+    solve_exact,
+    solve_pivot,
+)
 from rollclust.streams import derive_seed
 
 MAX = ObjectiveKind.MAX_AGREE
@@ -398,3 +414,117 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
         )
         agg = run_trials(g, cfg, trials=20)
         assert (agg.bad_event_freq, min(agg.ratios)) == (freq, worst), t
+
+
+# The trial loop as it ran before the roll was shared across trials: a fresh
+# roll per trial, candidates read through duplicate_nodes and grid_index,
+# and every candidate value summed as a Fraction. A test oracle for
+# run_trials.
+
+
+def fraction_trial(g, cfg, u_ref):
+    """(best candidate value, gap or None) of one trial."""
+    rows = valid_roll_size(g.n, cfg.t)
+    rolled = build_roll(g, rows)
+    outcome = round_graph(rolled.graph, cfg.rounding)
+    grid = run_solver(outcome.after, cfg.objective, cfg.solver).clustering
+    candidates = [
+        Clustering(grid.labels[grid_index(node, g.n)] for node in duplicate_nodes(d, rows, g.n))
+        for d in rolled.active
+    ]
+    values = [clustering_value(g, c, cfg.objective) for c in candidates]
+    assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, cfg.objective)
+    best = (max if cfg.objective is MAX else min)(values)
+    if cfg.lambda_ref == 1:
+        return best, None
+    u_n = duplication_clustering(u_ref, rows)
+    return best, deviation_stats(outcome, grid, u_n, cfg.lambda_ref, cfg.objective).gap
+
+
+def fraction_run_trials(g, cfg, trials):
+    opt = solve_exact(g, cfg.objective)
+    target = cfg.lambda_ref + cfg.epsilon
+    summaries = []
+    for i in range(trials):
+        r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
+        s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
+        cfg_i = replace(
+            cfg,
+            rounding=replace(cfg.rounding, seed=r_seed),
+            solver=replace(cfg.solver, seed=s_seed),
+        )
+        best, gap = fraction_trial(g, cfg_i, opt.clustering)
+        if cfg.objective is MAX:
+            bad = best < opt.value / target
+        else:
+            bad = best > target * opt.value
+        ratio = None if opt.value == 0 else best / opt.value
+        summaries.append(TrialSummary(r_seed, s_seed, best, ratio, bad, gap))
+    gaps = [s.gap for s in summaries if s.gap is not None]
+    return TrialAggregate(
+        config=cfg,
+        trials=trials,
+        opt_value=opt.value,
+        opt_clustering=opt.clustering,
+        opt_below_one=opt.value < 1,
+        bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
+        ratios=tuple(s.ratio for s in summaries),
+        gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
+        gap_min=min(gaps) if gaps else None,
+        gap_max=max(gaps) if gaps else None,
+        per_trial=tuple(summaries),
+        notes=(),
+    )
+
+
+@pytest.mark.parametrize("objective, kind", [
+    (MAX, SolverKind.LOCAL_SEARCH), (MIN, SolverKind.LOCAL_SEARCH), (MAX, SolverKind.TRIVIAL_MAX),
+])
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
+def test_run_trials_matches_the_fraction_oracle(objective, kind, t, lam):
+    for seed in range(3):
+        g = generate(GenSpec(n=3 + seed % 2, model=UniformRational(density=0.9), seed=seed))
+        cfg = ReductionConfig(
+            objective=objective,
+            t=t,
+            rounding=RoundingParams(alpha=1, beta=Fraction(3, 2), seed=seed),
+            solver=SolverSpec(kind, seed=seed + 10, budget=1000),
+            epsilon=Fraction(1, 20),
+            lambda_ref=lam,
+        )
+        assert aggregate_to_dict(run_trials(g, cfg, 2)) == aggregate_to_dict(
+            fraction_run_trials(g, cfg, 2)
+        )
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_run_trials_rolls_the_base_once(monkeypatch, trials):
+    import rollclust.reduction
+
+    calls = []
+    real = rollclust.reduction.build_roll
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rollclust.reduction, "build_roll", counting)
+    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=2))
+    cfg = replace(local_config(), objective=MAX, lambda_ref=Fraction(3, 2))
+    assert run_trials(g, cfg, trials).trials == trials
+    assert calls == [(g, valid_roll_size(3, 1))]
+
+
+def test_reduce_and_solve_rejects_a_roll_of_another_base_or_t():
+    g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
+    cfg = identity_config(MAX, t=0)
+    rows = valid_roll_size(3, 0)
+    other = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
+    with pytest.raises(ValueError, match="not the roll of this base at t=0"):
+        reduce_and_solve(g, cfg, rolled=build_roll(other, rows))
+    with pytest.raises(ValueError, match="not the roll of this base at t=0"):
+        reduce_and_solve(g, cfg, rolled=build_roll(g, valid_roll_size(3, 1)))
+    # an equal base rolled separately is the same roll
+    same = SignedGraph(3, {(1, 0): 1, (2, 1): -1, (2, 0): Fraction(2, 4)})
+    assert reduce_and_solve(g, cfg, rolled=build_roll(same, rows)) == reduce_and_solve(g, cfg)

@@ -277,3 +277,24 @@ def test_value_decomposition_over_duplicates():
                 Fraction(0),
             )
             assert whole == parts
+
+
+def test_induced_clustering_matches_a_from_scratch_reading():
+    # the roll caches each active duplicate's cells; read them back through
+    # duplicate_nodes and grid_index instead and compare
+    rng = random.Random(41)
+    for n in range(3, 7):
+        for t in range(3):
+            rows = valid_roll_size(n, t)
+            r = build_roll(random_graph(rng, n), rows)
+            rebuilt = RolledGraph(r.base, r.rows, r.graph, r.active)
+            c = Clustering([rng.randrange(n) for _ in range(rows * n)])
+            for d in r.active:
+                want = Clustering(c.labels[grid_index(node, n)] for node in duplicate_nodes(d, rows, n))
+                assert induced_clustering(r, c, d) == want
+                assert induced_clustering(rebuilt, c, d) == want
+            inactive = [d for d in all_duplicates(rows, n) if not r.is_active(d)]
+            assert len(inactive) == untrimmed_duplicate_count(n, rows) - len(r.active)
+            for d in inactive[:3]:
+                with pytest.raises(ValueError, match="not active"):
+                    induced_clustering(r, c, d)
