@@ -79,6 +79,11 @@ class ReductionReport:
     notes: "tuple[str, ...]"
 
 
+def _check_normalized(g: SignedGraph) -> None:
+    if g.max_abs_weight() > 1:
+        raise ValueError("base graph must be normalized to |weight| <= 1")
+
+
 def reduce_and_solve(
     g: SignedGraph, cfg: ReductionConfig, u_ref: "Clustering | None" = None,
     *, rolled: "RolledGraph | None" = None,
@@ -90,8 +95,7 @@ def reduce_and_solve(
     clustering are included. rolled, when given, must be g's roll at
     cfg.t; by default the roll is built here.
     """
-    if g.max_abs_weight() > 1:
-        raise ValueError("base graph must be normalized to |weight| <= 1")
+    _check_normalized(g)
     rows = valid_roll_size(g.n, cfg.t)
     if rolled is None:
         rolled = build_roll(g, rows)
@@ -115,7 +119,7 @@ def reduce_and_solve(
     best = SolveResult(candidates[best_index], Fraction(scaled[best_index], g.scale))
 
     rolled_value_pre = clustering_value(rolled.graph, grid_res.clustering, cfg.objective)
-    if sum(scaled) * rolled_value_pre.denominator != rolled_value_pre.numerator * g.scale:
+    if Fraction(sum(scaled), g.scale) != rolled_value_pre:
         raise RuntimeError("candidate values do not sum to the pre-rounding rolled value")
 
     rolled_value_post = clustering_value(outcome.after, grid_res.clustering, cfg.objective)
@@ -188,7 +192,9 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         raise ValueError("trials must be at least 1")
     opt = solve_exact(g, cfg.objective)
     target = cfg.lambda_ref + cfg.epsilon
-    # the roll depends only on (g, t): every trial rounds the same one
+    # the roll depends only on (g, t): every trial rounds the same one,
+    # built only once the base is known to be normalized
+    _check_normalized(g)
     rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
 
     summaries = []

@@ -25,7 +25,7 @@ induced_clustering reads a base clustering back out of one active duplicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Clustering, SignedGraph
 
@@ -102,14 +102,9 @@ def grid_node(flat: int, cols: int) -> GridNode:
     return GridNode(*divmod(flat, cols))
 
 
-def duplicate_cells(
-    active: "Iterable[DuplicateId]", rows: int, cols: int
-) -> "dict[DuplicateId, tuple[int, ...]]":
-    """Each duplicate's flat grid indices, one per column."""
-    return {
-        d: tuple(grid_index(node, cols) for node in duplicate_nodes(d, rows, cols))
-        for d in active
-    }
+def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
+    """The duplicate's flat grid indices, one per column."""
+    return tuple(grid_index(node, cols) for node in duplicate_nodes(d, rows, cols))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -120,25 +115,23 @@ class RolledGraph:
     rows*n nodes, flat index row*n + col), active (kept duplicates in trim
     order). Only the active duplicates' copies are built; duplicate_of maps
     any bone, trimmed or not, to its duplicate. Each active duplicate's flat
-    grid cells are computed once, when the roll is built, and every reader
-    of the roll shares them: run_trials builds one roll per call, and all of
-    its trials read their candidates through the same cells.
+    grid cells are computed once, when the RolledGraph is constructed, and
+    every reader of the roll shares them: run_trials builds one roll per
+    call, and all of its trials read their candidates through the same cells.
     """
 
     base: SignedGraph
     rows: int
     graph: SignedGraph
     active: "tuple[DuplicateId, ...]"
-    # active duplicate -> its flat grid cells by column; build_roll hands
-    # in the cells it built the graph from, any other caller gets them here
-    _cells: "dict[DuplicateId, tuple[int, ...]] | None" = field(default=None, kw_only=True)
+    # active duplicate -> its flat grid cells by column
+    _cells: "dict[DuplicateId, tuple[int, ...]]" = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "active", tuple(self.active))
-        if self._cells is None:
-            object.__setattr__(
-                self, "_cells", duplicate_cells(self.active, self.rows, self.base.n)
-            )
+        object.__setattr__(
+            self, "_cells", {d: duplicate_cells(d, self.rows, self.base.n) for d in self.active}
+        )
 
     def is_active(self, d: DuplicateId) -> bool:
         return d in self._cells
@@ -169,11 +162,11 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
         raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
 
     active = tuple(list(all_duplicates(rows, n))[: (rows * rows) // n])
-    cells = duplicate_cells(active, rows, n)
 
     base_edges = list(g.scaled_weights())
     weights: dict[tuple[int, int], int] = {}
-    for flat in cells.values():
+    for d in active:
+        flat = duplicate_cells(d, rows, n)
         for (j1, j2), w in base_edges:
             a, b = flat[j1], flat[j2]
             weights[(a, b) if a < b else (b, a)] = w
@@ -181,8 +174,7 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
     if len(weights) != len(active) * len(base_edges):
         raise AssertionError("a bone is claimed by two active duplicates")
 
-    graph = SignedGraph._from_scaled(rows * n, g.scale, weights)
-    return RolledGraph(g, rows, graph, active, _cells=cells)
+    return RolledGraph(g, rows, SignedGraph._from_scaled(rows * n, g.scale, weights), active)
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:

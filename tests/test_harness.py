@@ -117,7 +117,8 @@ def test_structural_checks_do_not_read_the_cached_cells():
     # breaks the value decomposition
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
     r = build_roll(g, valid_roll_size(4, 1))
-    wrong = RolledGraph(r.base, r.rows, r.graph, r.active, _cells={d: (0, 1, 2, 3) for d in r.active})
+    wrong = RolledGraph(r.base, r.rows, r.graph, r.active)
+    object.__setattr__(wrong, "_cells", {d: (0, 1, 2, 3) for d in r.active})
     assert check_edge_disjointness(wrong) is None
     assert check_isomorphism(wrong) is None
     c = Clustering([i // 5 % 2 for i in range(r.rows * 4)])

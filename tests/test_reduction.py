@@ -516,6 +516,20 @@ def test_run_trials_rolls_the_base_once(monkeypatch, trials):
     assert calls == [(g, valid_roll_size(3, 1))]
 
 
+def test_run_trials_rejects_an_unnormalized_base_before_rolling(monkeypatch):
+    import rollclust.reduction
+
+    def no_roll(*args):
+        raise AssertionError("rolled an unnormalized base")
+
+    monkeypatch.setattr(rollclust.reduction, "build_roll", no_roll)
+    for n in (2, 3):
+        # a 2-node base also fails the roll size check; normalization comes first
+        g = SignedGraph(n, {(0, 1): 2})
+        with pytest.raises(ValueError, match="must be normalized"):
+            run_trials(g, identity_config(MAX), 2)
+
+
 def test_reduce_and_solve_rejects_a_roll_of_another_base_or_t():
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
     cfg = identity_config(MAX, t=0)
