@@ -57,14 +57,11 @@ class SignedGraph:
     scale: int
     _weights: "dict[tuple[int, int], int]"
 
-    def __init__(self, n: int, weights: Mapping | Iterable | None = None):
+    def __init__(self, n: int, weights: Mapping | None = None):
         if n < 0:
             raise ValueError("node count must be non-negative")
         store: dict[tuple[int, int], Fraction] = {}
-        items = []
-        if weights:
-            items = weights.items() if isinstance(weights, Mapping) else list(weights)
-        for (u, v), w in items:
+        for (u, v), w in (weights or {}).items():
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < n and 0 <= v < n):

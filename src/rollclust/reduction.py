@@ -1,13 +1,14 @@
 """The roll-round-solve pipeline and its trial harness.
 
-reduce_and_solve rolls a normalized base graph, rounds the rolled weights,
+reduce_and_solve takes a base graph's roll, rounds the rolled weights,
 hands the rounded graph to a solver, and reads one candidate clustering of
 the base graph out of every active duplicate. Candidates are always scored
 against the original base weights. The report carries exact accounting:
 the candidate values must sum to the solver clustering's value on the
-pre-rounding rolled graph, and the post-rounding value must agree whether
+pre-rounding rolled graph, the post-rounding value must agree whether
 computed directly or summed as |rounded weight| over the pre-rounding
-contributing set. Both identities are checked on every call.
+contributing set, and the solver's reported value must equal that direct
+evaluation. All three are checked on every call.
 
 run_trials repeats the pipeline with per-trial derived seeds against the
 exact optimum of the base graph and reports how often the best candidate
@@ -79,28 +80,17 @@ class ReductionReport:
     notes: "tuple[str, ...]"
 
 
-def _check_normalized(g: SignedGraph) -> None:
-    if g.max_abs_weight() > 1:
-        raise ValueError("base graph must be normalized to |weight| <= 1")
+def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clustering) -> ReductionReport:
+    """Round a base's roll once, solve it and account for the results exactly.
 
-
-def reduce_and_solve(
-    g: SignedGraph, cfg: ReductionConfig, u_ref: "Clustering | None" = None,
-    *, rolled: "RolledGraph | None" = None,
-) -> ReductionReport:
-    """Run roll, round, solve once and account for the results exactly.
-
-    g must be normalized (all |weight| <= 1). When u_ref is given and
-    lambda_ref > 1, deviation statistics against u_ref's duplication
-    clustering are included. rolled, when given, must be g's roll at
-    cfg.t; by default the roll is built here.
+    rolled must be its base's roll at cfg.t, and round_graph rejects a base
+    that is not normalized (all |weight| <= 1). When lambda_ref > 1,
+    deviation statistics against u_ref's duplication clustering are
+    included.
     """
-    _check_normalized(g)
-    rows = valid_roll_size(g.n, cfg.t)
-    if rolled is None:
-        rolled = build_roll(g, rows)
-    elif rolled.base != g or rolled.rows != rows:
-        raise ValueError(f"rolled is {rolled!r}, not the roll of this base at t={cfg.t}")
+    g, rows = rolled.base, rolled.rows
+    if rows != valid_roll_size(g.n, cfg.t):
+        raise ValueError(f"rolled is {rolled!r}, not its base's roll at t={cfg.t}")
     notes: "list[str]" = []
     spread = cfg.rounding.alpha + cfg.rounding.beta
     if spread * spread > rows * g.n:
@@ -131,14 +121,11 @@ def reduce_and_solve(
         raise RuntimeError("solver-reported value disagrees with direct evaluation")
 
     stats = None
-    if u_ref is not None:
-        if cfg.lambda_ref > 1:
-            u_n = duplication_clustering(u_ref, rows)
-            stats = deviation_stats(
-                outcome, grid_res.clustering, u_n, cfg.lambda_ref, cfg.objective
-            )
-        else:
-            notes.append("deviation stats skipped: lambda_ref is 1")
+    if cfg.lambda_ref > 1:
+        u_n = duplication_clustering(u_ref, rows)
+        stats = deviation_stats(outcome, grid_res.clustering, u_n, cfg.lambda_ref, cfg.objective)
+    else:
+        notes.append("deviation stats skipped: lambda_ref is 1")
 
     return ReductionReport(
         config=cfg,
@@ -194,7 +181,8 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
     target = cfg.lambda_ref + cfg.epsilon
     # the roll depends only on (g, t): every trial rounds the same one,
     # built only once the base is known to be normalized
-    _check_normalized(g)
+    if g.max_abs_weight() > 1:
+        raise ValueError("base graph must be normalized to |weight| <= 1")
     rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
 
     summaries = []
@@ -208,7 +196,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             solver=replace(cfg.solver, seed=s_seed),
         )
         try:
-            rep = reduce_and_solve(g, cfg_i, u_ref=opt.clustering, rolled=rolled)
+            rep = reduce_and_solve(rolled, cfg_i, opt.clustering)
         except RuntimeError as exc:
             # name the seeds that replay the failing trial on its own
             raise RuntimeError(

@@ -133,9 +133,6 @@ class RolledGraph:
             self, "_cells", {d: duplicate_cells(d, self.rows, self.base.n) for d in self.active}
         )
 
-    def is_active(self, d: DuplicateId) -> bool:
-        return d in self._cells
-
     def __repr__(self) -> str:
         return (
             f"RolledGraph(n={self.base.n}, rows={self.rows}, "

@@ -225,8 +225,9 @@ def test_criterion_10_identity_regime_recovers_optimum():
                 epsilon=Fraction(1, 20),
                 lambda_ref=1,
             )
-            rep = reduce_and_solve(g, cfg)
-            if rep.best.value == solve_exact(g, MAX).value:
+            opt = solve_exact(g, MAX)
+            rep = reduce_and_solve(build_roll(g, valid_roll_size(3, 0)), cfg, opt.clustering)
+            if rep.best.value == opt.value:
                 hits += 1
         assert hits == 100, f"only {hits}/100 trials recovered the optimum"
 

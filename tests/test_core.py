@@ -145,7 +145,7 @@ def test_graph_rejects_bad_input():
     with pytest.raises(TypeError):
         SignedGraph(2, {(0, 1): 0.5})
     with pytest.raises(ValueError):
-        SignedGraph(3, [((0, 1), Fraction(1)), ((1, 0), Fraction(-1))])
+        SignedGraph(3, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
 
 
 def test_clustering_domain_mismatch():
@@ -246,7 +246,7 @@ def test_scaled_value_times_scale_is_the_clustering_value():
 def test_equal_weights_in_any_spelling_make_equal_graphs():
     spellings = [Fraction(2, 4), Fraction(1, 2), "1/2"]
     graphs = [SignedGraph(3, {(0, 1): w, (2, 1): -3}) for w in spellings]
-    graphs.append(SignedGraph(3, [((1, 2), -3), ((1, 0), "2/4")]))
+    graphs.append(SignedGraph(3, {(1, 2): -3, (1, 0): "2/4"}))
     for g in graphs:
         assert g == graphs[0] and hash(g) == hash(graphs[0])
     assert SignedGraph(3, {(0, 1): 1, (1, 2): -3}) != graphs[0]

@@ -58,6 +58,12 @@ def identity_config(objective, t=0, seed=0):
     )
 
 
+def reduce_on_roll(g, cfg):
+    """reduce_and_solve on g's roll at cfg.t, with g's exact optimum as the reference."""
+    rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
+    return reduce_and_solve(rolled, cfg, solve_exact(g, cfg.objective).clustering)
+
+
 def test_duplication_value_identity():
     rng = random.Random(11)
     for n, t in ((3, 0), (3, 1), (4, 0), (5, 0)):
@@ -93,7 +99,7 @@ def test_identity_regime_recovers_optimum():
         for trial in range(10):
             g = pm1_graph(rng, 3, density=0.8)
             opt = solve_exact(g, objective)
-            rep = reduce_and_solve(g, identity_config(objective, seed=trial))
+            rep = reduce_on_roll(g, identity_config(objective, seed=trial))
             assert rep.best.value == opt.value
             assert all(v == opt.value for v in rep.candidate_values)
             assert clustering_value(g, rep.best.clustering, objective) == rep.best.value
@@ -103,7 +109,7 @@ def test_report_accounting_fields():
     rng = random.Random(77)
     g = pm1_graph(rng, 3)
     cfg = identity_config(MAX)
-    rep = reduce_and_solve(g, cfg)
+    rep = reduce_on_roll(g, cfg)
     rows = valid_roll_size(3, 0)
     assert rep.rows == rows
     assert len(rep.candidate_values) == rows * rows // 3
@@ -128,7 +134,7 @@ def test_reduce_with_real_rounding_and_local_search():
         epsilon=Fraction(1, 10),
         lambda_ref=Fraction(1),
     )
-    rep = reduce_and_solve(g, cfg)
+    rep = reduce_on_roll(g, cfg)
     # accounting ran without raising; the best candidate cannot beat OPT
     assert rep.best.value >= solve_exact(g, MIN).value
     assert sum(rep.candidate_values, Fraction(0)) == rep.rolled_value_pre
@@ -136,8 +142,9 @@ def test_reduce_with_real_rounding_and_local_search():
 
 def test_reduce_rejects_unnormalized():
     g = SignedGraph(3, {(0, 1): 2})
-    with pytest.raises(ValueError):
-        reduce_and_solve(g, identity_config(MAX))
+    # round_graph refuses it: the roll carries the base's weights
+    with pytest.raises(ValueError, match="must be normalized"):
+        reduce_on_roll(g, identity_config(MAX))
 
 
 def test_spread_note_emitted():
@@ -150,7 +157,7 @@ def test_spread_note_emitted():
         epsilon=Fraction(1, 20),
         lambda_ref=Fraction(1),
     )
-    rep = reduce_and_solve(g, cfg)
+    rep = reduce_on_roll(g, cfg)
     assert any("alpha+beta" in note for note in rep.notes)
 
 
@@ -169,9 +176,9 @@ def test_budget_cut_off_note():
     # mostly negative weight: the grid starts from singletons and merges the
     # ends of its 27 positive edges one move at a time
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): -1})
-    cut = reduce_and_solve(g, local_config(budget=1))
+    cut = reduce_on_roll(g, local_config(budget=1))
     assert any("budget of 1 moves" in note for note in cut.notes)
-    full = reduce_and_solve(g, local_config())
+    full = reduce_on_roll(g, local_config())
     assert not any("budget" in note for note in full.notes)
 
 
@@ -223,7 +230,7 @@ def test_local_pipeline_on_216_node_grid():
     # MinDisagree optimum is 2; reduce_and_solve checks its accounting
     # identities and the solver's running value on the way
     g = generate(GenSpec(n=6, model=PlantedPartition(clusters=2, flip_prob=0.1), seed=2))
-    rep = reduce_and_solve(g, local_config())
+    rep = reduce_on_roll(g, local_config())
     assert len(rep.grid_clustering.labels) == 216
     assert len(rep.candidate_values) == 216
     assert sum(rep.candidate_values, Fraction(0)) == rep.rolled_value_pre
@@ -234,9 +241,7 @@ def test_local_pipeline_on_216_node_grid():
 def test_stats_gating_on_lambda():
     rng = random.Random(31)
     g = pm1_graph(rng, 3)
-    ref = solve_exact(g, MAX).clustering
-
-    rep = reduce_and_solve(g, identity_config(MAX), u_ref=ref)
+    rep = reduce_on_roll(g, identity_config(MAX))
     assert rep.stats is None
     assert any("lambda_ref" in note for note in rep.notes)
 
@@ -248,14 +253,11 @@ def test_stats_gating_on_lambda():
         epsilon=Fraction(1, 20),
         lambda_ref=Fraction(6, 5),
     )
-    rep2 = reduce_and_solve(g, cfg2, u_ref=ref)
+    rep2 = reduce_on_roll(g, cfg2)
     assert rep2.stats is not None
     assert rep2.stats.lam == Fraction(6, 5)
     # identity rounding leaves no per-edge drift
     assert rep2.stats.s1 == 0 and rep2.stats.s2 == 0 and rep2.stats.gap == 0
-
-    rep3 = reduce_and_solve(g, cfg2)  # no reference, no stats
-    assert rep3.stats is None
 
 
 def test_config_validation():
@@ -530,15 +532,39 @@ def test_run_trials_rejects_an_unnormalized_base_before_rolling(monkeypatch):
             run_trials(g, identity_config(MAX), 2)
 
 
-def test_reduce_and_solve_rejects_a_roll_of_another_base_or_t():
+def test_reduce_and_solve_rejects_a_roll_at_another_t():
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
     cfg = identity_config(MAX, t=0)
-    rows = valid_roll_size(3, 0)
-    other = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
-    with pytest.raises(ValueError, match="not the roll of this base at t=0"):
-        reduce_and_solve(g, cfg, rolled=build_roll(other, rows))
-    with pytest.raises(ValueError, match="not the roll of this base at t=0"):
-        reduce_and_solve(g, cfg, rolled=build_roll(g, valid_roll_size(3, 1)))
-    # an equal base rolled separately is the same roll
+    ref = solve_exact(g, MAX).clustering
+    with pytest.raises(ValueError, match="not its base's roll at t=0"):
+        reduce_and_solve(build_roll(g, valid_roll_size(3, 1)), cfg, ref)
+    # an equal base rolled separately gives the same report
     same = SignedGraph(3, {(1, 0): 1, (2, 1): -1, (2, 0): Fraction(2, 4)})
-    assert reduce_and_solve(g, cfg, rolled=build_roll(same, rows)) == reduce_and_solve(g, cfg)
+    rows = valid_roll_size(3, 0)
+    assert reduce_and_solve(build_roll(same, rows), cfg, ref) == reduce_on_roll(g, cfg)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
+@pytest.mark.parametrize("objective", [MAX, MIN])
+def test_each_trial_replays_from_its_seeds(objective, lam, t):
+    # the seeds a failing trial's error names are enough to rerun it alone
+    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=4))
+    cfg = ReductionConfig(
+        objective=objective,
+        t=t,
+        rounding=RoundingParams(alpha=2, beta=2, seed=8),
+        solver=SolverSpec(SolverKind.LOCAL_SEARCH, seed=3),
+        epsilon=Fraction(1, 20),
+        lambda_ref=lam,
+    )
+    agg = run_trials(g, cfg, trials=2)
+    for i, trial in enumerate(agg.per_trial):
+        # the replay snippet in the README, as written
+        r_seed, s_seed = agg.per_trial[i].rounding_seed, agg.per_trial[i].solver_seed
+        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed), solver=replace(cfg.solver, seed=s_seed))
+        rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
+        rep = reduce_and_solve(rolled, cfg_i, solve_exact(g, cfg.objective).clustering)
+        assert rep.best.value == trial.best_value
+        assert (rep.stats.gap if rep.stats is not None else None) == trial.gap
+        assert (trial.gap is None) == (lam == 1)

@@ -293,7 +293,7 @@ def test_rounded_support():
 
 def test_determinism_and_order_independence():
     g1 = SignedGraph(4, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1, 3), (1, 2): Fraction(1, 5)})
-    g2 = SignedGraph(4, [((2, 3), Fraction(-1, 3)), ((1, 2), Fraction(1, 5)), ((0, 1), Fraction(1, 2))])
+    g2 = SignedGraph(4, {(2, 3): Fraction(-1, 3), (1, 2): Fraction(1, 5), (0, 1): Fraction(1, 2)})
     p = RoundingParams(alpha=2, beta=2, seed=12345)
     assert round_graph(g1, p).after == round_graph(g2, p).after
     assert round_graph(g1, p).after == round_graph(g1, p).after
