@@ -94,9 +94,15 @@ class SignedGraph:
             if not 0 <= u < v < n or w == 0:
                 raise ValueError(f"edge ({u},{v}) needs 0 <= u < v < {n} and a nonzero weight")
         d = math.gcd(scale, *weights.values())
+        # keys are unique, so sorting them alone orders the items, at about
+        # half the cost of sorting the items
+        keys = sorted(weights)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "scale", scale // d)
-        object.__setattr__(self, "_weights", {key: w // d for key, w in sorted(weights.items())})
+        # d is 1 for every roll and for rounding at alpha = beta = 1
+        object.__setattr__(
+            self, "_weights", {k: weights[k] // d for k in keys} if d > 1 else {k: weights[k] for k in keys}
+        )
 
     def weight(self, u: int, v: int) -> Fraction:
         """Weight of the pair, Fraction(0) when absent."""

@@ -24,6 +24,7 @@ induced_clustering reads a base clustering back out of one active duplicate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -103,8 +104,11 @@ def grid_node(flat: int, cols: int) -> GridNode:
 
 
 def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
-    """The duplicate's flat grid indices, one per column."""
-    return tuple(grid_index(node, cols) for node in duplicate_nodes(d, rows, cols))
+    """The duplicate's flat grid indices, one per column, in closed form:
+    column j sits in row (start_row + j*slope) mod rows, at flat index
+    row*cols + j, the grid_index of its duplicate_nodes entry."""
+    start, slope = d
+    return tuple(((start + j * slope) % rows) * cols + j for j in range(cols))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -158,7 +162,7 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
     if (rows * rows) % n != 0:
         raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
 
-    active = tuple(list(all_duplicates(rows, n))[: (rows * rows) // n])
+    active = tuple(itertools.islice(all_duplicates(rows, n), (rows * rows) // n))
 
     base_edges = list(g.scaled_weights())
     weights: dict[tuple[int, int], int] = {}

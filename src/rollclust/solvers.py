@@ -18,10 +18,11 @@ which always captures at least half the total absolute weight. solve_pivot
 is the classic randomized pivot rule for complete +-1 instances under
 MinDisagree. solve_local_search improves single-node moves under a move
 budget with deterministic tie-breaking. It keeps each node's signed scaled
-weight to every cluster it touches and caches each node's best move; a
-move updates the sums over the moved node's edges and re-scores only that
-node and its neighbours. A move gains MaxAgree exactly what it takes off
-MinDisagree, so both objectives take the same moves.
+weight to every cluster it touches and caches each node's best move. A
+move changes two of each neighbour's sums, and the neighbour's cached move
+is updated from those two; it is rescanned only when its target lost
+weight. A move gains MaxAgree exactly what it takes off MinDisagree, so
+both objectives take the same moves.
 """
 
 from __future__ import annotations
@@ -236,15 +237,6 @@ def solve_pivot(g: SignedGraph, seed: int = 0) -> SolveResult:
     return SolveResult(c, clustering_value(g, c, ObjectiveKind.MIN_DISAGREE))
 
 
-def _shift(sums: "dict[int, int]", label: int, w: int) -> None:
-    """Add w to sums[label], dropping the entry when it cancels to 0."""
-    s = sums.get(label, 0) + w
-    if s:
-        sums[label] = s
-    else:
-        del sums[label]
-
-
 def _best_move(sums: "dict[int, int]", a: int) -> "tuple[int, int | None]":
     """The gain of a node's best move out of cluster a, and its target: the
     heaviest other cluster with positive net weight (lowest label on a tie),
@@ -275,11 +267,15 @@ def solve_local_search(
     all of them. gains[v] and targets[v] cache v's best move, with target
     None for such a cluster; a step takes the first largest gain and
     resolves a None target from the labels in use only for the node it
-    moves. A move of v from a to b updates the sums of v's neighbours in
-    O(deg v) and re-scores only v and those neighbours: no other node's
-    sums or label changed, and no gain depends on which labels are in use.
-    The search tracks agreement, the start value plus the running total of
-    the gains, and reads MinDisagree off it at the end.
+    moves. A move of v from a to b changes, for each neighbour u, only
+    net[u][a] and net[u][b]: one cluster loses weight and the other gains
+    it. u's cached move then stands unless the gaining cluster now beats
+    it, so it is updated from the gaining cluster's sum alone; only when
+    u's cached target is the cluster that lost weight is u rescanned. v is
+    rescanned, and no other node's sums or label changed, nor does any
+    gain depend on which labels are in use. The search tracks agreement,
+    the start value plus the running total of the gains, and reads
+    MinDisagree off it at the end.
 
     Only strictly improving moves are taken, so a graph whose positive and
     negative totals tie never leaves the one-cluster start, even when a
@@ -292,18 +288,19 @@ def solve_local_search(
         return SolveResult(Clustering([]), Fraction(0))
 
     pos, neg = _sign_totals(g)
-    # one cluster scores pos agreements and neg disagreements, singletons
-    # the reverse, so both objectives prefer one cluster iff pos >= neg
-    labels = [0] * n if pos >= neg else list(range(n))
     agree = max(pos, neg)
-
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    net: list[dict[int, int]] = [{} for _ in range(n)]
     for (u, v), w in g.scaled_weights():
         adj[u].append((v, w))
         adj[v].append((u, w))
-        _shift(net[u], labels[v], w)
-        _shift(net[v], labels[u], w)
+    # one cluster scores pos agreements and neg disagreements, singletons
+    # the reverse, so both objectives prefer one cluster iff pos >= neg
+    if pos >= neg:
+        labels = [0] * n
+        net = [{0: s} if (s := sum(w for _, w in row)) else {} for row in adj]
+    else:
+        labels = list(range(n))
+        net = [dict(row) for row in adj]
     gains: list[int] = [0] * n
     targets: "list[int | None]" = [None] * n
     for v in range(n):
@@ -325,9 +322,25 @@ def solve_local_search(
         labels[v] = b
         agree += gain
         for u, w in adj[v]:
-            _shift(net[u], a, -w)
-            _shift(net[u], b, w)
-            gains[u], targets[u] = _best_move(net[u], labels[u])
+            sums, c, t = net[u], labels[u], targets[u]
+            top = gains[u] + sums.get(c, 0)
+            sa, sb = sums.get(a, 0) - w, sums.get(b, 0) + w
+            if sa:
+                sums[a] = sa
+            else:
+                del sums[a]
+            if sb:
+                sums[b] = sb
+            else:
+                del sums[b]
+            lost, won, s = (a, b, sb) if w > 0 else (b, a, sa)
+            if t == lost:
+                gains[u], targets[u] = _best_move(sums, c)
+                continue
+            # t stands unless won now beats it; top is 0 iff t is None
+            if won != c and (s > top or s == top > 0 and won < t):
+                top, targets[u] = s, won
+            gains[u] = top - sums.get(c, 0)
         gains[v], targets[v] = _best_move(net[v], b)
 
     if objective is ObjectiveKind.MIN_DISAGREE:

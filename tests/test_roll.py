@@ -12,6 +12,7 @@ from rollclust.roll import (
     RolledGraph,
     all_duplicates,
     build_roll,
+    duplicate_cells,
     duplicate_nodes,
     duplicate_of,
     grid_index,
@@ -60,6 +61,15 @@ def test_duplicate_of_examples():
 def test_duplicate_nodes_wrap():
     nodes = duplicate_nodes(DuplicateId(3, 2), 5, 3)
     assert nodes == (GridNode(3, 0), GridNode(0, 1), GridNode(2, 2))
+
+
+def test_duplicate_cells_closed_form_matches_the_grid_nodes():
+    for n in range(3, 8):
+        for t in range(3):
+            rows = valid_roll_size(n, t)
+            for d in all_duplicates(rows, n):  # active and trimmed
+                expect = tuple(grid_index(x, n) for x in duplicate_nodes(d, rows, n))
+                assert duplicate_cells(d, rows, n) == expect, (n, t, d)
 
 
 def test_valid_roll_sizes():
@@ -141,8 +151,8 @@ def test_build_roll_rejects_two_active_duplicates_on_one_bone(monkeypatch):
     # every duplicate collapses onto row 0, so the second active copy
     # claims the first copy's bones
     monkeypatch.setattr(
-        "rollclust.roll.duplicate_nodes",
-        lambda d, rows, cols: tuple(GridNode(0, j) for j in range(cols)),
+        "rollclust.roll.duplicate_cells",
+        lambda d, rows, cols: tuple(range(cols)),
     )
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
     with pytest.raises(AssertionError, match="claimed by two active duplicates"):

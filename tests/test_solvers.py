@@ -444,10 +444,14 @@ def test_local_search_never_below_start():
             assert clustering_value(g, res.clustering, objective) == res.value
 
 
-def rescanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
+def rescanning_local_search(
+    g: SignedGraph, objective: ObjectiveKind, budget: int = 1000, trail: "list | None" = None
+) -> SolveResult:
     """The local search as it was before it kept per-cluster sums: every
     move rescans every edge and scores every node against every used label.
-    Kept as the oracle the incremental search must match move for move."""
+    Kept as the oracle the incremental search must match move for move.
+    A `trail` list receives a copy of the labels at the start and after
+    each move."""
     if budget < 1:
         raise ValueError("budget must be positive")
     n = g.n
@@ -466,6 +470,8 @@ def rescanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: in
         adj[u].append((v, w))
         adj[v].append((u, w))
 
+    if trail is not None:
+        trail.append(labels.copy())
     for _ in range(budget):
         best_move = None  # (delta, node, target_label)
         used = sorted(set(labels))
@@ -504,16 +510,21 @@ def rescanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: in
             break
         _, v, target = best_move
         labels[v] = target
+        if trail is not None:
+            trail.append(labels.copy())
 
     c = Clustering(labels)
     return SolveResult(c, clustering_value(g, c, objective))
 
 
-def scanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int = 1000) -> SolveResult:
+def scanning_local_search(
+    g: SignedGraph, objective: ObjectiveKind, budget: int = 1000, trail: "list | None" = None
+) -> SolveResult:
     """The local search as it was before it cached each node's best move:
     per-node cluster sums are updated over the moved node's edges, but every
     move scans every node's sums. Kept as the second oracle the cached
-    search must match move for move, budget_exhausted included."""
+    search must match move for move, budget_exhausted included. A `trail`
+    list receives a copy of the labels at the start and after each move."""
     if budget < 1:
         raise ValueError("budget must be positive")
     n = g.n
@@ -540,6 +551,8 @@ def scanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int 
         shift(net[u], labels[v], w)
         shift(net[v], labels[u], w)
 
+    if trail is not None:
+        trail.append(labels.copy())
     budget_exhausted = False
     for move in range(budget + 1):
         used = sorted(set(labels))
@@ -568,6 +581,8 @@ def scanning_local_search(g: SignedGraph, objective: ObjectiveKind, budget: int 
         for u, w in adj[best_v]:
             shift(net[u], a, -w)
             shift(net[u], best_target, w)
+        if trail is not None:
+            trail.append(labels.copy())
 
     if objective is ObjectiveKind.MIN_DISAGREE:
         agree = pos + neg - agree
@@ -617,10 +632,36 @@ def test_local_search_matches_rescanning_oracle():
     assert graphs >= 1000
 
 
-def rounded_grid(n, t, gen_seed, round_seed):
-    base = generate(GenSpec(n=n, model=UniformRational(density=1.0), seed=gen_seed))
+def rounded_grid(n, t, gen_seed, round_seed, model=UniformRational(density=1.0)):
+    base = generate(GenSpec(n=n, model=model, seed=gen_seed))
     rolled = build_roll(base, valid_roll_size(n, t)).graph
     return round_graph(rolled, RoundingParams(alpha=1, beta=1, seed=round_seed)).after
+
+
+def test_local_search_matches_both_oracles_at_every_budget_on_tie_heavy_grids():
+    # +-1 planted bases keep every weight through rounding at alpha = beta = 1,
+    # so many clusters tie on a neighbour's sums and the cached best moves
+    # must break those ties as a full scan does. In the n=5 seed-11 grid a
+    # node leaves a cluster that then becomes the best target of a negative
+    # neighbour, a rare move among these bases. Each oracle runs once, and
+    # its trail gives its result at every budget.
+    cases = 0
+    for n, seed in [(n, seed) for n in (4, 5) for seed in range(4)] + [(5, 11)]:
+        grid = rounded_grid(n, 1, seed, seed, PlantedPartition(clusters=2, flip_prob=0.1))
+        for objective in (MAX, MIN):
+            scan, rescan = [], []
+            scanning_local_search(grid, objective, budget=10 * grid.n, trail=scan)
+            rescanning_local_search(grid, objective, budget=10 * grid.n, trail=rescan)
+            assert scan == rescan, (n, seed, objective)
+            moves = len(scan) - 1
+            for b in range(1, moves + 2):
+                got = solve_local_search(grid, objective, budget=b)
+                labels = Clustering(scan[min(b, moves)])
+                expect = SolveResult(labels, clustering_value(grid, labels, objective), b < moves)
+                assert got == expect, (n, seed, objective, b)
+            assert got == scanning_local_search(grid, objective, budget=moves + 1)
+            cases += moves + 1
+    assert cases >= 1000
 
 
 def test_local_search_matches_rescanning_oracle_on_rounded_grid():
