@@ -99,10 +99,7 @@ class SignedGraph:
         keys = sorted(weights)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "scale", scale // d)
-        # d is 1 for every roll and for rounding at alpha = beta = 1
-        object.__setattr__(
-            self, "_weights", {k: weights[k] // d for k in keys} if d > 1 else {k: weights[k] for k in keys}
-        )
+        object.__setattr__(self, "_weights", {k: weights[k] // d for k in keys})
 
     def weight(self, u: int, v: int) -> Fraction:
         """Weight of the pair, Fraction(0) when absent."""

@@ -65,13 +65,6 @@ def duplicate_of(a: GridNode, b: GridNode, rows: int, cols: int) -> DuplicateId:
     return DuplicateId((lo.row - lo.col * slope) % rows, slope)
 
 
-def duplicate_nodes(d: DuplicateId, rows: int, cols: int) -> "tuple[GridNode, ...]":
-    """The duplicate's nodes, one per column, advancing by its slope per column."""
-    return tuple(
-        GridNode((d.start_row + j * d.slope) % rows, j) for j in range(cols)
-    )
-
-
 def valid_roll_size(n: int, t: int) -> int:
     """Row count N = n*(1 + t*(n-1)); guarantees (n-1) | (N-1) and n | N^2."""
     if n < 3:
@@ -106,9 +99,14 @@ def grid_node(flat: int, cols: int) -> GridNode:
 def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
     """The duplicate's flat grid indices, one per column, in closed form:
     column j sits in row (start_row + j*slope) mod rows, at flat index
-    row*cols + j, the grid_index of its duplicate_nodes entry."""
+    row*cols + j."""
     start, slope = d
     return tuple(((start + j * slope) % rows) * cols + j for j in range(cols))
+
+
+def duplicate_nodes(d: DuplicateId, rows: int, cols: int) -> "tuple[GridNode, ...]":
+    """The duplicate's nodes, one per column, advancing by its slope per column."""
+    return tuple(grid_node(i, cols) for i in duplicate_cells(d, rows, cols))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

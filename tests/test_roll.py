@@ -64,12 +64,18 @@ def test_duplicate_nodes_wrap():
 
 
 def test_duplicate_cells_closed_form_matches_the_grid_nodes():
+    # duplicate_nodes reads duplicate_cells, so the closed form is pinned
+    # against duplicate_of, which inverts the geometry on its own: every
+    # pair of the duplicate's nodes is a bone of that duplicate
     for n in range(3, 8):
         for t in range(3):
             rows = valid_roll_size(n, t)
             for d in all_duplicates(rows, n):  # active and trimmed
-                expect = tuple(grid_index(x, n) for x in duplicate_nodes(d, rows, n))
-                assert duplicate_cells(d, rows, n) == expect, (n, t, d)
+                nodes = duplicate_nodes(d, rows, n)
+                assert duplicate_cells(d, rows, n) == tuple(grid_index(x, n) for x in nodes), (n, t, d)
+                assert [x.col for x in nodes] == list(range(n)), (n, t, d)
+                for a, b in itertools.combinations(nodes, 2):
+                    assert duplicate_of(a, b, rows, n) == d, (n, t, d, a, b)
 
 
 def test_valid_roll_sizes():

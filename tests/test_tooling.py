@@ -136,22 +136,33 @@ def test_no_class_hand_rolls_record_machinery():
     assert not hand_rolled
 
 
+def code_references(tree: ast.AST) -> "set[str]":
+    """Names the code under `tree` reads: Name ids, attribute names and
+    `from ... import` names. Comments and docstrings are not code."""
+    names = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
 def test_every_top_level_name_in_src_is_read_somewhere_else():
-    # production code that nothing in the package names is dead: delete it
-    paths = sorted((ROOT / "src" / "rollclust").glob("*.py"))
-    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in paths}
-    dead = []
-    for path in paths:
-        for node in ast.parse("\n".join(lines[path])).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name in rollclust.__all__:
-                continue
-            # the package's text with the definition's own lines cut out
-            own = range(node.lineno - 1, node.end_lineno)
-            rest = "\n".join(
-                line for p in paths for i, line in enumerate(lines[p]) if p != path or i not in own
-            )
-            if not re.search(rf"\b{re.escape(node.name)}\b", rest):
-                dead.append(f"{path.name}: {node.name}")
+    # production code that no other code in the package reads is dead: delete it
+    tops = [
+        (path.name, node)
+        for path in sorted((ROOT / "src" / "rollclust").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [code_references(node) for _, node in tops]
+    dead = [
+        f"{module}: {node.name}"
+        for i, (module, node) in enumerate(tops)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in rollclust.__all__
+        and not any(node.name in names for j, names in enumerate(reads) if j != i)
+    ]
     assert not dead
