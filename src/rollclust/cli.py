@@ -41,6 +41,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _int_list(text: str) -> "tuple[int, ...]":
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
 def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
     """Shared flags: --out and --config for every subcommand, --seed for
     the ones that draw randomness, --format for the ones with a CSV form."""
@@ -109,8 +116,8 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     subparsers["reduce"] = p
 
     p = sub.add_parser("verify", parents=[common, seeded, report], help="run all invariant suites")
-    p.add_argument("--sizes", default="3,4,5", help="comma-separated base sizes")
-    p.add_argument("--ts", default="0,1", help="comma-separated roll parameters")
+    p.add_argument("--sizes", type=_int_list, default="3,4,5", help="comma-separated base sizes")
+    p.add_argument("--ts", type=_int_list, default="0,1", help="comma-separated roll parameters")
     p.add_argument("--instances", type=int, default=5)
     subparsers["verify"] = p
 
@@ -274,21 +281,26 @@ def cmd_solve(args) -> int:
 
 
 def _ratio_histogram(ratios, bins: int = 10):
-    """Equal-width float bins over the observed exact ratios."""
-    present = [float(r) for r in ratios if r is not None]
+    """Equal-width bins over the observed exact ratios, as exact
+    (left, right, count) rows; the last bin also holds the maximum."""
+    present = [r for r in ratios if r is not None]
     if not present:
         return []
     lo, hi = min(present), max(present)
     if lo == hi:
         return [(lo, hi, len(present))]
-    width = (hi - lo) / bins
-    rows = []
-    for b in range(bins):
-        left = lo + b * width
-        right = hi if b == bins - 1 else lo + (b + 1) * width
-        count = sum(1 for x in present if left <= x < right or (b == bins - 1 and x == hi))
-        rows.append((left, right, count))
-    return rows
+    counts = [0] * bins
+    for x in present:
+        counts[min((x - lo) * bins // (hi - lo), bins - 1)] += 1
+    edges = [lo + (hi - lo) * b / bins for b in range(bins)] + [hi]
+    return [(edges[b], edges[b + 1], counts[b]) for b in range(bins)]
+
+
+def _decimal(x: Fraction, places: int = 6) -> str:
+    """A non-negative x rounded half to even at the given decimal places,
+    without a float."""
+    whole, frac = divmod(round(x * 10**places), 10**places)
+    return f"{whole}.{frac:0{places}d}"
 
 
 def cmd_reduce(args) -> int:
@@ -314,7 +326,7 @@ def cmd_reduce(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["bin_lo", "bin_hi", "count"])
             for left, right, count in _ratio_histogram(agg.ratios):
-                writer.writerow([f"{left:.6f}", f"{right:.6f}", count])
+                writer.writerow([_decimal(left), _decimal(right), count])
     print(f"trials={agg.trials} opt={frac_to_str(agg.opt_value)} "
           f"bad_event_freq={frac_to_str(agg.bad_event_freq)}")
     for note, count in agg.notes:
@@ -323,9 +335,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sizes = tuple(int(x) for x in args.sizes.split(",") if x)
-    ts = tuple(int(x) for x in args.ts.split(",") if x)
-    report = verify_all(seed=args.seed, sizes=sizes, ts=ts, instances=args.instances)
+    report = verify_all(seed=args.seed, sizes=args.sizes, ts=args.ts, instances=args.instances)
     for name, check in sorted(report.checks.items()):
         status = "ok" if check.failures == 0 else f"FAILED ({check.failures})"
         print(f"{name}: {check.instances_run} instances, {status}")

@@ -36,10 +36,11 @@ class GraphFormatError(ValueError):
     """Raised when graph text input violates the file format."""
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """value as a Fraction; a float is a TypeError, since it would smuggle
+    binary rounding error into exact arithmetic."""
     if isinstance(value, float):
-        # floats smuggle binary rounding error into exact arithmetic
-        raise TypeError("weights must be exact rationals, not floats")
+        raise TypeError(f"expected an exact rational, not the float {value!r}")
     return Fraction(value)
 
 
@@ -66,7 +67,7 @@ class SignedGraph:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            w = _as_fraction(w)
+            w = as_fraction(w)
             key = (u, v) if u < v else (v, u)
             if key in store:
                 if store[key] != w:

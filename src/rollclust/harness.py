@@ -17,6 +17,7 @@ corrupted structures.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -33,13 +34,10 @@ from .roll import (
     RolledGraph,
     all_duplicates,
     build_roll,
-    duplicate_nodes,
+    duplicate_cells,
     duplicate_of,
     duplication_clustering,
-    grid_index,
-    grid_node,
     induced_clustering,
-    is_grid_bone,
     untrimmed_duplicate_count,
     valid_roll_size,
 )
@@ -179,45 +177,37 @@ def check_duplicate_count(n: int, rows: int) -> "str | None":
 
 def check_bone_partition(n: int, rows: int) -> "str | None":
     """Every grid bone belongs to exactly one duplicate, and the bone count
-    is duplicates * C(n,2). Exhaustive over all node pairs."""
-    total_nodes = rows * n
-    bones = []
-    for a_flat in range(total_nodes):
-        for b_flat in range(a_flat + 1, total_nodes):
-            a, b = grid_node(a_flat, n), grid_node(b_flat, n)
-            if is_grid_bone(a, b, rows, n):
-                bones.append((a, b))
-    seen: dict = {}
-    for a, b in bones:
+    is duplicates * C(n,2). Exhaustive over all cell pairs."""
+    owned: dict = {}
+    for a, b in itertools.combinations(range(rows * n), 2):
         d = duplicate_of(a, b, rows, n)
-        nodes = set(duplicate_nodes(d, rows, n))
-        if a not in nodes or b not in nodes:
+        if d is None:
+            continue
+        cells = duplicate_cells(d, rows, n)
+        if a not in cells or b not in cells:
             return f"n={n} rows={rows}: bone {a},{b} not inside duplicate {d}"
-        seen.setdefault(d, set()).add((a, b))
+        owned[d] = owned.get(d, 0) + 1
     expected_per_dup = n * (n - 1) // 2
-    dup_count = untrimmed_duplicate_count(n, rows)
-    if len(bones) != dup_count * expected_per_dup:
-        return f"n={n} rows={rows}: {len(bones)} bones, expected {dup_count * expected_per_dup}"
-    for d, owned in seen.items():
-        if len(owned) != expected_per_dup:
-            return f"n={n} rows={rows}: duplicate {d} owns {len(owned)} bones"
+    bones = sum(owned.values())
+    expected = untrimmed_duplicate_count(n, rows) * expected_per_dup
+    if bones != expected:
+        return f"n={n} rows={rows}: {bones} bones, expected {expected}"
+    for d, count in owned.items():
+        if count != expected_per_dup:
+            return f"n={n} rows={rows}: duplicate {d} owns {count} bones"
 
 
 def check_edge_disjointness(r: RolledGraph) -> "str | None":
     """Active duplicates' bone sets are pairwise disjoint and cover every
     nonzero edge of the rolled graph. Recomputed from scratch so corrupted
     structures are caught."""
-    n = r.base.n
     claimed: dict = {}
     for d in r.active:
-        nodes = duplicate_nodes(d, r.rows, n)
-        for j1 in range(n):
-            for j2 in range(j1 + 1, n):
-                a, b = grid_index(nodes[j1], n), grid_index(nodes[j2], n)
-                key = (a, b) if a < b else (b, a)
-                if key in claimed:
-                    return f"edge {key} claimed by {claimed[key]} and {d}"
-                claimed[key] = d
+        for a, b in itertools.combinations(duplicate_cells(d, r.rows, r.base.n), 2):
+            key = (a, b) if a < b else (b, a)
+            if key in claimed:
+                return f"edge {key} claimed by {claimed[key]} and {d}"
+            claimed[key] = d
     for u, v, _ in r.graph.edges():
         if (u, v) not in claimed:
             return f"rolled edge ({u},{v}) belongs to no active duplicate"
@@ -228,13 +218,12 @@ def check_isomorphism(r: RolledGraph) -> "str | None":
     weight for weight under the column map."""
     n = r.base.n
     for d in r.active:
-        nodes = duplicate_nodes(d, r.rows, n)
-        for j1 in range(n):
-            for j2 in range(j1 + 1, n):
-                got = r.graph.weight(grid_index(nodes[j1], n), grid_index(nodes[j2], n))
-                want = r.base.weight(j1, j2)
-                if got != want:
-                    return f"duplicate {d}: pair ({j1},{j2}) weight {got} != {want}"
+        cells = duplicate_cells(d, r.rows, n)
+        for j1, j2 in itertools.combinations(range(n), 2):
+            got = r.graph.weight(cells[j1], cells[j2])
+            want = r.base.weight(j1, j2)
+            if got != want:
+                return f"duplicate {d}: pair ({j1},{j2}) weight {got} != {want}"
 
 
 def check_value_decomposition(r: RolledGraph, c: Clustering) -> "str | None":

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges, scaled_value,
+    Clustering, ObjectiveKind, SignedGraph, as_fraction, clustering_value, contributing_edges,
+    scaled_value,
 )
 from .jsonutil import frac_to_str, opt_frac_to_str
 from .roll import (
@@ -48,8 +49,8 @@ class ReductionConfig:
     lambda_ref: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "lambda_ref", Fraction(self.lambda_ref))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        object.__setattr__(self, "lambda_ref", as_fraction(self.lambda_ref))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.lambda_ref < 1:

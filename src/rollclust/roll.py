@@ -1,19 +1,22 @@
 """Rolling a base graph into a larger grid graph made of embedded copies.
 
-A roll of a base graph g on n nodes places grid nodes in N rows and n
-columns. Node columns correspond to base nodes. A pair of grid nodes in
-different columns is a grid bone when the wrapped vertical distance between
-them, divided by their column gap, is an integer slope in 0..(N-1)/(n-1).
-Each bone belongs to exactly one duplicate: the copy of the base node set
-that starts at some row and advances by a fixed slope per column. Every
-duplicate therefore sees an isomorphic copy of the base graph, and distinct
-duplicates share no bones.
+A roll of a base graph g on n nodes places grid cells in N rows and n
+columns. The module names a cell by one coordinate, its flat index
+row*n + col, the node index of the rolled SignedGraph. Column j corresponds
+to base node j. A pair of cells in different columns is a grid bone when
+the wrapped vertical distance between them, divided by their column gap, is
+an integer slope in 0..(N-1)/(n-1). Each bone belongs to exactly one
+duplicate: the copy of the base node set that starts at some row and
+advances by a fixed slope per column. Every duplicate therefore sees an
+isomorphic copy of the base graph, and distinct duplicates share no bones.
 
-duplicate_of finds a bone's duplicate in closed form.
+duplicate_cells gives a duplicate's cells in closed form, and duplicate_of
+inverts it: it names the duplicate that owns a pair of cells, or returns
+None when the pair is not a bone.
 
 There are N*((N-1)/(n-1)+1) duplicates in total, more than fit disjoint
 copies of the edge set. Only the first N^2/n duplicates in lexicographic
-(slope, start_row) order stay active, and build_roll builds only their
+(slope, start_row) order stay active, and a RolledGraph builds only their
 copies; the trimmed duplicates' bones carry no weight in the rolled graph.
 The sum of any clustering's value over the active duplicates' induced
 clusterings equals its value on the rolled graph exactly.
@@ -31,11 +34,6 @@ from typing import Iterator, NamedTuple
 from .core import Clustering, SignedGraph
 
 
-class GridNode(NamedTuple):
-    row: int
-    col: int
-
-
 class DuplicateId(NamedTuple):
     start_row: int
     slope: int
@@ -46,23 +44,18 @@ def max_slope(rows: int, cols: int) -> int:
     return (rows - 1) // (cols - 1)
 
 
-def is_grid_bone(a: GridNode, b: GridNode, rows: int, cols: int) -> bool:
-    """Whether the unordered pair {a, b} is a grid bone of the roll."""
-    if a.col == b.col:
-        return False
-    lo, hi = (a, b) if a.col < b.col else (b, a)
-    dist = (hi.row - lo.row) % rows
-    gap = hi.col - lo.col
-    return dist % gap == 0 and dist // gap <= max_slope(rows, cols)
-
-
-def duplicate_of(a: GridNode, b: GridNode, rows: int, cols: int) -> DuplicateId:
-    """The unique duplicate whose node set contains the bone {a, b}."""
-    if not is_grid_bone(a, b, rows, cols):
-        raise ValueError(f"pair {a}, {b} is not a grid bone")
-    lo, hi = (a, b) if a.col < b.col else (b, a)
-    slope = ((hi.row - lo.row) % rows) // (hi.col - lo.col)
-    return DuplicateId((lo.row - lo.col * slope) % rows, slope)
+def duplicate_of(a: int, b: int, rows: int, cols: int) -> "DuplicateId | None":
+    """The duplicate that owns the pair of flat cells {a, b}, or None when
+    the pair is not a grid bone."""
+    (row_a, col_a), (row_b, col_b) = divmod(a, cols), divmod(b, cols)
+    if col_a == col_b:
+        return None
+    if col_a > col_b:
+        row_a, col_a, row_b, col_b = row_b, col_b, row_a, col_a
+    slope, rest = divmod((row_b - row_a) % rows, col_b - col_a)
+    if rest == 0 and slope <= max_slope(rows, cols):
+        return DuplicateId((row_a - col_a * slope) % rows, slope)
+    return None
 
 
 def valid_roll_size(n: int, t: int) -> int:
@@ -88,14 +81,6 @@ def all_duplicates(rows: int, cols: int) -> Iterator[DuplicateId]:
             yield DuplicateId(start, slope)
 
 
-def grid_index(node: GridNode, cols: int) -> int:
-    return node.row * cols + node.col
-
-
-def grid_node(flat: int, cols: int) -> GridNode:
-    return GridNode(*divmod(flat, cols))
-
-
 def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
     """The duplicate's flat grid indices, one per column, in closed form:
     column j sits in row (start_row + j*slope) mod rows, at flat index
@@ -104,36 +89,44 @@ def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
     return tuple(((start + j * slope) % rows) * cols + j for j in range(cols))
 
 
-def duplicate_nodes(d: DuplicateId, rows: int, cols: int) -> "tuple[GridNode, ...]":
-    """The duplicate's nodes, one per column, advancing by its slope per column."""
-    return tuple(grid_node(i, cols) for i in duplicate_cells(d, rows, cols))
-
-
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RolledGraph:
-    """A base graph rolled into an N-row grid.
+    """A base graph rolled into an N-row grid: RolledGraph(base, rows, active).
 
-    Fields: base (the original graph), rows (N), graph (the rolled graph on
-    rows*n nodes, flat index row*n + col), active (kept duplicates in trim
-    order). Only the active duplicates' copies are built; duplicate_of maps
-    any bone, trimmed or not, to its duplicate. Each active duplicate's flat
-    grid cells are computed once, when the RolledGraph is constructed, and
-    every reader of the roll shares them: run_trials builds one roll per
-    call, and all of its trials read their candidates through the same cells.
+    Fields: base (the original graph), rows (N), active (kept duplicates in
+    trim order), and, computed on construction, graph (the rolled graph on
+    rows*n cells). The constructor computes each active duplicate's cells
+    once, builds graph from them, and keeps them for induced_clustering:
+    run_trials builds one roll per call, and all of its trials read their
+    candidates through the same cells. Only the active duplicates' copies
+    are built; duplicate_of maps any bone, trimmed or not, to its duplicate.
     """
 
     base: SignedGraph
     rows: int
-    graph: SignedGraph
     active: "tuple[DuplicateId, ...]"
+    graph: SignedGraph = field(init=False)
     # active duplicate -> its flat grid cells by column
     _cells: "dict[DuplicateId, tuple[int, ...]]" = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "active", tuple(self.active))
-        object.__setattr__(
-            self, "_cells", {d: duplicate_cells(d, self.rows, self.base.n) for d in self.active}
-        )
+        n = self.base.n
+        active = tuple(self.active)
+        cells = {d: duplicate_cells(d, self.rows, n) for d in active}
+        base_edges = list(self.base.scaled_weights())
+        weights: dict[tuple[int, int], int] = {}
+        for d in active:
+            flat = cells[d]
+            for (j1, j2), w in base_edges:
+                a, b = flat[j1], flat[j2]
+                weights[(a, b) if a < b else (b, a)] = w
+        # each active copy adds one key per base edge unless two copies share a bone
+        if len(weights) != len(active) * len(base_edges):
+            raise AssertionError("a bone is claimed by two active duplicates")
+        graph = SignedGraph._from_scaled(self.rows * n, self.base.scale, weights)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "_cells", cells)
 
     def __repr__(self) -> str:
         return (
@@ -147,8 +140,8 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
 
     Requires (rows-1) divisible by (n-1) and rows^2 divisible by n; sizes
     from valid_roll_size satisfy both. The first rows^2/n duplicates in
-    (slope, start_row) order keep their copy of the edge set; the rest are
-    trimmed and contribute no edges.
+    (slope, start_row) order stay active and keep their copy of the edge
+    set; the rest are trimmed and contribute no edges.
     """
     n = g.n
     if n < 2:
@@ -161,25 +154,13 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
         raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
 
     active = tuple(itertools.islice(all_duplicates(rows, n), (rows * rows) // n))
-
-    base_edges = list(g.scaled_weights())
-    weights: dict[tuple[int, int], int] = {}
-    for d in active:
-        flat = duplicate_cells(d, rows, n)
-        for (j1, j2), w in base_edges:
-            a, b = flat[j1], flat[j2]
-            weights[(a, b) if a < b else (b, a)] = w
-    # each active copy adds one key per base edge unless two copies share a bone
-    if len(weights) != len(active) * len(base_edges):
-        raise AssertionError("a bone is claimed by two active duplicates")
-
-    return RolledGraph(g, rows, SignedGraph._from_scaled(rows * n, g.scale, weights), active)
+    return RolledGraph(g, rows, active)
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:
     """Read the base-graph clustering that a grid clustering induces on one
     active duplicate: base node j takes the label of the duplicate's column-j
-    grid node."""
+    cell."""
     if len(c) != r.rows * r.base.n:
         raise ValueError("clustering does not cover the rolled graph")
     cells = r._cells.get(d)

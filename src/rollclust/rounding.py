@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Clustering, ObjectiveKind, SignedGraph, contributing_edges
+from .core import Clustering, ObjectiveKind, SignedGraph, as_fraction, contributing_edges
 from .streams import make_rng, prefixed_seed, seed_prefix
 
 
@@ -42,8 +42,8 @@ class RoundingParams:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        object.__setattr__(self, "beta", as_fraction(self.beta))
         if self.alpha < 1 or self.beta < 1:
             raise ValueError("alpha and beta must be >= 1")
 

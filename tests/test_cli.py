@@ -146,6 +146,24 @@ def test_reduce_writes_report_and_histogram(tmp_path, capsys):
     assert sum(int(row.split(",")[2]) for row in hist[1:]) == 5
 
 
+def test_reduce_histogram_takes_ratios_beyond_float_range(tmp_path, capsys):
+    # one trial's ratio is 5*10^399, past the largest float
+    base = tmp_path / "g.txt"
+    base.write_text(f"3 3\n0 1 1/{10**400}\n1 2 1/2\n0 2 -1/2\n")
+    report = tmp_path / "agg.json"
+    code, _, _ = run(capsys, "reduce", str(base), "--objective", "min", "--solver", "exact",
+                     "--trials", "20", "--format", "csv", "--out", str(report))
+    assert code == 0
+    ratios = [r for r in json.loads(report.read_text())["ratios"] if r is not None]
+    assert str(5 * 10**399) in ratios
+    hist = (tmp_path / "agg.json.csv").read_text().splitlines()
+    assert hist[0] == "bin_lo,bin_hi,count"
+    assert sum(int(row.split(",")[2]) for row in hist[1:]) == len(ratios)
+    # the edges are exact: the first bin opens at 1, the last closes at the maximum
+    assert hist[1].split(",")[0] == "1.000000"
+    assert hist[-1].split(",")[1] == f"{5 * 10**399}.000000"
+
+
 def test_verify_green_and_report_files(tmp_path, capsys):
     json_out = tmp_path / "verify.json"
     code, out, _ = run(capsys, "verify", "--sizes", "3", "--ts", "0",
@@ -177,6 +195,16 @@ def test_verify_with_no_sizes_or_ts_is_reported_as_error(capsys, sizes, ts):
     assert code == 2
     assert out == ""
     assert err == "error: sizes and ts must each name at least one value\n"
+
+
+@pytest.mark.parametrize("flag", ["sizes", "ts"])
+def test_verify_names_the_flag_of_a_bad_integer_list(tmp_path, capsys, flag):
+    err = usage_error(capsys, "verify", f"--{flag}", "3,a")
+    assert f"argument --{flag}: not a comma-separated list of integers: '3,a'" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = a\n")
+    err = usage_error(capsys, "verify", "--config", str(cfg))
+    assert f"argument --{flag}: not a comma-separated list of integers: 'a'" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -7,7 +7,9 @@ and local solvers, lambda 1 and 3/2, +-1 and rational bases, integer and
 rational rounding magnitudes, and rounded grids on which the local search
 starts from one cluster, from singletons, and from a tie between the two.
 The local cases run solve_local_search directly on unrounded rolled grids
-and freeze its labels and exact value.
+and freeze its labels and exact value. The roll cases run `rollclust roll`
+on seeded rational bases and hash the rolled graph file and its
+`.duplicates.json` sidecar byte for byte.
 
 The digests were computed once from the pipeline and are not derived from
 any formula: a mismatch means a seeded report changed.
@@ -19,7 +21,8 @@ from fractions import Fraction
 
 import pytest
 
-from rollclust.core import ObjectiveKind, SignedGraph
+from rollclust.cli import main
+from rollclust.core import ObjectiveKind, SignedGraph, write_graph
 from rollclust.harness import CompleteSigned, GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.reduction import ReductionConfig, aggregate_to_dict, run_trials
 from rollclust.roll import build_roll, valid_roll_size
@@ -221,3 +224,24 @@ def test_local_cases_cover_every_start():
         neg = -sum(w for _, _, w in g.edges() if w < 0)
         start = "tie" if pos == neg else ("one-cluster" if pos > neg else "singletons")
         assert start == expected, name
+
+
+# (n, t) -> generator seed of a UniformRational(density=0.9) base
+ROLL_BASES = {(3, 1): 31, (4, 1): 41, (5, 2): 52}
+
+# (n, t) -> digests of the rolled graph file and of its sidecar
+ROLLS = {
+    (3, 1): ("433479ca83f1ee3e", "7456a3f93089bbf0"),
+    (4, 1): ("7d03ac91bfc5d5b3", "5426ef68caf0afcb"),
+    (5, 2): ("fb43c38f226d7702", "c43d41189103feb8"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ROLLS), ids=lambda key: "n%d-t%d" % key)
+def test_roll_command_output_is_byte_identical(key, tmp_path):
+    n, t = key
+    base, out = tmp_path / "base.txt", tmp_path / "rolled.txt"
+    write_graph(generate(GenSpec(n=n, model=UniformRational(density=0.9), seed=ROLL_BASES[key])), str(base))
+    assert main(["roll", str(base), "--t", str(t), "--out", str(out)]) == 0
+    files = (out, tmp_path / "rolled.txt.duplicates.json")
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in files) == ROLLS[key]

@@ -112,12 +112,12 @@ def test_verify_all_rejects_empty_sizes_or_ts(sizes, ts):
 
 def test_structural_checks_do_not_read_the_cached_cells():
     # the edge-disjointness and isomorphism checks recompute every
-    # duplicate's nodes, so a roll whose cached cells are wrong still passes
+    # duplicate's cells, so a roll whose cached cells are wrong still passes
     # them on a sound graph, while reading candidates through those cells
     # breaks the value decomposition
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
     r = build_roll(g, valid_roll_size(4, 1))
-    wrong = RolledGraph(r.base, r.rows, r.graph, r.active)
+    wrong = RolledGraph(r.base, r.rows, r.active)
     object.__setattr__(wrong, "_cells", {d: (0, 1, 2, 3) for d in r.active})
     assert check_edge_disjointness(wrong) is None
     assert check_isomorphism(wrong) is None
@@ -135,32 +135,35 @@ def test_checks_pass_on_clean_roll():
 
 
 def test_negative_control_missing_duplicate_is_caught():
-    # drop one active duplicate: its bones are now claimed by nobody
+    # drop one active duplicate from a built roll: its bones are now claimed by nobody
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
-    r = build_roll(g, valid_roll_size(4, 0))
-    corrupted = RolledGraph(r.base, r.rows, r.graph, r.active[:-1])
+    corrupted = build_roll(g, valid_roll_size(4, 0))
+    object.__setattr__(corrupted, "active", corrupted.active[:-1])
     assert "no active duplicate" in check_edge_disjointness(corrupted)
 
 
 def test_negative_control_double_claim_is_caught():
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
-    r = build_roll(g, valid_roll_size(4, 0))
-    corrupted = RolledGraph(r.base, r.rows, r.graph, r.active + (r.active[0],))
+    corrupted = build_roll(g, valid_roll_size(4, 0))
+    doubled = corrupted.active + (corrupted.active[0],)
+    # the constructor refuses it, and the check catches it on a built roll
+    with pytest.raises(AssertionError, match="claimed by two active duplicates"):
+        RolledGraph(corrupted.base, corrupted.rows, doubled)
+    object.__setattr__(corrupted, "active", doubled)
     assert "claimed by" in check_edge_disjointness(corrupted)
 
 
 def test_negative_control_wrong_weight_is_caught():
     g = generate(GenSpec(n=3, model=CompleteSigned(), seed=4))
-    r = build_roll(g, valid_roll_size(3, 0))
-    weights = {(u, v): w for u, v, w in r.graph.edges()}
-    u, v, w = next(iter(r.graph.edges()))
+    corrupted = build_roll(g, valid_roll_size(3, 0))
+    weights = {(u, v): w for u, v, w in corrupted.graph.edges()}
+    u, v, w = next(iter(corrupted.graph.edges()))
     weights[(u, v)] = w + 1 if w != -1 else Fraction(1, 2)
-    bad_graph = SignedGraph(r.graph.n, weights)
-    corrupted = RolledGraph(r.base, r.rows, bad_graph, r.active)
+    object.__setattr__(corrupted, "graph", SignedGraph(corrupted.graph.n, weights))
     assert "weight" in check_isomorphism(corrupted)
     # a one-cluster grid clustering sees the weight change on both sides
     # only if the edge contributes; the isomorphism check is the reliable one
-    check_value_decomposition(corrupted, Clustering([0] * (r.rows * 3)))
+    check_value_decomposition(corrupted, Clustering([0] * (corrupted.rows * 3)))
 
 
 def test_structural_checks_report_counts():

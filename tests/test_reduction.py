@@ -17,9 +17,8 @@ from rollclust.reduction import (
 )
 from rollclust.roll import (
     build_roll,
-    duplicate_nodes,
+    duplicate_cells,
     duplication_clustering,
-    grid_index,
     induced_clustering,
     valid_roll_size,
 )
@@ -271,6 +270,17 @@ def test_config_validation():
         ReductionConfig(MAX, -1, rp, spec, epsilon=Fraction(1, 2), lambda_ref=1)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "lambda_ref"])
+def test_config_refuses_float_epsilon_and_lambda(field):
+    rp = RoundingParams(alpha=1, beta=1)
+    spec = SolverSpec(SolverKind.EXACT)
+    values = {"epsilon": Fraction(1, 20), "lambda_ref": Fraction(3, 2)}
+    assert getattr(ReductionConfig(MAX, 0, rp, spec, **values), field) == values[field]
+    values[field] = 1.5
+    with pytest.raises(TypeError, match="not the float 1.5"):
+        ReductionConfig(MAX, 0, rp, spec, **values)
+
+
 def test_run_trials_identity_regime():
     rng = random.Random(2)
     g = pm1_graph(rng, 3)
@@ -419,7 +429,7 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
 
 
 # The trial loop as it ran before the roll was shared across trials: a fresh
-# roll per trial, candidates read through duplicate_nodes and grid_index,
+# roll per trial, candidates read through freshly computed duplicate cells,
 # and every candidate value summed as a Fraction. A test oracle for
 # run_trials.
 
@@ -431,7 +441,7 @@ def fraction_trial(g, cfg, u_ref):
     outcome = round_graph(rolled.graph, cfg.rounding)
     grid = run_solver(outcome.after, cfg.objective, cfg.solver).clustering
     candidates = [
-        Clustering(grid.labels[grid_index(node, g.n)] for node in duplicate_nodes(d, rows, g.n))
+        Clustering(grid.labels[i] for i in duplicate_cells(d, rows, g.n))
         for d in rolled.active
     ]
     values = [clustering_value(g, c, cfg.objective) for c in candidates]

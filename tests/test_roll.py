@@ -8,17 +8,12 @@ import pytest
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.roll import (
     DuplicateId,
-    GridNode,
     RolledGraph,
     all_duplicates,
     build_roll,
     duplicate_cells,
-    duplicate_nodes,
     duplicate_of,
-    grid_index,
-    grid_node,
     induced_clustering,
-    is_grid_bone,
     max_slope,
     untrimmed_duplicate_count,
     valid_roll_size,
@@ -40,41 +35,46 @@ def random_graph(rng, n, density=0.8):
     return SignedGraph(n, weights)
 
 
+def cell(row, col, cols=3):
+    return row * cols + col
+
+
 def test_grid_bone_examples():
-    # rows=5, cols=3: slopes 0..2 qualify
-    assert is_grid_bone(GridNode(0, 0), GridNode(2, 1), 5, 3)       # slope 2
-    assert is_grid_bone(GridNode(1, 1), GridNode(1, 2), 5, 3)       # slope 0
-    assert is_grid_bone(GridNode(0, 0), GridNode(2, 2), 5, 3)       # slope 1
-    assert not is_grid_bone(GridNode(0, 0), GridNode(3, 2), 5, 3)   # 3/2 not integer
-    assert not is_grid_bone(GridNode(0, 1), GridNode(3, 1), 5, 3)   # same column
+    # rows=5, cols=3: slopes 0..2 qualify; a pair is a bone iff it has a duplicate
+    assert duplicate_of(cell(0, 0), cell(2, 1), 5, 3) is not None      # slope 2
+    assert duplicate_of(cell(1, 1), cell(1, 2), 5, 3) is not None      # slope 0
+    assert duplicate_of(cell(0, 0), cell(2, 2), 5, 3) is not None      # slope 1
+    assert duplicate_of(cell(0, 0), cell(3, 2), 5, 3) is None          # 3/2 not integer
+    assert duplicate_of(cell(0, 1), cell(3, 1), 5, 3) is None          # same column
+    assert duplicate_of(cell(0, 0), cell(3, 1), 5, 3) is None          # slope 3 > max 2
     # orientation must not matter
-    assert is_grid_bone(GridNode(2, 1), GridNode(0, 0), 5, 3)
+    assert duplicate_of(cell(2, 1), cell(0, 0), 5, 3) is not None
 
 
 def test_duplicate_of_examples():
-    assert duplicate_of(GridNode(0, 0), GridNode(2, 1), 5, 3) == DuplicateId(0, 2)
-    assert duplicate_of(GridNode(1, 1), GridNode(1, 2), 5, 3) == DuplicateId(1, 0)
-    with pytest.raises(ValueError):
-        duplicate_of(GridNode(0, 1), GridNode(3, 1), 5, 3)
+    assert duplicate_of(cell(0, 0), cell(2, 1), 5, 3) == DuplicateId(0, 2)
+    assert duplicate_of(cell(2, 1), cell(0, 0), 5, 3) == DuplicateId(0, 2)
+    assert duplicate_of(cell(1, 1), cell(1, 2), 5, 3) == DuplicateId(1, 0)
+    # wraps: rows 4 -> 1 is a distance of 2 over one column
+    assert duplicate_of(cell(4, 1), cell(1, 2), 5, 3) == DuplicateId(2, 2)
+    assert duplicate_of(cell(0, 1), cell(3, 1), 5, 3) is None
 
 
-def test_duplicate_nodes_wrap():
-    nodes = duplicate_nodes(DuplicateId(3, 2), 5, 3)
-    assert nodes == (GridNode(3, 0), GridNode(0, 1), GridNode(2, 2))
+def test_duplicate_cells_wrap():
+    assert duplicate_cells(DuplicateId(3, 2), 5, 3) == (cell(3, 0), cell(0, 1), cell(2, 2))
 
 
 def test_duplicate_cells_closed_form_matches_the_grid_nodes():
-    # duplicate_nodes reads duplicate_cells, so the closed form is pinned
-    # against duplicate_of, which inverts the geometry on its own: every
-    # pair of the duplicate's nodes is a bone of that duplicate
+    # duplicate_of inverts the geometry on its own, so it pins the closed
+    # form: every pair of the duplicate's cells is a bone of that duplicate
     for n in range(3, 8):
         for t in range(3):
             rows = valid_roll_size(n, t)
             for d in all_duplicates(rows, n):  # active and trimmed
-                nodes = duplicate_nodes(d, rows, n)
-                assert duplicate_cells(d, rows, n) == tuple(grid_index(x, n) for x in nodes), (n, t, d)
-                assert [x.col for x in nodes] == list(range(n)), (n, t, d)
-                for a, b in itertools.combinations(nodes, 2):
+                cells = duplicate_cells(d, rows, n)
+                assert [c % n for c in cells] == list(range(n)), (n, t, d)
+                assert all(0 <= c < rows * n for c in cells), (n, t, d)
+                for a, b in itertools.combinations(cells, 2):
                     assert duplicate_of(a, b, rows, n) == d, (n, t, d, a, b)
 
 
@@ -104,15 +104,13 @@ def test_bone_partition_exhaustive(cols, rows):
     # every cross-column pair either fails the slope test or belongs to
     # exactly one duplicate; totals match duplicates * C(cols, 2)
     bones = {}
-    for a_flat in range(rows * cols):
-        for b_flat in range(a_flat + 1, rows * cols):
-            a, b = grid_node(a_flat, cols), grid_node(b_flat, cols)
-            if not is_grid_bone(a, b, rows, cols):
-                continue
-            d = duplicate_of(a, b, rows, cols)
-            assert a in duplicate_nodes(d, rows, cols)
-            assert b in duplicate_nodes(d, rows, cols)
-            bones[(a_flat, b_flat)] = d
+    for a, b in itertools.combinations(range(rows * cols), 2):
+        d = duplicate_of(a, b, rows, cols)
+        if d is None:
+            continue
+        assert a in duplicate_cells(d, rows, cols)
+        assert b in duplicate_cells(d, rows, cols)
+        bones[(a, b)] = d
     per_dup = cols * (cols - 1) // 2
     assert len(bones) == untrimmed_duplicate_count(cols, rows) * per_dup
     owned = {}
@@ -124,9 +122,9 @@ def test_bone_partition_exhaustive(cols, rows):
 def test_n3_rows3_bone_partition_by_hand():
     # 3x3 grid: 6 duplicates (slopes 0 and 1), 3 bones each, 18 bones total
     rows = cols = 3
-    dups = {duplicate_of(grid_node(a, 3), grid_node(b, 3), rows, cols)
-            for a in range(9) for b in range(a + 1, 9)
-            if is_grid_bone(grid_node(a, 3), grid_node(b, 3), rows, cols)}
+    owners = [duplicate_of(a, b, rows, cols) for a, b in itertools.combinations(range(9), 2)]
+    dups = {d for d in owners if d is not None}
+    assert len(owners) - owners.count(None) == 18
     assert len(dups) == 6
     assert dups == {DuplicateId(i, s) for i in range(3) for s in (0, 1)}
 
@@ -147,10 +145,10 @@ def test_build_roll_structure():
     owned = [
         pair
         for d in all_duplicates(9, 3)
-        for pair in itertools.combinations(duplicate_nodes(d, 9, 3), 2)
+        for pair in itertools.combinations(duplicate_cells(d, 9, 3), 2)
     ]
     assert len(set(owned)) == len(owned) == untrimmed_duplicate_count(3, 9) * 3
-    assert all(is_grid_bone(a, b, 9, 3) for a, b in owned)
+    assert all(duplicate_of(a, b, 9, 3) is not None for a, b in owned)
 
 
 def test_build_roll_rejects_two_active_duplicates_on_one_bone(monkeypatch):
@@ -165,16 +163,41 @@ def test_build_roll_rejects_two_active_duplicates_on_one_bone(monkeypatch):
         build_roll(g, 3)
 
 
+def test_build_roll_computes_each_active_duplicates_cells_once(monkeypatch):
+    calls = []
+
+    def counting(d, rows, cols):
+        calls.append(d)
+        return duplicate_cells(d, rows, cols)
+
+    monkeypatch.setattr("rollclust.roll.duplicate_cells", counting)
+    rng = random.Random(7)
+    for n, t in [(3, 0), (3, 1), (4, 1), (5, 2)]:
+        calls.clear()
+        r = build_roll(random_graph(rng, n), valid_roll_size(n, t))
+        assert sorted(calls) == sorted(r.active)
+        # reading candidates goes through the cached cells
+        c = Clustering.one_cluster(r.rows * n)
+        for d in r.active:
+            induced_clustering(r, c, d)
+        assert len(calls) == len(r.active)
+
+
 def test_rolled_graph_is_a_frozen_slotted_record_compared_by_identity():
     r = build_roll(random_graph(random.Random(5), 3, density=1.0), 9)
     assert repr(r) == "RolledGraph(n=3, rows=9, active=27 of 45)"
     assert dataclasses.is_dataclass(r) and not hasattr(r, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.rows = 3
-    # built positionally from any iterable of duplicates
-    again = RolledGraph(r.base, r.rows, r.graph, list(r.active))
+    # built positionally from any iterable of duplicates; the graph is built, not passed
+    again = RolledGraph(r.base, r.rows, list(r.active))
     assert again.active == r.active and r.active[-1] in again.active
+    assert again.graph == r.graph
     assert again != r and r == r
+    with pytest.raises(TypeError):
+        RolledGraph(r.base, r.rows, r.active, r.graph)
+    with pytest.raises(TypeError):
+        RolledGraph(r.base, r.rows, r.active, _cells={})
 
 
 def test_build_roll_requires_divisibility():
@@ -197,19 +220,15 @@ def test_rolled_edges_carry_base_weights():
     g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): -1})
     r = build_roll(g, 3)
     for d in r.active:
-        nodes = duplicate_nodes(d, 3, 3)
-        for j1 in range(3):
-            for j2 in range(j1 + 1, 3):
-                a, b = grid_index(nodes[j1], 3), grid_index(nodes[j2], 3)
-                assert r.graph.weight(a, b) == g.weight(j1, j2)
+        cells = duplicate_cells(d, 3, 3)
+        for j1, j2 in itertools.combinations(range(3), 2):
+            assert r.graph.weight(cells[j1], cells[j2]) == g.weight(j1, j2)
     # bones of inactive duplicates carry nothing
     inactive = [d for d in all_duplicates(3, 3) if d not in r.active]
     assert inactive
     for d in inactive:
-        nodes = duplicate_nodes(d, 3, 3)
-        for j1 in range(3):
-            for j2 in range(j1 + 1, 3):
-                assert r.graph.weight(grid_index(nodes[j1], 3), grid_index(nodes[j2], 3)) == 0
+        for a, b in itertools.combinations(duplicate_cells(d, 3, 3), 2):
+            assert r.graph.weight(a, b) == 0
 
 
 def public_roll_graph(g, rows):
@@ -217,9 +236,9 @@ def public_roll_graph(g, rows):
     n = g.n
     weights = {}
     for d in list(all_duplicates(rows, n))[: rows * rows // n]:
-        nodes = duplicate_nodes(d, rows, n)
+        cells = duplicate_cells(d, rows, n)
         for j1, j2, w in g.edges():
-            weights[(grid_index(nodes[j1], n), grid_index(nodes[j2], n))] = w
+            weights[(cells[j1], cells[j2])] = w
     return SignedGraph(rows * n, weights)
 
 
@@ -250,13 +269,13 @@ def test_active_duplicates_partition_rolled_edges():
         r = build_roll(g, rows)
         seen = set()
         for d in r.active:
-            nodes = duplicate_nodes(d, rows, n)
+            cells = duplicate_cells(d, rows, n)
             for j1, j2, w in g.edges():
-                a, b = grid_index(nodes[j1], n), grid_index(nodes[j2], n)
+                a, b = cells[j1], cells[j2]
                 key = (a, b) if a < b else (b, a)
                 assert key not in seen
                 seen.add(key)
-                assert duplicate_of(grid_node(a, n), grid_node(b, n), rows, n) == d
+                assert duplicate_of(a, b, rows, n) == d
         assert seen == {(u, v) for u, v, _ in r.graph.edges()}
 
 
@@ -296,17 +315,17 @@ def test_value_decomposition_over_duplicates():
 
 
 def test_induced_clustering_matches_a_from_scratch_reading():
-    # the roll caches each active duplicate's cells; read them back through
-    # duplicate_nodes and grid_index instead and compare
+    # the roll caches each active duplicate's cells; read the labels at
+    # freshly computed cells instead and compare
     rng = random.Random(41)
     for n in range(3, 7):
         for t in range(3):
             rows = valid_roll_size(n, t)
             r = build_roll(random_graph(rng, n), rows)
-            rebuilt = RolledGraph(r.base, r.rows, r.graph, r.active)
+            rebuilt = RolledGraph(r.base, r.rows, r.active)
             c = Clustering([rng.randrange(n) for _ in range(rows * n)])
             for d in r.active:
-                want = Clustering(c.labels[grid_index(node, n)] for node in duplicate_nodes(d, rows, n))
+                want = Clustering(c.labels[i] for i in duplicate_cells(d, rows, n))
                 assert induced_clustering(r, c, d) == want
                 assert induced_clustering(rebuilt, c, d) == want
             inactive = [d for d in all_duplicates(rows, n) if d not in r.active]

@@ -265,6 +265,16 @@ def test_rounding_params_validation():
         RoundingParams(alpha=1, beta=0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_rounding_params_refuse_floats(field):
+    # 1.1 would be stored as 2476979795053773/2251799813685248
+    values = {"alpha": 1, "beta": 1, field: 1.1}
+    with pytest.raises(TypeError, match="not the float 1.1"):
+        RoundingParams(**values)
+    values[field] = Fraction(11, 10)
+    assert getattr(RoundingParams(**values), field) == Fraction(11, 10)
+
+
 def test_identity_regime():
     # weights already in {-1, 0, +1} with alpha = beta = 1 never change
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})

@@ -166,3 +166,15 @@ def test_every_top_level_name_in_src_is_read_somewhere_else():
         and not any(node.name in names for j, names in enumerate(reads) if j != i)
     ]
     assert not dead
+
+
+def test_every_mutation_gate_edit_still_applies():
+    # the gate runs outside tier-1; this keeps its edits and test names current
+    import mutation_gate
+
+    for name, (module, old, _, tests) in mutation_gate.MUTANTS.items():
+        assert (ROOT / module).read_text(encoding="utf-8").count(old) == 1, name
+        for test in tests:
+            path, function = test.split("::")
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            assert function in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test
