@@ -170,7 +170,12 @@ def _apply_config(argv, subparsers) -> None:
             value = values.get(action.dest)
             if value is None:
                 continue
-            # argparse checks choices on flags only, never on defaults
+            # argparse names only the flag when a string default fails to
+            # convert, and checks choices on flags only
+            try:
+                value = p._get_value(action, value)
+            except argparse.ArgumentError as exc:
+                _usage_error(f"{known.config}: {action.dest} = {value!r}: {exc}")
             if action.choices is not None and value not in action.choices:
                 _usage_error(
                     f"{known.config}: {action.dest} = {value!r} is not one of "

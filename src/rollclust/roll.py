@@ -110,9 +110,20 @@ class RolledGraph:
     _cells: "dict[DuplicateId, tuple[int, ...]]" = field(init=False)
 
     def __post_init__(self):
-        n = self.base.n
-        active = tuple(self.active)
-        cells = {d: duplicate_cells(d, self.rows, n) for d in active}
+        n, rows = self.base.n, self.rows
+        if n < 2:
+            raise ValueError("base graph must have at least 2 nodes")
+        if rows < 1:
+            raise ValueError(f"rows must be at least 1; got rows={rows}")
+        if (rows - 1) % (n - 1) != 0:
+            raise ValueError(f"(rows-1) must be divisible by (n-1); got rows={rows}, n={n}")
+        if (rows * rows) % n != 0:
+            raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
+        active, top = tuple(self.active), max_slope(rows, n)
+        for d in active:
+            if not (0 <= d.start_row < rows and 0 <= d.slope <= top):
+                raise ValueError(f"{d} is not a duplicate of a {rows}-row roll of {n} nodes")
+        cells = {d: duplicate_cells(d, rows, n) for d in active}
         base_edges = list(self.base.scaled_weights())
         weights: dict[tuple[int, int], int] = {}
         for d in active:
@@ -123,7 +134,7 @@ class RolledGraph:
         # each active copy adds one key per base edge unless two copies share a bone
         if len(weights) != len(active) * len(base_edges):
             raise AssertionError("a bone is claimed by two active duplicates")
-        graph = SignedGraph._from_scaled(self.rows * n, self.base.scale, weights)
+        graph = SignedGraph._from_scaled(rows * n, self.base.scale, weights)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "_cells", cells)
@@ -143,18 +154,10 @@ def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
     (slope, start_row) order stay active and keep their copy of the edge
     set; the rest are trimmed and contribute no edges.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError("base graph must have at least 2 nodes")
-    if rows < 1:
-        raise ValueError(f"rows must be at least 1; got rows={rows}")
-    if (rows - 1) % (n - 1) != 0:
-        raise ValueError(f"(rows-1) must be divisible by (n-1); got rows={rows}, n={n}")
-    if (rows * rows) % n != 0:
-        raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
+    def trimmed():  # read by RolledGraph only after it has checked the sizes
+        yield from itertools.islice(all_duplicates(rows, g.n), (rows * rows) // g.n)
 
-    active = tuple(itertools.islice(all_duplicates(rows, n), (rows * rows) // n))
-    return RolledGraph(g, rows, active)
+    return RolledGraph(g, rows, trimmed())
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:

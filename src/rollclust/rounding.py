@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Clustering, ObjectiveKind, SignedGraph, as_fraction, contributing_edges
-from .streams import make_rng, prefixed_seed, seed_prefix
+from .streams import encode_part, extended_seed, make_rng, seed_prefix
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,15 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     draws: dict[int, tuple[int, int, int] | None] = {}
     weights: dict[tuple[int, int], int] = {}
     edge_stream = seed_prefix(params.seed, "edge")
+    tags: list[bytes] = []  # each node's encoded id, built at the first draw
     for (u, v), w in g.scaled_weights():
         if w not in draws:
             p = Fraction(w, g.scale) / beta if w > 0 else Fraction(-w, g.scale) / alpha
             draws[w] = (p.numerator, p.denominator, acceptance_limit(p.denominator)) if p < 1 else None
         if draws[w] is not None:
             num, den, limit = draws[w]
-            s = prefixed_seed(edge_stream, u, v)
+            tags = tags or [encode_part(x) for x in range(g.n)]
+            s = extended_seed(edge_stream, tags[u] + tags[v])
             if not (s % den < num if s < limit
                     else bernoulli(make_rng(params.seed, "edge", u, v, "retry"), Fraction(num, den))):
                 continue

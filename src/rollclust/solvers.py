@@ -8,8 +8,11 @@ search work in agreement only and read MinDisagree off it at the end.
 The exact solver walks restricted-growth label strings depth first in
 scaled-integer arithmetic. Its incumbent starts just below the local
 search's agreement, and a per-node placement bound prunes the branches
-that cannot strictly beat it, so the first optimum in enumeration order is
-kept for both objectives. A second, deliberately naive enumerator (bitmask
+that cannot strictly beat it. The bound credits the edges among the
+unplaced nodes with at most their own optimum; the same walk first finds
+those optima for the back half's suffixes, smallest first (Russian-doll
+search). As the bound never undercuts a subtree's best leaf, the first
+optimum in enumeration order is kept for both objectives. A second, deliberately naive enumerator (bitmask
 block merging plus a from-scratch value scan) exists purely as a
 cross-check; the two share no enumeration or scoring code.
 
@@ -85,47 +88,51 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     the same clustering, valued at the total minus its agreement. Rejects
     graphs with more than EXACT_NODE_LIMIT nodes.
 
-    Placement bound: an unplaced node x agrees with neg[x], the |weight| of
-    its negative edges to placed nodes, plus to[x][l] if it joins placed
-    cluster l, and with neg[x] alone anywhere else. So no leaf under depth
-    v beats current + slack[v] + sum over x >= v of top[x], where top[x] =
-    max(0, max_l to[x][l]) and slack[v] is the |weight| among unplaced
-    nodes plus their neg[x]. top[x] is kept as a running maximum: placing
-    a node raises it along a positive edge, a negative edge rescans x's row
-    only when the entry it lowers was the maximum, and backtracking puts
-    the saved values back. The incumbent starts at the local search's
-    agreement minus 1; as the bound never undercuts a subtree's best leaf,
-    no ancestor of the first optimal leaf is pruned, and that leaf is the
-    one kept.
+    Placement bound: placing node u credits fresh[u], the |weight| of its
+    negative edges to later nodes, so current counts every negative edge
+    from a placed to an unplaced node as agreeing. An unplaced node x then
+    adds to[x][l], its signed weight to placed cluster l, if it joins l,
+    and 0 in a fresh cluster. So no leaf under depth v beats current +
+    opt[v] + sum over x >= v of top[x], where top[x] = max(0, max_l
+    to[x][l]) and opt[v] bounds the best agreement among the edges inside
+    the unplaced suffix v..n-1. top[x] is kept as a running maximum:
+    placing a node raises it along a positive edge, a negative edge
+    rescans x's row only when the entry it lowers was the maximum, and
+    backtracking puts the saved values back.
+
+    opt[v] is opt[v+1] plus the |weight| of v's later edges, which is exact
+    for suffixes of one and two nodes. For n//2 <= v < n-2 it is then
+    tightened to the suffix's exact optimum (Russian-doll search), smallest
+    suffix first: the same walk runs on v..n-1 alone, bounded by the opt
+    values already found, from the incumbent opt[v+1] + fresh[v], which
+    puts v alone beside the next suffix's optimum and is always attained.
+    Exact optima of the front half cost more search nodes than they save.
+    The main walk's incumbent starts at the local search's agreement minus
+    1; as the bound never undercuts a subtree's best leaf, no ancestor of
+    the first optimal leaf is pruned, and that leaf is the one kept.
     """
     n = g.n
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
     one_cluster, singletons = _sign_totals(g)
-    # later[u] lists (v, w * scale), v > u; neg[v] is v's neg[x] at depth v;
-    # an edge leaves slack once its earlier (w > 0) or later (w < 0) end is placed
+    # later[u] lists (v, w * scale), v > u; opt[u] starts as the |weight| of u's row
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    neg = [0] * n
-    slack = [0] * (n + 1)
+    fresh = [0] * n
+    opt = [0] * (n + 1)
     for (u, v), w in g.scaled_weights():
         later[u].append((v, w))
-        neg[v] -= min(w, 0)
-        slack[u if w > 0 else v] += abs(w)
-    for v in range(n - 1, -1, -1):
-        slack[v] += slack[v + 1]
+        fresh[u] -= min(w, 0)
+        opt[u] += abs(w)
     # a label no placed node holds reads 0, the fresh cluster's max(0, .);
     # fewer than n labels are in use while a node is unplaced, so top[x] =
     # max(to[x]) is x's best placement
     to = [[0] * n for _ in range(n)]
     top = [0] * n
-
-    best_val = int(solve_local_search(g, ObjectiveKind.MAX_AGREE).value * g.scale) - 1
-    best_labels: "list[int] | None" = None
     labels = [0] * n
 
     def walk(v: int, k: int, current: int) -> None:
         nonlocal best_val, best_labels
-        if current + slack[v] + sum(top[v:]) <= best_val:
+        if current + opt[v] + sum(top[v:]) <= best_val:
             return
         if v == n:
             best_val = current
@@ -142,11 +149,19 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
                         top[x] = s
                 elif s - w == top[x]:
                     top[x] = max(row)
-            walk(v + 1, k + 1 if lbl == k else k, current + neg[v] + to[v][lbl])
+            walk(v + 1, k + 1 if lbl == k else k, current + fresh[v] + to[v][lbl])
             for x, w in later[v]:
                 to[x][lbl] -= w
             top[v + 1 :] = saved
 
+    for v in range(n - 1, -1, -1):
+        opt[v] += opt[v + 1]
+        if n // 2 <= v < n - 2:
+            best_val = opt[v + 1] + fresh[v]
+            walk(v, 0, 0)
+            opt[v] = best_val
+    best_labels: "list[int] | None" = None
+    best_val = int(solve_local_search(g, ObjectiveKind.MAX_AGREE).value * g.scale) - 1
     walk(0, 0, 0)
     assert best_labels is not None
     if objective is ObjectiveKind.MIN_DISAGREE:

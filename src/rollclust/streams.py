@@ -4,7 +4,8 @@ Every piece of randomness in the package flows from a root integer seed
 through a named sub-stream, so results never depend on evaluation order.
 Seeds are derived with blake2b over the root and the stream name parts;
 a loop over many streams that share a name prefix hashes it once and
-extends a copy per stream (seed_prefix, prefixed_seed).
+extends a copy per stream with the pre-encoded rest of each name
+(seed_prefix, encode_part, extended_seed).
 """
 
 from __future__ import annotations
@@ -15,27 +16,29 @@ import random
 _MASK64 = (1 << 64) - 1
 
 
-def _update(h, parts):
-    """Feed name parts to a blake2b state. Each part is tagged and of fixed
-    or prefixed length, so distinct part tuples feed distinct bytes."""
-    for part in parts:
-        if isinstance(part, int):
-            h.update(b"i" + part.to_bytes(16, "little", signed=True))
-        else:
-            data = str(part).encode("utf-8")
-            h.update(b"s" + len(data).to_bytes(4, "little") + data)
-    return h
+def encode_part(part) -> bytes:
+    """The bytes a name part feeds the stream hash. Each part is tagged and
+    of fixed or prefixed length, so distinct part tuples feed distinct bytes."""
+    if isinstance(part, int):
+        return b"i" + part.to_bytes(16, "little", signed=True)
+    data = str(part).encode("utf-8")
+    return b"s" + len(data).to_bytes(4, "little") + data
 
 
 def seed_prefix(root: int, *parts):
-    """The blake2b state of the stream named by parts; prefixed_seed
+    """The blake2b state of the stream named by parts; extended_seed
     extends a copy of it, so a loop hashes a shared prefix only once."""
-    return _update(hashlib.blake2b((root & _MASK64).to_bytes(8, "little"), digest_size=8), parts)
+    data = (root & _MASK64).to_bytes(8, "little") + b"".join(map(encode_part, parts))
+    return hashlib.blake2b(data, digest_size=8)
 
 
-def prefixed_seed(prefix, *parts) -> int:
-    """derive_seed(root, *prefix_parts, *parts) for prefix = seed_prefix(root, *prefix_parts)."""
-    return int.from_bytes(_update(prefix.copy(), parts).digest(), "little")
+def extended_seed(prefix, data: bytes) -> int:
+    """derive_seed(root, *prefix_parts, *parts) for prefix =
+    seed_prefix(root, *prefix_parts) and data the encode_part bytes of
+    parts, joined; a loop can encode each recurring part once."""
+    h = prefix.copy()
+    h.update(data)
+    return int.from_bytes(h.digest(), "little")
 
 
 def derive_seed(root: int, *parts) -> int:

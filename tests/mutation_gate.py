@@ -1,4 +1,5 @@
-"""Mutation gate: each mutant of the roll layer must fail the tests named for it.
+"""Mutation gate: each mutant of the roll layer or the exact solver must fail
+the tests named for it.
 
 A mutant is one textual edit to a module of the package. For each mutant the
 gate copies src/, tests/ and pyproject.toml into a temporary directory,
@@ -30,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROLL = "src/rollclust/roll.py"
+SOLVERS = "src/rollclust/solvers.py"
 
 # name -> (module, original text, mutated text, tests that must fail)
 MUTANTS = {
@@ -82,6 +84,57 @@ MUTANTS = {
             # a permutation of the cells keeps every sum over the active
             # duplicates, so only a reading of each duplicate's own cells sees it
             "tests/test_roll.py::test_induced_clustering_matches_a_from_scratch_reading",
+        ],
+    ),
+    "solve_exact does not raise top[x] along a positive edge": (
+        SOLVERS,
+        "if s > top[x]:\n                        top[x] = s",
+        "if s > top[x]:\n                        pass",
+        [
+            "tests/test_solvers.py::test_exact_triangle",
+            "tests/test_solvers.py::test_exact_matches_two_objective_oracle",
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
+        ],
+    ),
+    "solve_exact does not rescan top[x] along a negative edge": (
+        SOLVERS,
+        "elif s - w == top[x]:\n                    top[x] = max(row)",
+        "elif s - w == top[x]:\n                    pass",
+        [
+            # top[x] only stays too high, so the bound is loose but valid
+            # and only the node counts see it
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
+            "tests/test_solvers.py::test_suffix_bounds_keep_the_result_and_prune_the_main_walk",
+        ],
+    ),
+    "solve_exact does not restore top on backtracking": (
+        SOLVERS,
+        "            top[v + 1 :] = saved\n",
+        "",
+        [
+            "tests/test_solvers.py::test_exact_matches_two_objective_oracle",
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
+        ],
+    ),
+    "solve_exact drops v's row from the front-half opt[v]": (
+        SOLVERS,
+        "        opt[v] += opt[v + 1]\n",
+        "        opt[v] = opt[v + 1] if v < n // 2 else opt[v] + opt[v + 1]\n",
+        [
+            # too low a bound: optima get pruned
+            "tests/test_solvers.py::test_exact_triangle",
+            "tests/test_solvers.py::test_exact_matches_two_objective_oracle",
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
+        ],
+    ),
+    "solve_exact starts a suffix walk's incumbent one above its attained value": (
+        SOLVERS,
+        "best_val = opt[v + 1] + fresh[v]",
+        "best_val = opt[v + 1] + fresh[v] + 1",
+        [
+            # opt[v] can only come out one too high: a loose but valid bound
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
+            "tests/test_solvers.py::test_suffix_bounds_keep_the_result_and_prune_the_main_walk",
         ],
     ),
 }

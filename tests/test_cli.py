@@ -270,6 +270,22 @@ def test_config_values_must_be_valid_choices(tmp_path, capsys, line, key):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_config_value_of_the_wrong_type_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 4\ninstances = x\n")
+    err = usage_error(capsys, "verify", "--config", str(cfg))
+    assert err == f"error: {cfg}: instances = 'x': argument --instances: invalid int value: 'x'\n"
+    # the same value as a flag keeps argparse's own message
+    err = usage_error(capsys, "verify", "--instances", "x")
+    assert err.endswith("rollclust verify: error: argument --instances: invalid int value: 'x'\n")
+    assert "usage:" in err and str(cfg) not in err
+    # a value that converts runs as the same flag would
+    cfg.write_text("n = 4\ndensity = 0.5\nseed = 2\n")
+    from_file = run(capsys, "gen", "--config", str(cfg))
+    assert from_file == run(capsys, "gen", "--n", "4", "--density", "0.5", "--seed", "2")
+    assert from_file[0] == 0
+
+
 @pytest.mark.parametrize("line", ["trails = 2", "sovler = local"])
 def test_config_keys_that_match_no_flag_are_rejected(tmp_path, capsys, line):
     base = gen_graph(tmp_path, capsys)

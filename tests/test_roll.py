@@ -208,6 +208,32 @@ def test_build_roll_requires_divisibility():
         build_roll(g, 7)   # 49 % 4 != 0
 
 
+def test_rolled_graph_checks_its_size_and_duplicates():
+    g = SignedGraph(3, {(0, 1): 1})
+    # a start row and a slope outside a 3-row roll of 3 nodes (max slope 1)
+    for d in (DuplicateId(7, 5), DuplicateId(3, 0), DuplicateId(-1, 0), DuplicateId(0, 2), DuplicateId(0, -1)):
+        with pytest.raises(ValueError, match="is not a duplicate of a 3-row roll of 3 nodes"):
+            RolledGraph(g, 3, [d])
+    with pytest.raises(ValueError, match=r"\(rows-1\) must be divisible by \(n-1\); got rows=4, n=3"):
+        RolledGraph(g, 4, [DuplicateId(0, 0)])
+    assert RolledGraph(g, 3, [DuplicateId(2, 1)]).graph.edge_count == 1
+
+
+def test_build_roll_error_messages():
+    g4 = SignedGraph(4, {(0, 1): 1})
+    cases = [
+        (SignedGraph(0), 3, "base graph must have at least 2 nodes"),
+        (SignedGraph(1), 3, "base graph must have at least 2 nodes"),
+        (g4, -2, "rows must be at least 1; got rows=-2"),
+        (g4, 5, "(rows-1) must be divisible by (n-1); got rows=5, n=4"),
+        (g4, 7, "rows^2 must be divisible by n; got rows=7, n=4"),
+    ]
+    for g, rows, message in cases:
+        with pytest.raises(ValueError) as info:
+            build_roll(g, rows)
+        assert str(info.value) == message
+
+
 def test_build_roll_rejects_rows_below_one():
     # both pass the divisibility checks
     with pytest.raises(ValueError, match="rows must be at least 1"):

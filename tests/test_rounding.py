@@ -20,7 +20,7 @@ from rollclust.rounding import (
     deviation_stats,
     round_graph,
 )
-from rollclust.streams import derive_seed, make_rng
+from rollclust.streams import derive_seed, encode_part, make_rng
 
 from hoeffding import hoeffding_tail
 
@@ -122,14 +122,16 @@ def test_round_graph_reduces_the_scale_when_only_beta_survives():
 def inject_seeds(monkeypatch, seed_of):
     """Replace the derived seed of each edge (u, v) by seed_of(u, v), or by the
     real one where seed_of returns None."""
-    real = rollclust.rounding.prefixed_seed
+    real = rollclust.rounding.extended_seed
 
-    def injected(prefix, *parts):
-        assert len(parts) == 2
-        s = seed_of(*parts)
-        return real(prefix, *parts) if s is None else s
+    def injected(prefix, data):
+        # data is the two encoded node ids: a tag byte and 16 bytes each
+        u, v = (int.from_bytes(data[i + 1 : i + 17], "little", signed=True) for i in (0, 17))
+        assert data == encode_part(u) + encode_part(v)
+        s = seed_of(u, v)
+        return real(prefix, data) if s is None else s
 
-    monkeypatch.setattr(rollclust.rounding, "prefixed_seed", injected)
+    monkeypatch.setattr(rollclust.rounding, "extended_seed", injected)
 
 
 def record_streams(monkeypatch):

@@ -211,10 +211,30 @@ def test_exact_keeps_first_optimum_when_local_search_finds_another():
     assert tied >= 50
 
 
+def suffix_optima(g: SignedGraph) -> "list[int]":
+    """solve_exact's suffix bounds opt[0..n] in units of 1/g.scale, computed
+    apart from it: for v >= n//2 the two-objective oracle's optimum of the
+    subgraph induced on v..n-1, relabelled to 0..n-v-1; below that opt[v+1]
+    plus the |weight| of v's edges to later nodes."""
+    n = g.n
+    opt = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        if v >= n // 2:
+            sub = SignedGraph(n - v, {(a - v, b - v): w for a, b, w in g.edges() if a >= v})
+            value = two_objective_exact(sub, MAX).value * g.scale
+            assert value.denominator == 1
+            opt[v] = int(value)
+        else:
+            opt[v] = opt[v + 1] + sum(abs(w) for (a, _), w in g.scaled_weights() if a == v)
+    return opt
+
+
 def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     """solve_exact as it was when every search node rescanned each unplaced
-    node's row for its best placement. Kept as the oracle the incremental
-    bound must match clustering for clustering and node for node."""
+    node's row for its best placement, bounded by suffix_optima in place of
+    the |weight| among the unplaced nodes. Kept as the oracle the incremental
+    bound and the suffix walks must match clustering for clustering and, on
+    the main walk, node for node."""
     n = g.n
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
@@ -222,13 +242,12 @@ def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     singletons = -sum(w for _, w in g.scaled_weights() if w < 0)
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     neg = [0] * n
-    slack = [0] * (n + 1)
     for (u, v), w in g.scaled_weights():
         later[u].append((v, w))
         neg[v] -= min(w, 0)
-        slack[u if w > 0 else v] += abs(w)
-    for v in range(n - 1, -1, -1):
-        slack[v] += slack[v + 1]
+    # cross[d]: |weight| of the negative edges from placed to unplaced nodes at depth d
+    cross = [sum(-w for (a, b), w in g.scaled_weights() if w < 0 and a < d <= b) for d in range(n + 1)]
+    opt = suffix_optima(g)
     to = [[0] * n for _ in range(n)]
 
     best_val = int(solve_local_search(g, MAX).value * g.scale) - 1
@@ -237,7 +256,7 @@ def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
 
     def walk(v: int, k: int, current: int) -> None:
         nonlocal best_val, best_labels
-        if current + slack[v] + sum([max(row[: k + 1]) for row in to[v:]]) <= best_val:
+        if current + cross[v] + opt[v] + sum([max(row[: k + 1]) for row in to[v:]]) <= best_val:
             return
         if v == n:
             best_val = current
@@ -258,44 +277,130 @@ def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     return SolveResult(Clustering(best_labels), Fraction(best_val, g.scale))
 
 
-def walk_calls(solve, g: SignedGraph) -> int:
-    """How many search nodes solve(g, MAX) visits: calls of a function named walk."""
-    calls = 0
+def previous_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
+    """solve_exact as it was before the suffix walks: its placement bound
+    counted every edge among the unplaced nodes as agreeing. Kept as the
+    oracle the suffix bounds must match result for result while pruning the
+    main walk to a subset of its nodes."""
+    n = g.n
+    if n > EXACT_NODE_LIMIT:
+        raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
+    one_cluster = sum(w for _, w in g.scaled_weights() if w > 0)
+    singletons = -sum(w for _, w in g.scaled_weights() if w < 0)
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    neg = [0] * n
+    slack = [0] * (n + 1)
+    for (u, v), w in g.scaled_weights():
+        later[u].append((v, w))
+        neg[v] -= min(w, 0)
+        slack[u if w > 0 else v] += abs(w)
+    for v in range(n - 1, -1, -1):
+        slack[v] += slack[v + 1]
+    to = [[0] * n for _ in range(n)]
+    top = [0] * n
+
+    best_val = int(solve_local_search(g, MAX).value * g.scale) - 1
+    best_labels: "list[int] | None" = None
+    labels = [0] * n
+
+    def walk(v: int, k: int, current: int) -> None:
+        nonlocal best_val, best_labels
+        if current + slack[v] + sum(top[v:]) <= best_val:
+            return
+        if v == n:
+            best_val = current
+            best_labels = labels.copy()
+            return
+        saved = top[v + 1 :]
+        for lbl in range(k + 1):
+            labels[v] = lbl
+            for x, w in later[v]:
+                row = to[x]
+                s = row[lbl] = row[lbl] + w
+                if w > 0:
+                    if s > top[x]:
+                        top[x] = s
+                elif s - w == top[x]:
+                    top[x] = max(row)
+            walk(v + 1, k + 1 if lbl == k else k, current + neg[v] + to[v][lbl])
+            for x, w in later[v]:
+                to[x][lbl] -= w
+            top[v + 1 :] = saved
+
+    walk(0, 0, 0)
+    assert best_labels is not None
+    if objective is MIN:
+        best_val = one_cluster + singletons - best_val
+    return SolveResult(Clustering(best_labels), Fraction(best_val, g.scale))
+
+
+def walk_calls(solve, g: SignedGraph) -> "tuple[int, int]":
+    """How many search nodes solve(g, MAX) visits, as (main, suffix): calls of
+    a function named walk. A call from outside a walk starts a new walk; the
+    last one started is the main walk, and the ones before it bound suffixes."""
+    walks: list[int] = []
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_name == "walk":
-            calls += 1
+            if frame.f_back.f_code.co_name != "walk":
+                walks.append(0)
+            walks[-1] += 1
 
     sys.setprofile(profile)
     try:
         solve(g, MAX)
     finally:
         sys.setprofile(None)
-    return calls
+    return walks[-1], sum(walks[:-1])
 
 
-def test_exact_matches_rescanning_oracle():
-    # the incremental bound equals the rescanned one at every search node, so
-    # both walks visit the same nodes and keep the same first optimum; +-1
-    # complete and planted graphs are tie-heavy, so which optimum is first
-    # matters there
+def exact_walk_cases():
+    """(n, kind, graph) for the node-count differentials: n = 10 up to the
+    node limit; +-1 complete and planted graphs are tie-heavy, so which
+    optimum is first matters there."""
     rng = random.Random(1313)
     for n in range(10, EXACT_NODE_LIMIT + 1):
         for kind in ("complete", "planted", "uniform"):
             for _ in range(8):
                 if kind == "uniform":
                     model = UniformRational(density=rng.choice((0.5, 0.8, 1.0)))
-                    g = generate(GenSpec(n=n, model=model, seed=rng.randrange(2**32)))
+                    yield n, kind, generate(GenSpec(n=n, model=model, seed=rng.randrange(2**32)))
                 else:
-                    g = exact_differential_graph(rng, n, kind)
-                for objective in (MAX, MIN):
-                    got = solve_exact(g, objective)
-                    expect = rescanning_exact(g, objective)
-                    assert got.clustering == expect.clustering, (n, kind, objective)
-                    assert got.value == expect.value, (n, kind, objective)
-                nodes = walk_calls(solve_exact, g)
-                assert nodes > n and nodes == walk_calls(rescanning_exact, g), (n, kind)
+                    yield n, kind, exact_differential_graph(rng, n, kind)
+
+
+def test_exact_matches_rescanning_oracle():
+    # the incremental bound equals the rescanned one at every search node,
+    # and the suffix walks find the optima the two-objective oracle finds on
+    # each suffix, so both main walks visit the same nodes and keep the same
+    # first optimum; each side's suffix work is left out of that count alike
+    for n, kind, g in exact_walk_cases():
+        for objective in (MAX, MIN):
+            got = solve_exact(g, objective)
+            expect = rescanning_exact(g, objective)
+            assert got.clustering == expect.clustering, (n, kind, objective)
+            assert got.value == expect.value, (n, kind, objective)
+        nodes, suffix = walk_calls(solve_exact, g)
+        assert nodes > n and nodes == walk_calls(rescanning_exact, g)[0], (n, kind)
+        # one walk per suffix of three or more nodes from n//2 on
+        assert suffix >= n - 2 - n // 2, (n, kind)
+
+
+def test_suffix_bounds_keep_the_result_and_prune_the_main_walk():
+    # the suffix optima only tighten the previous walk's bound, so the main
+    # walk visits a subset of its nodes and keeps its first optimum; the
+    # suffix walks are extra work, counted apart: on a graph whose previous
+    # walk prunes well they can cost more than they save, but not over all
+    totals = [0, 0]
+    for n, kind, g in exact_walk_cases():
+        for objective in (MAX, MIN):
+            assert solve_exact(g, objective) == previous_exact(g, objective), (n, kind, objective)
+        nodes, suffix = walk_calls(solve_exact, g)
+        previous, previous_suffix = walk_calls(previous_exact, g)
+        assert nodes <= previous and previous_suffix == 0, (n, kind)
+        totals[0] += nodes + suffix
+        totals[1] += previous
+    assert totals[0] < totals[1]
 
 
 def test_partition_enumerators_are_complete():
