@@ -3,9 +3,10 @@
 Subcommands: gen, roll, round, solve, reduce, verify. Every command is
 deterministic; all but roll take --seed, and their generation, rounding,
 and solver randomness run on named sub-streams derived from that one seed.
-An optional config file supplies "key = value" defaults for any flag;
-explicit flags win. Notes on what a run cut short go to stderr. Exit
-status is 0 only when nothing failed.
+roll and reduce size a roll by --t alone: the row count follows from the
+base and t. An optional config file supplies "key = value" defaults for
+any flag; explicit flags win. Notes on what a run cut short go to stderr.
+Exit status is 0 only when nothing failed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .harness import (
 )
 from .jsonutil import frac_to_str
 from .reduction import ReductionConfig, aggregate_to_dict, run_trials
-from .roll import build_roll, valid_roll_size
+from .roll import build_roll
 from .rounding import RoundingParams, round_graph
 from .solvers import DEFAULT_BUDGET, SolverKind, SolverSpec, budget_note, run_solver
 from .streams import derive_seed
@@ -84,8 +85,8 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
 
     p = sub.add_parser("roll", parents=[common], help="roll a graph into a grid")
     p.add_argument("graph", help="input graph file")
-    p.add_argument("--rows", type=int, default=None, help="explicit row count N")
-    p.add_argument("--t", type=int, default=None, help="roll size parameter")
+    p.add_argument("--t", type=int, default=None,
+                   help="roll size parameter (required here or in --config)")
     subparsers["roll"] = p
 
     p = sub.add_parser("round", parents=[common, seeded], help="randomly round weights")
@@ -222,15 +223,14 @@ def cmd_gen(args) -> int:
 def cmd_roll(args) -> int:
     if not args.out:
         _usage_error("roll: --out is required (a sidecar file is written next to it)")
-    if (args.rows is None) == (args.t is None):
-        _usage_error("roll: give exactly one of --rows or --t")
+    if args.t is None:
+        _usage_error("roll: --t is required (flag or config file)")
     g = read_graph(args.graph)
-    rows = args.rows if args.rows is not None else valid_roll_size(g.n, args.t)
-    rolled = build_roll(g, rows)
+    rolled = build_roll(g, args.t)
     write_graph(rolled.graph, args.out)
     sidecar = {
         "n": g.n,
-        "rows": rows,
+        "rows": rolled.rows,
         "active": [[d.start_row, d.slope] for d in rolled.active],
     }
     _write_json(args.out + ".duplicates.json", sidecar)

@@ -44,7 +44,7 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class SignedGraph:
     """Undirected graph on n nodes with exact rational edge weights.
 
@@ -54,6 +54,10 @@ class SignedGraph:
     equal weights share a scale and equality compares n, scale and weights.
     """
 
+    # the records here declare __slots__ by hand: on Python 3.11 the
+    # __setattr__ that slots=True generates raises TypeError, not
+    # FrozenInstanceError, for a name that is not a field
+    __slots__ = ("n", "scale", "_weights")
     n: int
     scale: int
     _weights: "dict[tuple[int, int], int]"
@@ -141,7 +145,7 @@ class SignedGraph:
         return f"SignedGraph(n={self.n}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Clustering:
     """Total assignment of nodes 0..n-1 to clusters.
 
@@ -150,6 +154,7 @@ class Clustering:
     equal. Immutable.
     """
 
+    __slots__ = ("labels",)
     labels: "tuple[int, ...]"
 
     def __init__(self, labels: Iterable[int]):

@@ -356,7 +356,7 @@ def verify_all(seed: int = 0, sizes=(3, 4, 5), ts=(0, 1), instances: int = 5) ->
             for i in range(instances):
                 gen_seed = derive_seed(seed, "verify", n, t, i)
                 g = generate(GenSpec(n=n, model=UniformRational(density=0.7), seed=gen_seed))
-                r = build_roll(g, rows)
+                r = build_roll(g, t)
                 rng = make_rng(gen_seed, "clusterings")
                 checks["edge_disjointness"].record(check_edge_disjointness(r))
                 checks["isomorphism"].record(check_isomorphism(r))

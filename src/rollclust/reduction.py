@@ -35,7 +35,9 @@ from .roll import (
     RolledGraph, build_roll, duplication_clustering, induced_clustering, valid_roll_size,
 )
 from .rounding import DeviationStats, RoundingParams, deviation_stats, round_graph
-from .solvers import SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact
+from .solvers import (
+    EXACT_NODE_LIMIT, SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact,
+)
 from .streams import derive_seed
 
 
@@ -90,7 +92,7 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     included.
     """
     g, rows = rolled.base, rolled.rows
-    if rows != valid_roll_size(g.n, cfg.t):
+    if rolled.t != cfg.t:
         raise ValueError(f"rolled is {rolled!r}, not its base's roll at t={cfg.t}")
     notes: "list[str]" = []
     spread = cfg.rounding.alpha + cfg.rounding.beta
@@ -178,13 +180,17 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
     RuntimeError naming the trial index and both derived seeds."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    opt = solve_exact(g, cfg.objective)
-    target = cfg.lambda_ref + cfg.epsilon
-    # the roll depends only on (g, t): every trial rounds the same one,
-    # built only once the base is known to be normalized
     if g.max_abs_weight() > 1:
         raise ValueError("base graph must be normalized to |weight| <= 1")
-    rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
+    # refuse a grid the exact solver cannot take before solving the base
+    nodes = valid_roll_size(g.n, cfg.t) * g.n
+    if cfg.solver.kind is SolverKind.EXACT and nodes > EXACT_NODE_LIMIT:
+        raise ValueError(f"exact solver cannot solve the t={cfg.t} roll of a {g.n}-node base:"
+                         f" {nodes} nodes, more than {EXACT_NODE_LIMIT}")
+    opt = solve_exact(g, cfg.objective)
+    target = cfg.lambda_ref + cfg.epsilon
+    # the roll depends only on (g, t): every trial rounds the same one
+    rolled = build_roll(g, cfg.t)
 
     summaries = []
     note_counts: "Counter[str]" = Counter()

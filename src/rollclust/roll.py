@@ -1,14 +1,15 @@
 """Rolling a base graph into a larger grid graph made of embedded copies.
 
-A roll of a base graph g on n nodes places grid cells in N rows and n
-columns. The module names a cell by one coordinate, its flat index
-row*n + col, the node index of the rolled SignedGraph. Column j corresponds
-to base node j. A pair of cells in different columns is a grid bone when
-the wrapped vertical distance between them, divided by their column gap, is
-an integer slope in 0..(N-1)/(n-1). Each bone belongs to exactly one
-duplicate: the copy of the base node set that starts at some row and
-advances by a fixed slope per column. Every duplicate therefore sees an
-isomorphic copy of the base graph, and distinct duplicates share no bones.
+A roll of a base graph g on n nodes at size parameter t places grid cells
+in N = n*(1 + t*(n-1)) rows (valid_roll_size) and n columns. The module
+names a cell by one coordinate, its flat index row*n + col, the node index
+of the rolled SignedGraph. Column j corresponds to base node j. A pair of
+cells in different columns is a grid bone when the wrapped vertical
+distance between them, divided by their column gap, is an integer slope in
+0..(N-1)/(n-1). Each bone belongs to exactly one duplicate: the copy of the
+base node set that starts at some row and advances by a fixed slope per
+column. Every duplicate therefore sees an isomorphic copy of the base
+graph, and distinct duplicates share no bones.
 
 duplicate_cells gives a duplicate's cells in closed form, and duplicate_of
 inverts it: it names the duplicate that owns a pair of cells, or returns
@@ -28,7 +29,7 @@ induced_clustering reads a base clustering back out of one active duplicate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .core import Clustering, SignedGraph
@@ -89,42 +90,33 @@ def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
     return tuple(((start + j * slope) % rows) * cols + j for j in range(cols))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class RolledGraph:
-    """A base graph rolled into an N-row grid: RolledGraph(base, rows, active).
+    """A base graph's roll at size parameter t: RolledGraph(base, t).
 
-    Fields: base (the original graph), rows (N), active (kept duplicates in
-    trim order), and, computed on construction, graph (the rolled graph on
-    rows*n cells). The constructor computes each active duplicate's cells
-    once, builds graph from them, and keeps them for induced_clustering:
-    run_trials builds one roll per call, and all of its trials read their
-    candidates through the same cells. Only the active duplicates' copies
-    are built; duplicate_of maps any bone, trimmed or not, to its duplicate.
+    The constructor computes every field from base and t: rows
+    (valid_roll_size(n, t)), active (the first rows^2/n duplicates in
+    (slope, start_row) order), each active duplicate's cells, once, and
+    graph (the rolled graph on rows*n cells) from them. It keeps the cells
+    for induced_clustering: run_trials builds one roll per call, and all of
+    its trials read their candidates through the same cells.
     """
 
+    __slots__ = ("base", "t", "rows", "active", "graph", "_cells")  # see core.SignedGraph
     base: SignedGraph
+    t: int
     rows: int
     active: "tuple[DuplicateId, ...]"
-    graph: SignedGraph = field(init=False)
+    graph: SignedGraph
     # active duplicate -> its flat grid cells by column
-    _cells: "dict[DuplicateId, tuple[int, ...]]" = field(init=False)
+    _cells: "dict[DuplicateId, tuple[int, ...]]"
 
-    def __post_init__(self):
-        n, rows = self.base.n, self.rows
-        if n < 2:
-            raise ValueError("base graph must have at least 2 nodes")
-        if rows < 1:
-            raise ValueError(f"rows must be at least 1; got rows={rows}")
-        if (rows - 1) % (n - 1) != 0:
-            raise ValueError(f"(rows-1) must be divisible by (n-1); got rows={rows}, n={n}")
-        if (rows * rows) % n != 0:
-            raise ValueError(f"rows^2 must be divisible by n; got rows={rows}, n={n}")
-        active, top = tuple(self.active), max_slope(rows, n)
-        for d in active:
-            if not (0 <= d.start_row < rows and 0 <= d.slope <= top):
-                raise ValueError(f"{d} is not a duplicate of a {rows}-row roll of {n} nodes")
+    def __init__(self, base: SignedGraph, t: int):
+        n = base.n
+        rows = valid_roll_size(n, t)
+        active = tuple(itertools.islice(all_duplicates(rows, n), rows * rows // n))
         cells = {d: duplicate_cells(d, rows, n) for d in active}
-        base_edges = list(self.base.scaled_weights())
+        base_edges = list(base.scaled_weights())
         weights: dict[tuple[int, int], int] = {}
         for d in active:
             flat = cells[d]
@@ -134,10 +126,11 @@ class RolledGraph:
         # each active copy adds one key per base edge unless two copies share a bone
         if len(weights) != len(active) * len(base_edges):
             raise AssertionError("a bone is claimed by two active duplicates")
-        graph = SignedGraph._from_scaled(rows * n, self.base.scale, weights)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "_cells", cells)
+        graph = SignedGraph._from_scaled(rows * n, base.scale, weights)
+        fields = (("base", base), ("t", t), ("rows", rows), ("active", active),
+                  ("graph", graph), ("_cells", cells))
+        for name, value in fields:
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return (
@@ -146,18 +139,9 @@ class RolledGraph:
         )
 
 
-def build_roll(g: SignedGraph, rows: int) -> RolledGraph:
-    """Roll g into a grid with the given row count.
-
-    Requires (rows-1) divisible by (n-1) and rows^2 divisible by n; sizes
-    from valid_roll_size satisfy both. The first rows^2/n duplicates in
-    (slope, start_row) order stay active and keep their copy of the edge
-    set; the rest are trimmed and contribute no edges.
-    """
-    def trimmed():  # read by RolledGraph only after it has checked the sizes
-        yield from itertools.islice(all_duplicates(rows, g.n), (rows * rows) // g.n)
-
-    return RolledGraph(g, rows, trimmed())
+def build_roll(g: SignedGraph, t: int) -> RolledGraph:
+    """g's roll at size parameter t."""
+    return RolledGraph(g, t)
 
 
 def induced_clustering(r: RolledGraph, c: Clustering, d: DuplicateId) -> Clustering:

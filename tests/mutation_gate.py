@@ -1,5 +1,5 @@
-"""Mutation gate: each mutant of the roll layer or the exact solver must fail
-the tests named for it.
+"""Mutation gate: each mutant of the roll layer, the exact solver, the
+reduction or verify must fail the tests named for it.
 
 A mutant is one textual edit to a module of the package. For each mutant the
 gate copies src/, tests/ and pyproject.toml into a temporary directory,
@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ROLL = "src/rollclust/roll.py"
 SOLVERS = "src/rollclust/solvers.py"
+REDUCTION = "src/rollclust/reduction.py"
+HARNESS = "src/rollclust/harness.py"
 
 # name -> (module, original text, mutated text, tests that must fail)
 MUTANTS = {
@@ -78,12 +80,60 @@ MUTANTS = {
     ),
     "RolledGraph caches the next duplicate's cells": (
         ROLL,
-        'object.__setattr__(self, "_cells", cells)',
-        'object.__setattr__(self, "_cells", dict(zip(active, [cells[d] for d in active[1:] + active[:1]])))',
+        '("_cells", cells)',
+        '("_cells", dict(zip(active, [cells[d] for d in active[1:] + active[:1]])))',
         [
             # a permutation of the cells keeps every sum over the active
             # duplicates, so only a reading of each duplicate's own cells sees it
             "tests/test_roll.py::test_induced_clustering_matches_a_from_scratch_reading",
+        ],
+    ),
+    "the trim keeps one duplicate too few": (
+        ROLL,
+        "rows * rows // n))",
+        "rows * rows // n - 1))",
+        [
+            "tests/test_roll.py::test_build_roll_structure",
+            "tests/test_roll.py::test_build_roll_matches_the_public_constructor",
+            "tests/test_golden.py::test_roll_command_output_is_byte_identical",
+        ],
+    ),
+    "reduce_and_solve without its roll check": (
+        REDUCTION,
+        "    if rolled.t != cfg.t:\n"
+        '        raise ValueError(f"rolled is {rolled!r}, not its base\'s roll at t={cfg.t}")\n',
+        "",
+        ["tests/test_reduction.py::test_reduce_and_solve_rejects_a_roll_at_another_t"],
+    ),
+    "the sum check only catches a sum above the rolled value": (
+        REDUCTION,
+        "if Fraction(sum(scaled), g.scale) != rolled_value_pre:",
+        "if Fraction(sum(scaled), g.scale) > rolled_value_pre:",
+        ["tests/test_reduction.py::test_reduce_and_solve_refuses_candidates_that_do_not_sum"],
+    ),
+    "every trial rounds with the same seed": (
+        REDUCTION,
+        "rounding=replace(cfg.rounding, seed=r_seed),",
+        "rounding=cfg.rounding,",
+        [
+            "tests/test_reduction.py::test_each_trial_replays_from_its_seeds",
+            "tests/test_golden.py::test_seeded_report_is_byte_identical",
+        ],
+    ),
+    "trials round with r_seed ^ 1 and report r_seed": (
+        REDUCTION,
+        "rounding=replace(cfg.rounding, seed=r_seed),",
+        "rounding=replace(cfg.rounding, seed=r_seed ^ 1),",
+        ["tests/test_reduction.py::test_each_trial_replays_from_its_seeds"],
+    ),
+    "verify_all accepts empty sizes and ts": (
+        HARNESS,
+        "    if not sizes or not ts:\n"
+        '        raise ValueError("sizes and ts must each name at least one value")\n',
+        "",
+        [
+            "tests/test_harness.py::test_verify_all_rejects_empty_sizes_or_ts",
+            "tests/test_cli.py::test_verify_with_no_sizes_or_ts_is_reported_as_error",
         ],
     ),
     "solve_exact does not raise top[x] along a positive edge": (

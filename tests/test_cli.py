@@ -63,26 +63,31 @@ def test_roll_writes_graph_and_sidecar(tmp_path, capsys):
     sidecar = json.loads((out.parent / (out.name + ".duplicates.json")).read_text())
     assert sidecar["n"] == 3 and sidecar["rows"] == 3
     assert len(sidecar["active"]) == 3  # rows^2 / n
-    code, _, _ = run(capsys, "roll", str(base), "--rows", "3", "--out", str(tmp_path / "r2.txt"))
+    # t may come from a config file instead
+    cfg = tmp_path / "roll.cfg"
+    cfg.write_text("t = 0\n")
+    code, _, _ = run(capsys, "roll", str(base), "--config", str(cfg), "--out", str(tmp_path / "r2.txt"))
     assert code == 0
     assert (tmp_path / "r2.txt").read_text() == out.read_text()
 
 
-def test_roll_rejects_negative_rows(tmp_path, capsys):
+def test_roll_rejects_negative_t(tmp_path, capsys):
     base = gen_graph(tmp_path, capsys, "g4.txt", "--n", "4")
     out = tmp_path / "r.txt"
-    code, _, err = run(capsys, "roll", str(base), "--rows", "-2", "--out", str(out))
+    code, _, err = run(capsys, "roll", str(base), "--t", "-2", "--out", str(out))
     assert code == 2
-    assert err == "error: rows must be at least 1; got rows=-2\n"
+    assert err == "error: t must be non-negative\n"
     assert list(tmp_path.iterdir()) == [base]
 
 
-def test_roll_needs_exactly_one_size_flag(tmp_path, capsys):
+def test_roll_requires_t(tmp_path, capsys):
+    # the roll's size follows from the base and t, so there is no --rows
     base = gen_graph(tmp_path, capsys)
-    with pytest.raises(SystemExit):
-        main(["roll", str(base), "--out", str(tmp_path / "x.txt")])
-    with pytest.raises(SystemExit):
-        main(["roll", str(base), "--t", "0", "--rows", "3", "--out", str(tmp_path / "x.txt")])
+    err = usage_error(capsys, "roll", str(base), "--out", str(tmp_path / "x.txt"))
+    assert err == "error: roll: --t is required (flag or config file)\n"
+    err = usage_error(capsys, "roll", str(base), "--rows", "3", "--out", str(tmp_path / "x.txt"))
+    assert "unrecognized arguments: --rows 3" in err
+    assert list(tmp_path.iterdir()) == [base]
 
 
 def test_round_support_and_sidecar(tmp_path, capsys):
@@ -380,7 +385,7 @@ def test_solve_notes_an_exhausted_budget(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
-@pytest.mark.parametrize("solver, objective", [("pivot", "min"), ("trivial", "min")])
+@pytest.mark.parametrize("solver, objective", [("pivot", "min"), ("trivial", "min"), ("exact", "max")])
 def test_reduce_rejects_solvers_that_cannot_run_before_solving(
     tmp_path, capsys, monkeypatch, solver, objective
 ):
@@ -391,7 +396,8 @@ def test_reduce_rejects_solvers_that_cannot_run_before_solving(
 
     base = gen_graph(tmp_path, capsys)
     monkeypatch.setattr(rollclust.reduction, "solve_exact", no_solving)
-    code, out, err = run(capsys, "reduce", str(base), "--solver", solver,
+    # the exact solver cannot take the 27-node t=1 grid of a 3-node base
+    code, out, err = run(capsys, "reduce", str(base), "--t", "1", "--solver", solver,
                          "--objective", objective, "--out", str(tmp_path / "agg.json"))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

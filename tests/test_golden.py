@@ -25,7 +25,7 @@ from rollclust.cli import main
 from rollclust.core import ObjectiveKind, SignedGraph, write_graph
 from rollclust.harness import CompleteSigned, GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.reduction import ReductionConfig, aggregate_to_dict, run_trials
-from rollclust.roll import build_roll, valid_roll_size
+from rollclust.roll import build_roll
 from rollclust.rounding import RoundingParams
 from rollclust.solvers import SolverKind, SolverSpec, solve_local_search
 
@@ -97,7 +97,7 @@ LOCAL_CASES = [(name, objective) for name in LOCAL_GRAPHS for objective in ("max
 def rolled_grid(name) -> SignedGraph:
     make, t = LOCAL_GRAPHS[name]
     base = make()
-    return build_roll(base, valid_roll_size(base.n, t)).graph
+    return build_roll(base, t).graph
 
 
 def local_result(name, objective):

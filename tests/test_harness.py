@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from rollclust.harness import (
     verify_all,
     _sqrt_upper,
 )
-from rollclust.roll import RolledGraph, build_roll, valid_roll_size
+from rollclust.roll import DuplicateId, RolledGraph, all_duplicates, build_roll
 from rollclust.solvers import solve_exact
 
 
@@ -116,8 +117,8 @@ def test_structural_checks_do_not_read_the_cached_cells():
     # them on a sound graph, while reading candidates through those cells
     # breaks the value decomposition
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
-    r = build_roll(g, valid_roll_size(4, 1))
-    wrong = RolledGraph(r.base, r.rows, r.active)
+    r = build_roll(g, 1)
+    wrong = RolledGraph(r.base, 1)
     object.__setattr__(wrong, "_cells", {d: (0, 1, 2, 3) for d in r.active})
     assert check_edge_disjointness(wrong) is None
     assert check_isomorphism(wrong) is None
@@ -128,8 +129,7 @@ def test_structural_checks_do_not_read_the_cached_cells():
 
 def test_checks_pass_on_clean_roll():
     g = generate(GenSpec(n=4, model=UniformRational(density=0.8), seed=9))
-    rows = valid_roll_size(4, 0)
-    r = build_roll(g, rows)
+    r = build_roll(g, 0)
     for check in (check_edge_disjointness, check_isomorphism):
         assert check(r) is None
 
@@ -137,25 +137,30 @@ def test_checks_pass_on_clean_roll():
 def test_negative_control_missing_duplicate_is_caught():
     # drop one active duplicate from a built roll: its bones are now claimed by nobody
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
-    corrupted = build_roll(g, valid_roll_size(4, 0))
+    corrupted = build_roll(g, 0)
     object.__setattr__(corrupted, "active", corrupted.active[:-1])
     assert "no active duplicate" in check_edge_disjointness(corrupted)
 
 
-def test_negative_control_double_claim_is_caught():
+def test_negative_control_double_claim_is_caught(monkeypatch):
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
-    corrupted = build_roll(g, valid_roll_size(4, 0))
+    corrupted = build_roll(g, 0)
     doubled = corrupted.active + (corrupted.active[0],)
-    # the constructor refuses it, and the check catches it on a built roll
+    # the constructor refuses a duplicate listed twice, and the check
+    # catches it on a built roll
+    monkeypatch.setattr(
+        "rollclust.roll.all_duplicates",
+        lambda rows, cols: itertools.chain([DuplicateId(0, 0)], all_duplicates(rows, cols)),
+    )
     with pytest.raises(AssertionError, match="claimed by two active duplicates"):
-        RolledGraph(corrupted.base, corrupted.rows, doubled)
+        RolledGraph(corrupted.base, 0)
     object.__setattr__(corrupted, "active", doubled)
     assert "claimed by" in check_edge_disjointness(corrupted)
 
 
 def test_negative_control_wrong_weight_is_caught():
     g = generate(GenSpec(n=3, model=CompleteSigned(), seed=4))
-    corrupted = build_roll(g, valid_roll_size(3, 0))
+    corrupted = build_roll(g, 0)
     weights = {(u, v): w for u, v, w in corrupted.graph.edges()}
     u, v, w = next(iter(corrupted.graph.edges()))
     weights[(u, v)] = w + 1 if w != -1 else Fraction(1, 2)

@@ -59,7 +59,7 @@ def identity_config(objective, t=0, seed=0):
 
 def reduce_on_roll(g, cfg):
     """reduce_and_solve on g's roll at cfg.t, with g's exact optimum as the reference."""
-    rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
+    rolled = build_roll(g, cfg.t)
     return reduce_and_solve(rolled, cfg, solve_exact(g, cfg.objective).clustering)
 
 
@@ -68,7 +68,7 @@ def test_duplication_value_identity():
     for n, t in ((3, 0), (3, 1), (4, 0), (5, 0)):
         rows = valid_roll_size(n, t)
         g = pm1_graph(rng, n, density=0.9)
-        rolled = build_roll(g, rows)
+        rolled = build_roll(g, t)
         copies = Fraction(rows * rows, n)
         for _ in range(5):
             u = Clustering([rng.randrange(n) for _ in range(n)])
@@ -82,7 +82,7 @@ def test_duplication_then_induce_is_identity():
     for n, t in ((3, 0), (4, 0), (3, 1)):
         rows = valid_roll_size(n, t)
         g = pm1_graph(rng, n)
-        rolled = build_roll(g, rows)
+        rolled = build_roll(g, t)
         for _ in range(5):
             u = Clustering([rng.randrange(n) for _ in range(n)])
             lifted = duplication_clustering(u, rows)
@@ -221,7 +221,7 @@ def test_pivot_cannot_run_on_a_rolled_grid():
     # even a complete +-1 base rolls into an incomplete grid
     g = pm1_graph(random.Random(3), 3)
     with pytest.raises(ValueError):
-        solve_pivot(build_roll(g, valid_roll_size(3, 0)).graph)
+        solve_pivot(build_roll(g, 0).graph)
 
 
 def test_local_pipeline_on_216_node_grid():
@@ -436,8 +436,8 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
 
 def fraction_trial(g, cfg, u_ref):
     """(best candidate value, gap or None) of one trial."""
-    rows = valid_roll_size(g.n, cfg.t)
-    rolled = build_roll(g, rows)
+    rolled = build_roll(g, cfg.t)
+    rows = rolled.rows
     outcome = round_graph(rolled.graph, cfg.rounding)
     grid = run_solver(outcome.after, cfg.objective, cfg.solver).clustering
     candidates = [
@@ -525,7 +525,7 @@ def test_run_trials_rolls_the_base_once(monkeypatch, trials):
     g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=2))
     cfg = replace(local_config(), objective=MAX, lambda_ref=Fraction(3, 2))
     assert run_trials(g, cfg, trials).trials == trials
-    assert calls == [(g, valid_roll_size(3, 1))]
+    assert calls == [(g, 1)]
 
 
 def test_run_trials_rejects_an_unnormalized_base_before_rolling(monkeypatch):
@@ -542,16 +542,45 @@ def test_run_trials_rejects_an_unnormalized_base_before_rolling(monkeypatch):
             run_trials(g, identity_config(MAX), 2)
 
 
+def test_reduce_and_solve_refuses_candidates_that_do_not_sum(monkeypatch):
+    # the first candidate is read as singletons, so it loses its three
+    # positive edges and the candidates sum below the grid's value
+    import rollclust.reduction
+
+    real = rollclust.reduction.induced_clustering
+
+    def first_split(r, c, d):
+        return Clustering.singletons(r.base.n) if d == r.active[0] else real(r, c, d)
+
+    monkeypatch.setattr(rollclust.reduction, "induced_clustering", first_split)
+    g = SignedGraph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    with pytest.raises(RuntimeError, match="candidate values do not sum"):
+        reduce_on_roll(g, identity_config(MAX))
+
+
+@pytest.mark.parametrize("n, t, nodes", [(3, 1, 27), (4, 0, 16)])
+def test_run_trials_refuses_a_grid_too_big_for_the_exact_solver(monkeypatch, n, t, nodes):
+    import rollclust.reduction
+
+    def no_solving(*args):
+        raise AssertionError("solved the base before checking the grid size")
+
+    monkeypatch.setattr(rollclust.reduction, "solve_exact", no_solving)
+    g = SignedGraph(n, {(0, 1): 1})
+    message = f"exact solver cannot solve the t={t} roll of a {n}-node base: {nodes} nodes, more than 13"
+    with pytest.raises(ValueError, match=message):
+        run_trials(g, identity_config(MAX, t=t), 2)
+
+
 def test_reduce_and_solve_rejects_a_roll_at_another_t():
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
     cfg = identity_config(MAX, t=0)
     ref = solve_exact(g, MAX).clustering
     with pytest.raises(ValueError, match="not its base's roll at t=0"):
-        reduce_and_solve(build_roll(g, valid_roll_size(3, 1)), cfg, ref)
+        reduce_and_solve(build_roll(g, 1), cfg, ref)
     # an equal base rolled separately gives the same report
     same = SignedGraph(3, {(1, 0): 1, (2, 1): -1, (2, 0): Fraction(2, 4)})
-    rows = valid_roll_size(3, 0)
-    assert reduce_and_solve(build_roll(same, rows), cfg, ref) == reduce_on_roll(g, cfg)
+    assert reduce_and_solve(build_roll(same, 0), cfg, ref) == reduce_on_roll(g, cfg)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -573,7 +602,7 @@ def test_each_trial_replays_from_its_seeds(objective, lam, t):
         # the replay snippet in the README, as written
         r_seed, s_seed = agg.per_trial[i].rounding_seed, agg.per_trial[i].solver_seed
         cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed), solver=replace(cfg.solver, seed=s_seed))
-        rolled = build_roll(g, valid_roll_size(g.n, cfg.t))
+        rolled = build_roll(g, cfg.t)
         rep = reduce_and_solve(rolled, cfg_i, solve_exact(g, cfg.objective).clustering)
         assert rep.best.value == trial.best_value
         assert (rep.stats.gap if rep.stats is not None else None) == trial.gap

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from random_graphs import random_graph
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.roll import (
     DuplicateId,
@@ -21,18 +22,6 @@ from rollclust.roll import (
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
-
-
-def random_graph(rng, n, density=0.8):
-    weights = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                q = rng.randint(1, 5)
-                p = rng.randint(-q, q)
-                if p:
-                    weights[(u, v)] = Fraction(p, q)
-    return SignedGraph(n, weights)
 
 
 def cell(row, col, cols=3):
@@ -132,8 +121,8 @@ def test_n3_rows3_bone_partition_by_hand():
 def test_build_roll_structure():
     rng = random.Random(5)
     g = random_graph(rng, 3, density=1.0)
-    r = build_roll(g, 9)
-    assert r.rows == 9
+    r = build_roll(g, 1)
+    assert (r.t, r.rows) == (1, 9)
     assert len(r.active) == 27
     assert len(set(r.active)) == 27
     # trim order: slope-major, then start row
@@ -160,7 +149,7 @@ def test_build_roll_rejects_two_active_duplicates_on_one_bone(monkeypatch):
     )
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
     with pytest.raises(AssertionError, match="claimed by two active duplicates"):
-        build_roll(g, 3)
+        build_roll(g, 0)
 
 
 def test_build_roll_computes_each_active_duplicates_cells_once(monkeypatch):
@@ -174,7 +163,7 @@ def test_build_roll_computes_each_active_duplicates_cells_once(monkeypatch):
     rng = random.Random(7)
     for n, t in [(3, 0), (3, 1), (4, 1), (5, 2)]:
         calls.clear()
-        r = build_roll(random_graph(rng, n), valid_roll_size(n, t))
+        r = build_roll(random_graph(rng, n), t)
         assert sorted(calls) == sorted(r.active)
         # reading candidates goes through the cached cells
         c = Clustering.one_cluster(r.rows * n)
@@ -184,67 +173,50 @@ def test_build_roll_computes_each_active_duplicates_cells_once(monkeypatch):
 
 
 def test_rolled_graph_is_a_frozen_slotted_record_compared_by_identity():
-    r = build_roll(random_graph(random.Random(5), 3, density=1.0), 9)
+    r = build_roll(random_graph(random.Random(5), 3, density=1.0), 1)
     assert repr(r) == "RolledGraph(n=3, rows=9, active=27 of 45)"
     assert dataclasses.is_dataclass(r) and not hasattr(r, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.rows = 3
-    # built positionally from any iterable of duplicates; the graph is built, not passed
-    again = RolledGraph(r.base, r.rows, list(r.active))
-    assert again.active == r.active and r.active[-1] in again.active
-    assert again.graph == r.graph
+    # built from the base and t alone; everything else is computed
+    again = RolledGraph(r.base, r.t)
+    assert again.active == r.active and again.graph == r.graph
     assert again != r and r == r
     with pytest.raises(TypeError):
-        RolledGraph(r.base, r.rows, r.active, r.graph)
+        RolledGraph(r.base, r.t, r.active)
     with pytest.raises(TypeError):
-        RolledGraph(r.base, r.rows, r.active, _cells={})
+        RolledGraph(r.base, r.t, _cells={})
 
 
-def test_build_roll_requires_divisibility():
-    g = SignedGraph(4, {(0, 1): 1})
-    with pytest.raises(ValueError):
-        build_roll(g, 5)   # (5-1) % 3 != 0
-    with pytest.raises(ValueError):
-        build_roll(g, 7)   # 49 % 4 != 0
-
-
-def test_rolled_graph_checks_its_size_and_duplicates():
-    g = SignedGraph(3, {(0, 1): 1})
-    # a start row and a slope outside a 3-row roll of 3 nodes (max slope 1)
-    for d in (DuplicateId(7, 5), DuplicateId(3, 0), DuplicateId(-1, 0), DuplicateId(0, 2), DuplicateId(0, -1)):
-        with pytest.raises(ValueError, match="is not a duplicate of a 3-row roll of 3 nodes"):
-            RolledGraph(g, 3, [d])
-    with pytest.raises(ValueError, match=r"\(rows-1\) must be divisible by \(n-1\); got rows=4, n=3"):
-        RolledGraph(g, 4, [DuplicateId(0, 0)])
-    assert RolledGraph(g, 3, [DuplicateId(2, 1)]).graph.edge_count == 1
+def test_records_refuse_every_assignment():
+    # a field name and a name that is no field both raise FrozenInstanceError
+    g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): -1})
+    records = (g, Clustering([2, 2, 0]), RolledGraph(g, 0))
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        for name in (dataclasses.fields(record)[0].name, "x"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
 
 
 def test_build_roll_error_messages():
-    g4 = SignedGraph(4, {(0, 1): 1})
+    # valid_roll_size owns the size rule; the constructor adds no check of its own
     cases = [
-        (SignedGraph(0), 3, "base graph must have at least 2 nodes"),
-        (SignedGraph(1), 3, "base graph must have at least 2 nodes"),
-        (g4, -2, "rows must be at least 1; got rows=-2"),
-        (g4, 5, "(rows-1) must be divisible by (n-1); got rows=5, n=4"),
-        (g4, 7, "rows^2 must be divisible by n; got rows=7, n=4"),
+        (SignedGraph(0), 0, "base graph must have at least 3 nodes"),
+        (SignedGraph(2, {(0, 1): 1}), 1, "base graph must have at least 3 nodes"),
+        (SignedGraph(4, {(0, 1): 1}), -1, "t must be non-negative"),
     ]
-    for g, rows, message in cases:
+    for g, t, message in cases:
         with pytest.raises(ValueError) as info:
-            build_roll(g, rows)
+            build_roll(g, t)
         assert str(info.value) == message
-
-
-def test_build_roll_rejects_rows_below_one():
-    # both pass the divisibility checks
-    with pytest.raises(ValueError, match="rows must be at least 1"):
-        build_roll(SignedGraph(4, {(0, 1): 1}), -2)
-    with pytest.raises(ValueError, match="rows must be at least 1"):
-        build_roll(SignedGraph(2, {(0, 1): 1}), 0)
 
 
 def test_rolled_edges_carry_base_weights():
     g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): -1})
-    r = build_roll(g, 3)
+    r = build_roll(g, 0)
     for d in r.active:
         cells = duplicate_cells(d, 3, 3)
         for j1, j2 in itertools.combinations(range(3), 2):
@@ -257,32 +229,48 @@ def test_rolled_edges_carry_base_weights():
             assert r.graph.weight(a, b) == 0
 
 
-def public_roll_graph(g, rows):
-    """The rolled graph built edge by edge through the public constructor."""
+def frozen_roll(g, t):
+    """The roll as built when a caller still passed the row count and the
+    duplicate list: rows from the size formula, the first rows^2/n
+    duplicates slope-major, each one's cells stepped row by row, and the
+    rolled graph built edge by edge through the public constructor. Returns
+    (rows, active, cells by duplicate, graph)."""
     n = g.n
+    rows = n * (1 + t * (n - 1))
+    ordered = [DuplicateId(start, slope)
+               for slope in range((rows - 1) // (n - 1) + 1) for start in range(rows)]
+    active = tuple(ordered[: rows * rows // n])
+    cells = {}
+    for d in active:
+        row, cells[d] = d.start_row, []
+        for j in range(n):
+            cells[d].append(row * n + j)
+            row = (row + d.slope) % rows
+        cells[d] = tuple(cells[d])
     weights = {}
-    for d in list(all_duplicates(rows, n))[: rows * rows // n]:
-        cells = duplicate_cells(d, rows, n)
+    for d in active:
         for j1, j2, w in g.edges():
-            weights[(cells[j1], cells[j2])] = w
-    return SignedGraph(rows * n, weights)
+            weights[(cells[d][j1], cells[d][j2])] = w
+    return rows, active, cells, SignedGraph(rows * n, weights)
 
 
 def test_build_roll_matches_the_public_constructor():
     rng = random.Random(31)
-    for n, t in [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0)]:
-        rows = valid_roll_size(n, t)
-        for g in (SignedGraph(n), random_graph(rng, n), random_graph(rng, n, density=1.0)):
-            rolled = build_roll(g, rows).graph
-            expected = public_roll_graph(g, rows)
-            assert rolled == expected and hash(rolled) == hash(expected)
-            assert rolled.scale == g.scale
-            assert list(rolled.scaled_weights()) == list(expected.scaled_weights())
+    for n in range(3, 8):
+        for t in range(3):
+            for g in (SignedGraph(n), random_graph(rng, n), random_graph(rng, n, density=1.0)):
+                r = build_roll(g, t)
+                rows, active, cells, expected = frozen_roll(g, t)
+                assert (r.t, r.rows, r.active, r._cells) == (t, rows, active, cells)
+                rolled = r.graph
+                assert rolled == expected and hash(rolled) == hash(expected)
+                assert rolled.scale == g.scale
+                assert list(rolled.scaled_weights()) == list(expected.scaled_weights())
 
 
 def test_zero_edge_base_rolls_to_zero_edges():
     g = SignedGraph(3)
-    r = build_roll(g, 3)
+    r = build_roll(g, 0)
     assert r.graph.edge_count == 0
     assert len(r.active) == 3
 
@@ -291,8 +279,8 @@ def test_active_duplicates_partition_rolled_edges():
     rng = random.Random(23)
     for n, t in [(3, 0), (3, 1), (4, 0), (5, 0), (4, 1)]:
         g = random_graph(rng, n)
-        rows = valid_roll_size(n, t)
-        r = build_roll(g, rows)
+        r = build_roll(g, t)
+        rows = r.rows
         seen = set()
         for d in r.active:
             cells = duplicate_cells(d, rows, n)
@@ -307,7 +295,7 @@ def test_active_duplicates_partition_rolled_edges():
 
 def test_induced_clustering_examples():
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
-    r = build_roll(g, 3)
+    r = build_roll(g, 0)
     whole = Clustering.one_cluster(9)
     for d in r.active:
         assert induced_clustering(r, whole, d) == Clustering.one_cluster(3)
@@ -327,8 +315,8 @@ def test_value_decomposition_over_duplicates():
         n = rng.choice([3, 4, 5])
         t = rng.choice([0, 1])
         g = random_graph(rng, n)
-        rows = valid_roll_size(n, t)
-        r = build_roll(g, rows)
+        r = build_roll(g, t)
+        rows = r.rows
         k = rng.randint(1, 6)
         c = Clustering([rng.randrange(k) for _ in range(rows * n)])
         for objective in (MAX, MIN):
@@ -346,9 +334,9 @@ def test_induced_clustering_matches_a_from_scratch_reading():
     rng = random.Random(41)
     for n in range(3, 7):
         for t in range(3):
-            rows = valid_roll_size(n, t)
-            r = build_roll(random_graph(rng, n), rows)
-            rebuilt = RolledGraph(r.base, r.rows, r.active)
+            r = build_roll(random_graph(rng, n), t)
+            rows = r.rows
+            rebuilt = RolledGraph(r.base, t)
             c = Clustering([rng.randrange(n) for _ in range(rows * n)])
             for d in r.active:
                 want = Clustering(c.labels[i] for i in duplicate_cells(d, rows, n))

@@ -23,21 +23,10 @@ from rollclust.rounding import (
 from rollclust.streams import derive_seed, encode_part, make_rng
 
 from hoeffding import hoeffding_tail
+from random_graphs import random_graph
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
-
-
-def random_graph(rng, n, density=0.8):
-    weights = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                q = rng.randint(1, 5)
-                p = rng.randint(-q, q)
-                if p:
-                    weights[(u, v)] = Fraction(p, q)
-    return SignedGraph(n, weights)
 
 
 def fraction_round_edge_weight(w, params, u, v):

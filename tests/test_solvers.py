@@ -6,7 +6,7 @@ import pytest
 
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.harness import CompleteSigned, GenSpec, PlantedPartition, UniformRational, generate
-from rollclust.roll import build_roll, valid_roll_size
+from rollclust.roll import build_roll
 from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
     EXACT_NODE_LIMIT,
@@ -22,20 +22,10 @@ from rollclust.solvers import (
     solve_trivial_max,
 )
 
+from random_graphs import random_graph
+
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
-
-
-def random_graph(rng, n, density=0.8):
-    weights = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                q = rng.randint(1, 5)
-                p = rng.randint(-q, q)
-                if p:
-                    weights[(u, v)] = Fraction(p, q)
-    return SignedGraph(n, weights)
 
 
 def random_complete_pm1(rng, n, plus=0.5):
@@ -739,7 +729,7 @@ def test_local_search_matches_rescanning_oracle():
 
 def rounded_grid(n, t, gen_seed, round_seed, model=UniformRational(density=1.0)):
     base = generate(GenSpec(n=n, model=model, seed=gen_seed))
-    rolled = build_roll(base, valid_roll_size(n, t)).graph
+    rolled = build_roll(base, t).graph
     return round_graph(rolled, RoundingParams(alpha=1, beta=1, seed=round_seed)).after
 
 
