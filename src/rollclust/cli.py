@@ -65,13 +65,14 @@ def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
 
 
 def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
+    """The parser, and its subcommand name -> subparser map; each subparser
+    names its handler as its `run` default."""
     common, seeded, report = _parent_parsers()
     parser = argparse.ArgumentParser(
         prog="rollclust",
         description="Correlation clustering with rolls, rounding, and exact accounting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     p = sub.add_parser("gen", parents=[common, seeded], help="generate a random instance")
     p.add_argument("--n", type=int, default=None, help="node count (required here or in --config)")
@@ -81,26 +82,26 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--denominator-bound", type=int, default=6)
     p.add_argument("--plus-prob", type=float, default=0.5)
-    subparsers["gen"] = p
+    p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("roll", parents=[common], help="roll a graph into a grid")
     p.add_argument("graph", help="input graph file")
     p.add_argument("--t", type=int, default=None,
                    help="roll size parameter (required here or in --config)")
-    subparsers["roll"] = p
+    p.set_defaults(run=cmd_roll)
 
     p = sub.add_parser("round", parents=[common, seeded], help="randomly round weights")
     p.add_argument("graph")
     p.add_argument("--alpha", type=_fraction, default=Fraction(1))
     p.add_argument("--beta", type=_fraction, default=Fraction(1))
-    subparsers["round"] = p
+    p.set_defaults(run=cmd_round)
 
     p = sub.add_parser("solve", parents=[common, seeded], help="cluster a graph")
     p.add_argument("graph")
     p.add_argument("--solver", choices=[k.value for k in SolverKind], default="exact")
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    subparsers["solve"] = p
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("reduce", parents=[common, seeded, report],
                        help="run the roll pipeline trials")
@@ -111,18 +112,18 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--beta", type=_fraction, default=Fraction(1))
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
     p.add_argument("--lambda", dest="lambda_ref", type=_fraction, default=Fraction(1))
-    p.add_argument("--solver", choices=[k.value for k in SolverKind], default="exact")
+    p.add_argument("--solver", choices=[k.value for k in SolverKind], default="local")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trials", type=int, default=20)
-    subparsers["reduce"] = p
+    p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("verify", parents=[common, seeded, report], help="run all invariant suites")
     p.add_argument("--sizes", type=_int_list, default="3,4,5", help="comma-separated base sizes")
     p.add_argument("--ts", type=_int_list, default="0,1", help="comma-separated roll parameters")
     p.add_argument("--instances", type=int, default=5)
-    subparsers["verify"] = p
+    p.set_defaults(run=cmd_verify)
 
-    return parser, subparsers
+    return parser, sub.choices
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -365,16 +366,8 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
     _apply_config(argv, subparsers)
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": cmd_gen,
-        "roll": cmd_roll,
-        "round": cmd_round,
-        "solve": cmd_solve,
-        "reduce": cmd_reduce,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,19 +85,16 @@ class SignedGraph:
 
     @classmethod
     def _from_scaled(cls, n: int, scale: int, weights: dict) -> "SignedGraph":
-        """Build from nonzero ints over a positive, possibly unreduced scale; keys u < v."""
+        """Build from ints over a possibly unreduced scale, unchecked. Its two
+        callers, RolledGraph and round_graph, pass a positive scale and
+        nonzero weights on keys (u, v) with 0 <= u < v < n."""
         g = cls.__new__(cls)
         g._set_scaled(n, scale, weights)
         return g
 
     def _set_scaled(self, n: int, scale: int, weights: dict) -> None:
-        # the one place the fields are set: reduce to the canonical scale,
-        # the lcm of the weights' reduced denominators, and sort the pairs
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        for (u, v), w in weights.items():
-            if not 0 <= u < v < n or w == 0:
-                raise ValueError(f"edge ({u},{v}) needs 0 <= u < v < {n} and a nonzero weight")
+        # the one place the fields are set, unchecked: reduce to the canonical
+        # scale, the lcm of the weights' reduced denominators; sort the pairs
         d = math.gcd(scale, *weights.values())
         # keys are unique, so sorting them alone orders the items, at about
         # half the cost of sorting the items

@@ -21,7 +21,6 @@ the same rounding outcome (drift sums s1 and s2 and their gap).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,15 +53,6 @@ class RoundingOutcome:
     after: SignedGraph
 
 
-def bernoulli(rng: random.Random, p: Fraction) -> bool:
-    """Exact Bernoulli(p): randrange on the denominator, no float bias."""
-    if p <= 0:
-        return False
-    if p >= 1:
-        return True
-    return rng.randrange(p.denominator) < p.numerator
-
-
 def acceptance_limit(den: int) -> int:
     """The largest multiple of den <= 2**64: a derived seed below it is uniform mod den."""
     return (1 << 64) - (1 << 64) % den
@@ -93,7 +83,7 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
             tags = tags or [encode_part(x) for x in range(g.n)]
             s = extended_seed(edge_stream, tags[u] + tags[v])
             if not (s % den < num if s < limit
-                    else bernoulli(make_rng(params.seed, "edge", u, v, "retry"), Fraction(num, den))):
+                    else make_rng(params.seed, "edge", u, v, "retry").randrange(den) < num):
                 continue
         weights[(u, v)] = up if w > 0 else down
     scale = alpha.denominator * beta.denominator  # up / scale = beta, down / scale = -alpha
@@ -132,7 +122,7 @@ def deviation_stats(
     Contributing sets are taken on the pre-rounding graph; rounded weights
     come from the outcome. lam must exceed 1.
     """
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     if lam <= 1:
         raise ValueError("lam must be > 1")
     before, after = out.before, out.after

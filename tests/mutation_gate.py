@@ -1,5 +1,5 @@
-"""Mutation gate: each mutant of the roll layer, the exact solver, the
-reduction or verify must fail the tests named for it.
+"""Mutation gate: each mutant of the roll layer, the rounding, the exact
+solver, the reduction or verify must fail the tests named for it.
 
 A mutant is one textual edit to a module of the package. For each mutant the
 gate copies src/, tests/ and pyproject.toml into a temporary directory,
@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROLL = "src/rollclust/roll.py"
+ROUNDING = "src/rollclust/rounding.py"
 SOLVERS = "src/rollclust/solvers.py"
 REDUCTION = "src/rollclust/reduction.py"
 HARNESS = "src/rollclust/harness.py"
@@ -98,6 +99,33 @@ MUTANTS = {
             "tests/test_golden.py::test_roll_command_output_is_byte_identical",
         ],
     ),
+    "the roll stores a bone's pair as (a, b), uncanonicalized": (
+        ROLL,
+        "weights[(a, b) if a < b else (b, a)] = w",
+        "weights[(a, b)] = w",
+        [
+            # SignedGraph._from_scaled does not check its pairs, so only the
+            # graph's contents show the mutant
+            "tests/test_roll.py::test_build_roll_matches_the_public_constructor",
+            "tests/test_roll.py::test_active_duplicates_partition_rolled_edges",
+            "tests/test_golden.py::test_roll_command_output_is_byte_identical",
+        ],
+    ),
+    "the rounding stores 0 for a dropped edge": (
+        ROUNDING,
+        "                continue\n",
+        "                weights[(u, v)] = 0\n                continue\n",
+        [
+            "tests/test_rounding.py::test_round_graph_matches_the_fraction_oracle",
+            "tests/test_rounding.py::test_rounded_support",
+        ],
+    ),
+    "the retry draw keeps an edge on randrange(den) <= num": (
+        ROUNDING,
+        ".randrange(den) < num",
+        ".randrange(den) <= num",
+        ["tests/test_rounding.py::test_rejected_seeds_fall_back_to_the_retry_stream"],
+    ),
     "reduce_and_solve without its roll check": (
         REDUCTION,
         "    if rolled.t != cfg.t:\n"
@@ -125,6 +153,35 @@ MUTANTS = {
         "rounding=replace(cfg.rounding, seed=r_seed),",
         "rounding=replace(cfg.rounding, seed=r_seed ^ 1),",
         ["tests/test_reduction.py::test_each_trial_replays_from_its_seeds"],
+    ),
+    "the best candidate's value is read over the rounded graph's scale": (
+        REDUCTION,
+        "Fraction(scaled[best_index], g.scale)",
+        "Fraction(scaled[best_index], outcome.after.scale)",
+        [
+            # the scales differ only on a base with a fractional weight
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
+            "tests/test_golden.py::test_seeded_report_is_byte_identical",
+        ],
+    ),
+    "run_trials counts the good trials as bad": (
+        REDUCTION,
+        "Fraction(sum(s.bad for s in summaries), trials)",
+        "Fraction(sum(True for s in summaries), trials)",
+        [
+            "tests/test_reduction.py::test_run_trials_identity_regime",
+            "tests/test_reduction.py::test_bad_events_thin_out_as_the_roll_grows",
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
+        ],
+    ),
+    "run_trials drops the first gap from its gap summary": (
+        REDUCTION,
+        "gaps = [s.gap for s in summaries if s.gap is not None]",
+        "gaps = [s.gap for s in summaries if s.gap is not None][1:]",
+        [
+            "tests/test_reduction.py::test_run_trials_gap_stats_present",
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
+        ],
     ),
     "verify_all accepts empty sizes and ts": (
         HARNESS,

@@ -22,7 +22,7 @@ from rollclust.harness import (
 )
 from rollclust.reduction import ReductionConfig, reduce_and_solve, run_trials
 from rollclust.roll import all_duplicates, build_roll, valid_roll_size
-from rollclust.rounding import RoundingParams, bernoulli
+from rollclust.rounding import RoundingParams
 from rollclust.solvers import (
     SolverKind,
     SolverSpec,
@@ -112,9 +112,10 @@ def test_criterion_04_rounding_preserves_contributing_sets():
 
 
 def round_weight(w, params, rng):
-    """One nonzero weight rounded to beta, -alpha or 0; expectation w."""
+    """One nonzero weight rounded to beta, -alpha or 0; expectation w. Kept
+    iff a uniform draw below p's denominator falls under its numerator."""
     p, to = (w / params.beta, params.beta) if w > 0 else (-w / params.alpha, -params.alpha)
-    return to if bernoulli(rng, p) else Fraction(0)
+    return to if rng.randrange(p.denominator) < p.numerator else Fraction(0)
 
 
 def test_criterion_05_rounding_unbiasedness():

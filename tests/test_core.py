@@ -270,23 +270,6 @@ def test_from_scaled_matches_the_fraction_built_graph():
     assert SignedGraph._from_scaled(2, 3, {(0, 1): 3}).scale == 1
 
 
-@pytest.mark.parametrize(
-    "n, scale, weights",
-    [
-        (3, 1, {(1, 0): 1}),
-        (3, 1, {(1, 1): 1}),
-        (3, 1, {(0, 3): 1}),
-        (3, 1, {(-1, 2): 1}),
-        (3, 2, {(0, 1): 0}),
-        (3, 0, {(0, 1): 1}),
-        (3, -2, {(0, 1): 1}),
-    ],
-)
-def test_from_scaled_rejects_bad_input(n, scale, weights):
-    with pytest.raises(ValueError):
-        SignedGraph._from_scaled(n, scale, weights)
-
-
 def scaled_by(g, c):
     return SignedGraph(g.n, {(u, v): c * w for u, v, w in g.edges()})
 

@@ -16,7 +16,6 @@ from rollclust.core import (
 import rollclust.rounding
 from rollclust.rounding import (
     RoundingParams,
-    bernoulli,
     deviation_stats,
     round_graph,
 )
@@ -27,6 +26,12 @@ from random_graphs import random_graph
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
+
+
+def exact_draw(rng, p):
+    """True with probability p, for 0 < p <= 1: a uniform draw below p's
+    denominator, compared as a Fraction."""
+    return Fraction(rng.randrange(p.denominator), p.denominator) < p
 
 
 def fraction_round_edge_weight(w, params, u, v):
@@ -41,7 +46,7 @@ def fraction_round_edge_weight(w, params, u, v):
         if s < 2**64 // p.denominator * p.denominator:
             keep = Fraction(s % p.denominator, p.denominator) < p
         else:
-            keep = bernoulli(make_rng(params.seed, "edge", u, v, "retry"), p)
+            keep = exact_draw(make_rng(params.seed, "edge", u, v, "retry"), p)
     return (magnitude if w > 0 else -magnitude) if keep else Fraction(0)
 
 
@@ -230,13 +235,13 @@ def test_rejected_seeds_fall_back_to_the_retry_stream(monkeypatch, den):
         ]
         assert all(rng.ranges == [den] for _, _, rng in streams)
         assert after.edge_count == (2 if kept else 0)
-    # the real retry stream decides the edge exactly as bernoulli on it does
+    # the real retry stream decides the edge by one exact draw on it
     monkeypatch.setattr(rollclust.rounding, "make_rng", make_rng)
     for seed in range(20):
         params = RoundingParams(alpha=1, beta=1, seed=seed)
         after = round_graph(g, params).after
         for u, v, w in g.edges():
-            keep = bernoulli(make_rng(seed, "edge", u, v, "retry"), abs(w))
+            keep = exact_draw(make_rng(seed, "edge", u, v, "retry"), abs(w))
             assert after.weight(u, v) == ((1 if w > 0 else -1) if keep else 0)
     # seeds below the limit are read off directly, with no stream: residue
     # 0 keeps both edges, the highest accepted seed (residue den - 1) drops
@@ -414,6 +419,15 @@ def test_deviation_stats_rejects_lambda_at_most_one():
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
     with pytest.raises(ValueError):
         deviation_stats(out, Clustering([0, 0]), Clustering([0, 0]), Fraction(1), MAX)
+
+
+def test_deviation_stats_refuses_a_float_lambda():
+    g = SignedGraph(2, {(0, 1): 1})
+    out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
+    with pytest.raises(TypeError, match="not the float 1.1"):
+        deviation_stats(out, Clustering([0, 0]), Clustering([0, 1]), 1.1, MAX)
+    stats = deviation_stats(out, Clustering([0, 0]), Clustering([0, 1]), "11/10", MAX)
+    assert stats.lam == Fraction(11, 10)
 
 
 def test_drift_sums_center_on_zero():

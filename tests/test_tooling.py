@@ -4,9 +4,11 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import rollclust
+from rollclust.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -33,6 +35,16 @@ def test_readme_api_quick_start_runs_as_written():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md quick start", "exec"), {})
     assert len(out.getvalue().splitlines()) == 2
+
+
+def test_readme_cli_quick_start_runs_as_written(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 6 and all(argv[0] == "rollclust" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, shlex.join(argv)
 
 
 def test_every_exported_name_resolves():
