@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: gen, roll, round, solve, reduce, verify. Every command is
+Subcommands: gen, roll, round, solve, reduce. Every command is
 deterministic; all but roll take --seed, and their generation, rounding,
 and solver randomness run on named sub-streams derived from that one seed.
 roll and reduce size a roll by --t alone: the row count follows from the
@@ -25,7 +25,6 @@ from .harness import (
     PlantedPartition,
     UniformRational,
     generate,
-    verify_all,
 )
 from .jsonutil import frac_to_str
 from .reduction import ReductionConfig, aggregate_to_dict, run_trials
@@ -42,32 +41,22 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _int_list(text: str) -> "tuple[int, ...]":
-    try:
-        return tuple(int(x) for x in text.split(",") if x)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
-
-
 def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
     """Shared flags: --out and --config for every subcommand, --seed for
-    the ones that draw randomness, --format for the ones with a CSV form."""
+    the ones that draw randomness."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None,
                         help="file of 'key = value' defaults; flags override")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format")
-    return common, seeded, report
+    return common, seeded
 
 
 def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     """The parser, and its subcommand name -> subparser map; each subparser
     names its handler as its `run` default."""
-    common, seeded, report = _parent_parsers()
+    common, seeded = _parent_parsers()
     parser = argparse.ArgumentParser(
         prog="rollclust",
         description="Correlation clustering with rolls, rounding, and exact accounting",
@@ -103,8 +92,9 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("reduce", parents=[common, seeded, report],
-                       help="run the roll pipeline trials")
+    p = sub.add_parser("reduce", parents=[common, seeded], help="run the roll pipeline trials")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="report format")
     p.add_argument("graph")
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--t", type=int, default=0)
@@ -116,12 +106,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(run=cmd_reduce)
-
-    p = sub.add_parser("verify", parents=[common, seeded, report], help="run all invariant suites")
-    p.add_argument("--sizes", type=_int_list, default="3,4,5", help="comma-separated base sizes")
-    p.add_argument("--ts", type=_int_list, default="0,1", help="comma-separated roll parameters")
-    p.add_argument("--instances", type=int, default=5)
-    p.set_defaults(run=cmd_verify)
 
     return parser, sub.choices
 
@@ -338,27 +322,6 @@ def cmd_reduce(args) -> int:
     for note, count in agg.notes:
         print(f"note: {note} ({count} of {agg.trials} trials)", file=sys.stderr)
     return 0
-
-
-def cmd_verify(args) -> int:
-    report = verify_all(seed=args.seed, sizes=args.sizes, ts=args.ts, instances=args.instances)
-    for name, check in sorted(report.checks.items()):
-        status = "ok" if check.failures == 0 else f"FAILED ({check.failures})"
-        print(f"{name}: {check.instances_run} instances, {status}")
-        if check.failures and check.worst_case_detail:
-            print(f"  worst case: {check.worst_case_detail}")
-    if args.out:
-        if args.format == "csv":
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["check", "instances_run", "failures", "worst_case_detail"])
-                for name, check in sorted(report.checks.items()):
-                    writer.writerow(
-                        [name, check.instances_run, check.failures, check.worst_case_detail]
-                    )
-        else:
-            _write_json(args.out, report.to_dict())
-    return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:

@@ -11,9 +11,7 @@ base node set that starts at some row and advances by a fixed slope per
 column. Every duplicate therefore sees an isomorphic copy of the base
 graph, and distinct duplicates share no bones.
 
-duplicate_cells gives a duplicate's cells in closed form, and duplicate_of
-inverts it: it names the duplicate that owns a pair of cells, or returns
-None when the pair is not a bone.
+duplicate_cells gives a duplicate's cells in closed form.
 
 There are N*((N-1)/(n-1)+1) duplicates in total, more than fit disjoint
 copies of the edge set. Only the first N^2/n duplicates in lexicographic
@@ -43,20 +41,6 @@ class DuplicateId(NamedTuple):
 def max_slope(rows: int, cols: int) -> int:
     # valid rolls have (rows-1) divisible by (cols-1)
     return (rows - 1) // (cols - 1)
-
-
-def duplicate_of(a: int, b: int, rows: int, cols: int) -> "DuplicateId | None":
-    """The duplicate that owns the pair of flat cells {a, b}, or None when
-    the pair is not a grid bone."""
-    (row_a, col_a), (row_b, col_b) = divmod(a, cols), divmod(b, cols)
-    if col_a == col_b:
-        return None
-    if col_a > col_b:
-        row_a, col_a, row_b, col_b = row_b, col_b, row_a, col_a
-    slope, rest = divmod((row_b - row_a) % rows, col_b - col_a)
-    if rest == 0 and slope <= max_slope(rows, cols):
-        return DuplicateId((row_a - col_a * slope) % rows, slope)
-    return None
 
 
 def valid_roll_size(n: int, t: int) -> int:

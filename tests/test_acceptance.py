@@ -7,22 +7,11 @@ import random
 import time
 from fractions import Fraction
 
-from rollclust.core import Clustering, ObjectiveKind
-from rollclust.harness import (
-    CompleteSigned,
-    GenSpec,
-    UniformRational,
-    _sqrt_upper,
-    check_bone_partition,
-    check_edge_disjointness,
-    check_isomorphism,
-    check_rounding_preservation,
-    check_value_decomposition,
-    generate,
-)
+from rollclust.core import Clustering, ObjectiveKind, clustering_value, contributing_edges
+from rollclust.harness import CompleteSigned, GenSpec, UniformRational, generate
 from rollclust.reduction import ReductionConfig, reduce_and_solve, run_trials
 from rollclust.roll import all_duplicates, build_roll, valid_roll_size
-from rollclust.rounding import RoundingParams
+from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
     SolverKind,
     SolverSpec,
@@ -34,6 +23,12 @@ from rollclust.solvers import (
 from rollclust.streams import derive_seed, make_rng
 
 from hoeffding import hoeffding_tail
+from invariants import (
+    check_edge_disjointness,
+    check_isomorphism,
+    check_value_decomposition,
+    sqrt_upper,
+)
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -73,10 +68,12 @@ def test_criterion_01_duplicate_count():
 
 
 def test_criterion_02_bone_partition_and_isomorphism():
+    # the active copies partition the rolled edges; that every bone of the
+    # untrimmed grid has exactly one owner is checked by
+    # test_roll.py::test_bone_partition_exhaustive, on these four grids too
     with Budget(2, "bone partition and per-copy isomorphism", 10):
         for n, t in ((3, 0), (3, 1), (4, 0), (5, 0)):
             rows = valid_roll_size(n, t)
-            assert check_bone_partition(n, rows) is None
             g = generate(GenSpec(n=n, model=UniformRational(density=1.0), seed=n * 100 + rows))
             r = build_roll(g, t)
             for check in (check_edge_disjointness, check_isomorphism):
@@ -107,8 +104,11 @@ def test_criterion_04_rounding_preserves_contributing_sets():
             k = rng.randint(1, n)
             c = Clustering([rng.randrange(k) for _ in range(n)])
             alpha, beta = spreads[i % len(spreads)]
-            params = RoundingParams(alpha=alpha, beta=beta, seed=i)
-            assert check_rounding_preservation(g, c, params) is None
+            out = round_graph(g, RoundingParams(alpha=alpha, beta=beta, seed=i))
+            for objective in (MAX, MIN):
+                pre = contributing_edges(out.before, c, objective)
+                assert contributing_edges(out.after, c, objective) <= pre
+                assert clustering_value(out.after, c, objective) == out.after.abs_weight(pre)
 
 
 def round_weight(w, params, rng):
@@ -135,7 +135,7 @@ def test_criterion_05_rounding_unbiasedness():
             mean = total / samples
             magnitude = beta if w > 0 else alpha
             variance = magnitude * abs(w) - w * w
-            tolerance = 4 * _sqrt_upper(variance / samples)
+            tolerance = 4 * sqrt_upper(variance / samples)
             assert abs(mean - w) <= tolerance, (
                 f"w={w}: mean {float(mean):.5f} outside {float(tolerance):.5f}"
             )

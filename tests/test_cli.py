@@ -169,49 +169,6 @@ def test_reduce_histogram_takes_ratios_beyond_float_range(tmp_path, capsys):
     assert hist[-1].split(",")[1] == f"{5 * 10**399}.000000"
 
 
-def test_verify_green_and_report_files(tmp_path, capsys):
-    json_out = tmp_path / "verify.json"
-    code, out, _ = run(capsys, "verify", "--sizes", "3", "--ts", "0",
-                       "--instances", "1", "--out", str(json_out))
-    assert code == 0
-    assert "oracle_agreement" in out and "FAILED" not in out
-    payload = json.loads(json_out.read_text())
-    assert set(payload) >= {"duplicate_count", "bone_partition", "unbiasedness"}
-    csv_out = tmp_path / "verify.csv"
-    code, _, _ = run(capsys, "verify", "--sizes", "3", "--ts", "0",
-                     "--instances", "1", "--format", "csv", "--out", str(csv_out))
-    assert code == 0
-    assert csv_out.read_text().startswith("check,instances_run,failures")
-
-
-@pytest.mark.parametrize("instances", ["0", "-1"])
-def test_verify_with_no_instances_is_reported_as_error(capsys, instances):
-    # a run that checks nothing must not report every check ok
-    code, out, err = run(capsys, "verify", "--sizes", "3", "--ts", "0", "--instances", instances)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: instances must be at least 1, got {instances}\n"
-
-
-@pytest.mark.parametrize("sizes, ts", [("", ""), ("", "0"), ("3", ""), (",", "0")])
-def test_verify_with_no_sizes_or_ts_is_reported_as_error(capsys, sizes, ts):
-    # an empty grid of cases must not report the checks ok
-    code, out, err = run(capsys, "verify", "--sizes", sizes, "--ts", ts)
-    assert code == 2
-    assert out == ""
-    assert err == "error: sizes and ts must each name at least one value\n"
-
-
-@pytest.mark.parametrize("flag", ["sizes", "ts"])
-def test_verify_names_the_flag_of_a_bad_integer_list(tmp_path, capsys, flag):
-    err = usage_error(capsys, "verify", f"--{flag}", "3,a")
-    assert f"argument --{flag}: not a comma-separated list of integers: '3,a'" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{flag} = a\n")
-    err = usage_error(capsys, "verify", "--config", str(cfg))
-    assert f"argument --{flag}: not a comma-separated list of integers: 'a'" in err
-
-
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 5\nmodel = complete\nplus-prob = 1.0  # all positive\n")
@@ -277,12 +234,12 @@ def test_config_values_must_be_valid_choices(tmp_path, capsys, line, key):
 
 def test_config_value_of_the_wrong_type_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 4\ninstances = x\n")
-    err = usage_error(capsys, "verify", "--config", str(cfg))
-    assert err == f"error: {cfg}: instances = 'x': argument --instances: invalid int value: 'x'\n"
+    cfg.write_text("seed = 4\ntrials = x\n")
+    err = usage_error(capsys, "reduce", "g.txt", "--config", str(cfg))
+    assert err == f"error: {cfg}: trials = 'x': argument --trials: invalid int value: 'x'\n"
     # the same value as a flag keeps argparse's own message
-    err = usage_error(capsys, "verify", "--instances", "x")
-    assert err.endswith("rollclust verify: error: argument --instances: invalid int value: 'x'\n")
+    err = usage_error(capsys, "reduce", "g.txt", "--trials", "x")
+    assert err.endswith("rollclust reduce: error: argument --trials: invalid int value: 'x'\n")
     assert "usage:" in err and str(cfg) not in err
     # a value that converts runs as the same flag would
     cfg.write_text("n = 4\ndensity = 0.5\nseed = 2\n")

@@ -1,3 +1,6 @@
+"""The instance generators, and negative controls for the checks in
+tests/invariants.py: each must catch the corruption it is built for."""
+
 import itertools
 from fractions import Fraction
 
@@ -5,23 +8,21 @@ import pytest
 
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph
 from rollclust.harness import (
-    CheckResult,
     CompleteSigned,
     GenSpec,
     PlantedPartition,
     UniformRational,
-    check_bone_partition,
-    check_duplicate_count,
-    check_edge_disjointness,
-    check_isomorphism,
-    check_unbiasedness,
-    check_value_decomposition,
     generate,
-    verify_all,
-    _sqrt_upper,
 )
 from rollclust.roll import DuplicateId, RolledGraph, all_duplicates, build_roll
 from rollclust.solvers import solve_exact
+
+from invariants import (
+    check_edge_disjointness,
+    check_isomorphism,
+    check_value_decomposition,
+    sqrt_upper,
+)
 
 
 def complete_pairs(n):
@@ -90,27 +91,6 @@ def test_model_validation():
         generate(GenSpec(n=3, model="bogus"))
 
 
-def test_verify_all_is_green():
-    report = verify_all(seed=1, sizes=(3, 4), ts=(0, 1), instances=2)
-    assert report.ok
-    assert len(report.checks) == 10
-    for name, check in report.checks.items():
-        assert check.instances_run > 0, name
-
-
-@pytest.mark.parametrize("instances", [0, -1])
-def test_verify_all_rejects_fewer_than_one_instance(instances):
-    with pytest.raises(ValueError, match="instances must be at least 1"):
-        verify_all(seed=1, sizes=(3,), ts=(0,), instances=instances)
-
-
-@pytest.mark.parametrize("sizes, ts", [((), (0,)), ((3,), ()), ((), ())])
-def test_verify_all_rejects_empty_sizes_or_ts(sizes, ts):
-    # most checks would run no instance and still read ok
-    with pytest.raises(ValueError, match="sizes and ts must each name at least one value"):
-        verify_all(seed=1, sizes=sizes, ts=ts, instances=1)
-
-
 def test_structural_checks_do_not_read_the_cached_cells():
     # the edge-disjointness and isomorphism checks recompute every
     # duplicate's cells, so a roll whose cached cells are wrong still passes
@@ -171,27 +151,9 @@ def test_negative_control_wrong_weight_is_caught():
     check_value_decomposition(corrupted, Clustering([0] * (corrupted.rows * 3)))
 
 
-def test_structural_checks_report_counts():
-    assert check_duplicate_count(3, 9) is None
-    assert check_duplicate_count(4, 4) is None
-    assert check_bone_partition(3, 9) is None
-
-
-def test_check_result_keeps_first_detail():
-    result = CheckResult()
-    result.record("first")
-    result.record(None)
-    result.record("second")
-    assert result.instances_run == 3
-    assert result.failures == 2
-    assert result.worst_case_detail == "first"
-
-
-def test_unbiasedness_check_takes_weights_beyond_float_range():
-    # a float-seeded square root looped forever on the first (the float
-    # underflows to 0) and overflowed on the second
-    assert check_unbiasedness(Fraction(1, 10**400), 1, 1, samples=3, seed=0) is None
-    assert check_unbiasedness(Fraction(1, 2), 1, 10**400, samples=3, seed=0) is None
+def test_sqrt_upper_takes_values_beyond_float_range():
+    # a float-seeded square root loops forever on a value that underflows a
+    # float to 0, and overflows on one beyond float range
     for x in (Fraction(0), Fraction(1, 10**400), Fraction(10**400), Fraction(3, 8000), Fraction(2)):
-        r = _sqrt_upper(x)
+        r = sqrt_upper(x)
         assert x <= r * r <= x * Fraction(1000001, 1000000) ** 2

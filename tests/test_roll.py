@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from invariants import duplicate_of
 from random_graphs import random_graph
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.roll import (
@@ -13,7 +14,6 @@ from rollclust.roll import (
     all_duplicates,
     build_roll,
     duplicate_cells,
-    duplicate_of,
     induced_clustering,
     max_slope,
     untrimmed_duplicate_count,
