@@ -128,9 +128,6 @@ class SignedGraph:
     def edge_count(self) -> int:
         return len(self._weights)
 
-    def total_abs_weight(self) -> Fraction:
-        return Fraction(sum(abs(w) for w in self._weights.values()), self.scale)
-
     def max_abs_weight(self) -> Fraction:
         return Fraction(max((abs(w) for w in self._weights.values()), default=0), self.scale)
 

@@ -3,12 +3,12 @@
 reduce_and_solve takes a base graph's roll, rounds the rolled weights,
 hands the rounded graph to a solver, and reads one candidate clustering of
 the base graph out of every active duplicate. Candidates are always scored
-against the original base weights. The report carries exact accounting:
+against the original base weights. The call checks its accounting exactly:
 the candidate values must sum to the solver clustering's value on the
 pre-rounding rolled graph, the post-rounding value must agree whether
 computed directly or summed as |rounded weight| over the pre-rounding
 contributing set, and the solver's reported value must equal that direct
-evaluation. All three are checked on every call.
+evaluation. A failed check raises RuntimeError.
 
 run_trials repeats the pipeline with per-trial derived seeds against the
 exact optimum of the base graph and reports how often the best candidate
@@ -71,20 +71,14 @@ class ReductionConfig:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    config: ReductionConfig
-    rows: int
-    grid_clustering: Clustering
-    candidate_values: "tuple[Fraction, ...]"
-    best_index: int
     best: SolveResult
-    rolled_value_pre: Fraction
-    rolled_value_post: Fraction
     stats: Optional[DeviationStats]
     notes: "tuple[str, ...]"
 
 
 def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clustering) -> ReductionReport:
-    """Round a base's roll once, solve it and account for the results exactly.
+    """Round a base's roll once, solve it, check the accounting identities
+    and report the best candidate.
 
     rolled must be its base's roll at cfg.t, and round_graph rejects a base
     that is not normalized (all |weight| <= 1). When lambda_ref > 1,
@@ -105,7 +99,7 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
         notes.append(budget_note(cfg.solver.budget))
 
     candidates = [induced_clustering(rolled, grid_res.clustering, d) for d in rolled.active]
-    # scored in ints over g.scale; Fractions only for the report
+    # scored in ints over g.scale; a Fraction only for the best
     scaled = [scaled_value(g, c, cfg.objective) for c in candidates]
 
     best_index = scaled.index((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(scaled))
@@ -130,18 +124,7 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     else:
         notes.append("deviation stats skipped: lambda_ref is 1")
 
-    return ReductionReport(
-        config=cfg,
-        rows=rows,
-        grid_clustering=grid_res.clustering,
-        candidate_values=tuple(Fraction(v, g.scale) for v in scaled),
-        best_index=best_index,
-        best=best,
-        rolled_value_pre=rolled_value_pre,
-        rolled_value_post=rolled_value_post,
-        stats=stats,
-        notes=tuple(notes),
-    )
+    return ReductionReport(best=best, stats=stats, notes=tuple(notes))
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,6 @@ class DeviationStats:
 
     s1: Fraction
     s2: Fraction
-    lam: Fraction
 
     @property
     def gap(self) -> Fraction:
@@ -132,4 +131,4 @@ def deviation_stats(
 
     s1 = after.abs_weight(cand) - before.abs_weight(cand)
     s2 = (after.abs_weight(ref) - before.abs_weight(ref)) / lam
-    return DeviationStats(s1=s1, s2=s2, lam=lam)
+    return DeviationStats(s1=s1, s2=s2)

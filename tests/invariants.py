@@ -4,13 +4,14 @@ generated and on deliberately corrupted rolls.
 duplicate_of inverts duplicate_cells from the grid geometry alone: it names
 the duplicate that owns a pair of cells, or None when the pair is not a
 bone. Each check_* returns the first failure it finds as a string, or None.
+total_abs_weight sums |weight| over a graph's edges() as they are listed.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from rollclust.core import Clustering, ObjectiveKind, clustering_value
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.roll import (
     DuplicateId,
     RolledGraph,
@@ -18,6 +19,11 @@ from rollclust.roll import (
     induced_clustering,
     max_slope,
 )
+
+
+def total_abs_weight(g: SignedGraph) -> Fraction:
+    """MaxAgree + MinDisagree of every clustering of g."""
+    return sum((abs(w) for _, _, w in g.edges()), Fraction(0))
 
 
 def duplicate_of(a: int, b: int, rows: int, cols: int) -> "DuplicateId | None":

@@ -128,6 +128,20 @@ MUTANTS = {
         "if Fraction(sum(scaled), g.scale) > rolled_value_pre:",
         ["tests/test_reduction.py::test_reduce_and_solve_refuses_candidates_that_do_not_sum"],
     ),
+    "reduce_and_solve without its post-rounding check": (
+        REDUCTION,
+        "    if surviving != rolled_value_post:\n"
+        '        raise RuntimeError("post-rounding value disagrees with the contributing-set sum")\n',
+        "",
+        ["tests/test_reduction.py::test_post_rounding_failure_names_trial_and_seeds"],
+    ),
+    "reduce_and_solve without its solver-value check": (
+        REDUCTION,
+        "    if grid_res.value != rolled_value_post:\n"
+        '        raise RuntimeError("solver-reported value disagrees with direct evaluation")\n',
+        "",
+        ["tests/test_reduction.py::test_accounting_failure_names_trial_and_seeds"],
+    ),
     "every trial rounds with the same seed": (
         REDUCTION,
         "rounding=replace(cfg.rounding, seed=r_seed),",

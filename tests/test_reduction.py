@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from rollclust.roll import (
 )
 from rollclust.rounding import RoundingParams, deviation_stats, round_graph
 from rollclust.solvers import (
+    SolveResult,
     SolverKind,
     SolverSpec,
     budget_note,
@@ -63,6 +65,28 @@ def reduce_on_roll(g, cfg):
     return reduce_and_solve(rolled, cfg, solve_exact(g, cfg.objective).clustering)
 
 
+def reduce_reading_candidates(g, cfg):
+    """reduce_on_roll, plus what its induced_clustering calls read and
+    returned: (report, roll, grid clustering, candidates), the candidates
+    in active-duplicate order."""
+    import rollclust.reduction
+
+    real = rollclust.reduction.induced_clustering
+    calls = []
+
+    def recording(r, c, d):
+        calls.append((r, c, d, real(r, c, d)))
+        return calls[-1][3]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rollclust.reduction, "induced_clustering", recording)
+        rep = reduce_on_roll(g, cfg)
+    rolled, grid = calls[0][0], calls[0][1]
+    assert all(r is rolled and c is grid for r, c, _, _ in calls)
+    assert tuple(d for _, _, d, _ in calls) == tuple(rolled.active)
+    return rep, rolled, grid, [cand for *_, cand in calls]
+
+
 def test_duplication_value_identity():
     rng = random.Random(11)
     for n, t in ((3, 0), (3, 1), (4, 0), (5, 0)):
@@ -98,9 +122,10 @@ def test_identity_regime_recovers_optimum():
         for trial in range(10):
             g = pm1_graph(rng, 3, density=0.8)
             opt = solve_exact(g, objective)
-            rep = reduce_on_roll(g, identity_config(objective, seed=trial))
+            cfg = identity_config(objective, seed=trial)
+            rep, _, _, candidates = reduce_reading_candidates(g, cfg)
             assert rep.best.value == opt.value
-            assert all(v == opt.value for v in rep.candidate_values)
+            assert all(clustering_value(g, c, objective) == opt.value for c in candidates)
             assert clustering_value(g, rep.best.clustering, objective) == rep.best.value
 
 
@@ -108,14 +133,15 @@ def test_report_accounting_fields():
     rng = random.Random(77)
     g = pm1_graph(rng, 3)
     cfg = identity_config(MAX)
-    rep = reduce_on_roll(g, cfg)
+    rep, rolled, grid, candidates = reduce_reading_candidates(g, cfg)
     rows = valid_roll_size(3, 0)
-    assert rep.rows == rows
-    assert len(rep.candidate_values) == rows * rows // 3
-    assert sum(rep.candidate_values, Fraction(0)) == rep.rolled_value_pre
-    assert rep.rolled_value_pre == rep.rolled_value_post  # identity rounding
-    assert rep.candidate_values[rep.best_index] == rep.best.value
-    assert rep.config == cfg
+    assert len(candidates) == rows * rows // 3
+    values = [clustering_value(g, c, MAX) for c in candidates]
+    pre = clustering_value(rolled.graph, grid, MAX)
+    assert sum(values, Fraction(0)) == pre
+    rounded = round_graph(rolled.graph, cfg.rounding).after
+    assert clustering_value(rounded, grid, MAX) == pre  # identity rounding
+    assert rep.best == SolveResult(candidates[values.index(max(values))], max(values))
 
 
 def test_reduce_with_real_rounding_and_local_search():
@@ -133,10 +159,12 @@ def test_reduce_with_real_rounding_and_local_search():
         epsilon=Fraction(1, 10),
         lambda_ref=Fraction(1),
     )
-    rep = reduce_on_roll(g, cfg)
+    rep, rolled, grid, candidates = reduce_reading_candidates(g, cfg)
     # accounting ran without raising; the best candidate cannot beat OPT
     assert rep.best.value >= solve_exact(g, MIN).value
-    assert sum(rep.candidate_values, Fraction(0)) == rep.rolled_value_pre
+    values = [clustering_value(g, c, MIN) for c in candidates]
+    assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, MIN)
+    assert rep.best.value == min(values)
 
 
 def test_reduce_rejects_unnormalized():
@@ -229,10 +257,11 @@ def test_local_pipeline_on_216_node_grid():
     # MinDisagree optimum is 2; reduce_and_solve checks its accounting
     # identities and the solver's running value on the way
     g = generate(GenSpec(n=6, model=PlantedPartition(clusters=2, flip_prob=0.1), seed=2))
-    rep = reduce_on_roll(g, local_config())
-    assert len(rep.grid_clustering.labels) == 216
-    assert len(rep.candidate_values) == 216
-    assert sum(rep.candidate_values, Fraction(0)) == rep.rolled_value_pre
+    rep, rolled, grid, candidates = reduce_reading_candidates(g, local_config())
+    assert len(grid.labels) == 216
+    assert len(candidates) == 216
+    values = [clustering_value(g, c, MIN) for c in candidates]
+    assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, MIN)
     assert rep.best.value >= solve_exact(g, MIN).value
     assert not any("budget" in note for note in rep.notes)
 
@@ -254,9 +283,16 @@ def test_stats_gating_on_lambda():
     )
     rep2 = reduce_on_roll(g, cfg2)
     assert rep2.stats is not None
-    assert rep2.stats.lam == Fraction(6, 5)
     # identity rounding leaves no per-edge drift
     assert rep2.stats.s1 == 0 and rep2.stats.s2 == 0 and rep2.stats.gap == 0
+    # at alpha = beta = 2 the reference drifts, so s2 shows which lambda
+    # reached deviation_stats
+    cfg3 = replace(cfg2, rounding=RoundingParams(alpha=2, beta=2, seed=0))
+    rep3, rolled, grid, _ = reduce_reading_candidates(g, cfg3)
+    outcome = round_graph(rolled.graph, cfg3.rounding)
+    ref = duplication_clustering(solve_exact(g, MAX).clustering, rolled.rows)
+    assert rep3.stats.s2 != 0
+    assert rep3.stats == deviation_stats(outcome, grid, ref, Fraction(6, 5), MAX)
 
 
 def test_config_validation():
@@ -321,6 +357,27 @@ def test_accounting_failure_names_trial_and_seeds(monkeypatch):
     )
     # the named seeds are the ones the failing trial ran under
     assert (calls[1].seed, len(calls)) == (s_seed, 2)
+
+
+def test_post_rounding_failure_names_trial_and_seeds(monkeypatch):
+    # with one pair missing from the grid clustering's pre-rounding
+    # contributing set, its rounded weights no longer sum to the
+    # post-rounding value
+    import rollclust.reduction
+
+    real = rollclust.reduction.contributing_edges
+
+    def drops_a_pair(g, c, objective):
+        return sorted(real(g, c, objective))[1:]
+
+    monkeypatch.setattr(rollclust.reduction, "contributing_edges", drops_a_pair)
+    g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): 1})
+    r_seed = derive_seed(9, "trial", 0, "round")
+    s_seed = derive_seed(0, "trial", 0, "solve")
+    message = (f"trial 0 (rounding seed {r_seed}, solver seed {s_seed}): "
+               "post-rounding value disagrees with the contributing-set sum")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        run_trials(g, identity_config(MAX, seed=9), trials=2)
 
 
 def test_run_trials_gap_stats_present():

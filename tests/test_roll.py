@@ -15,7 +15,6 @@ from rollclust.roll import (
     build_roll,
     duplicate_cells,
     induced_clustering,
-    max_slope,
     untrimmed_duplicate_count,
     valid_roll_size,
 )

@@ -423,11 +423,13 @@ def test_deviation_stats_rejects_lambda_at_most_one():
 
 def test_deviation_stats_refuses_a_float_lambda():
     g = SignedGraph(2, {(0, 1): 1})
-    out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
+    # beta = 2 moves the edge's weight to 0 or 2, so the reference drifts
+    out = round_graph(g, RoundingParams(alpha=2, beta=2, seed=0))
     with pytest.raises(TypeError, match="not the float 1.1"):
-        deviation_stats(out, Clustering([0, 0]), Clustering([0, 1]), 1.1, MAX)
-    stats = deviation_stats(out, Clustering([0, 0]), Clustering([0, 1]), "11/10", MAX)
-    assert stats.lam == Fraction(11, 10)
+        deviation_stats(out, Clustering([0, 1]), Clustering([0, 0]), 1.1, MAX)
+    stats = deviation_stats(out, Clustering([0, 1]), Clustering([0, 0]), "11/10", MAX)
+    drift = abs(out.after.weight(0, 1)) - 1
+    assert drift != 0 and stats.s2 == drift / Fraction(11, 10)
 
 
 def test_drift_sums_center_on_zero():
