@@ -73,14 +73,12 @@ class SignedGraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             w = as_fraction(w)
             key = (u, v) if u < v else (v, u)
-            if key in store:
-                if store[key] != w:
-                    raise ValueError(f"conflicting weights for pair {key}")
-                continue
-            if w != 0:
-                store[key] = w
+            # record zeros too, so a later nonzero weight is compared with them
+            if key in store and store[key] != w:
+                raise ValueError(f"conflicting weights for pair {key}")
+            store[key] = w
         scale = math.lcm(1, *(w.denominator for w in store.values()))
-        scaled = {key: w.numerator * (scale // w.denominator) for key, w in store.items()}
+        scaled = {key: w.numerator * (scale // w.denominator) for key, w in store.items() if w}
         self._set_scaled(n, scale, scaled)
 
     @classmethod

@@ -13,12 +13,10 @@ graph, and distinct duplicates share no bones.
 
 duplicate_cells gives a duplicate's cells in closed form.
 
-There are N*((N-1)/(n-1)+1) duplicates in total, more than fit disjoint
-copies of the edge set. Only the first N^2/n duplicates in lexicographic
-(slope, start_row) order stay active, and a RolledGraph builds only their
-copies; the trimmed duplicates' bones carry no weight in the rolled graph.
-The sum of any clustering's value over the active duplicates' induced
-clusterings equals its value on the rolled graph exactly.
+The active duplicates are every start row of the N/n lowest slopes, N^2/n
+copies in (slope, start_row) order, and a RolledGraph builds only their
+copies. The sum of any clustering's value over the active duplicates'
+induced clusterings equals its value on the rolled graph exactly.
 
 duplication_clustering lifts a base clustering onto the grid, and
 induced_clustering reads a base clustering back out of one active duplicate.
@@ -26,9 +24,8 @@ induced_clustering reads a base clustering back out of one active duplicate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import Clustering, SignedGraph
 
@@ -38,32 +35,14 @@ class DuplicateId(NamedTuple):
     slope: int
 
 
-def max_slope(rows: int, cols: int) -> int:
-    # valid rolls have (rows-1) divisible by (cols-1)
-    return (rows - 1) // (cols - 1)
-
-
 def valid_roll_size(n: int, t: int) -> int:
-    """Row count N = n*(1 + t*(n-1)); guarantees (n-1) | (N-1) and n | N^2."""
+    """Row count N = n*(1 + t*(n-1)). n | N, so the N/n lowest slopes hold
+    N^2/n copies; (n-1) | (N-1) matters only to the full duplicate family."""
     if n < 3:
         raise ValueError("base graph must have at least 3 nodes")
     if t < 0:
         raise ValueError("t must be non-negative")
     return n * (1 + t * (n - 1))
-
-
-def untrimmed_duplicate_count(n: int, rows: int) -> int:
-    """Count of all duplicates before trimming: N*((N-1)/(n-1)+1)."""
-    if (rows - 1) % (n - 1) != 0:
-        raise ValueError(f"(rows-1) must be divisible by (n-1); got rows={rows}, n={n}")
-    return rows * (max_slope(rows, n) + 1)
-
-
-def all_duplicates(rows: int, cols: int) -> Iterator[DuplicateId]:
-    """All duplicates in lexicographic (slope, start_row) order."""
-    for slope in range(max_slope(rows, cols) + 1):
-        for start in range(rows):
-            yield DuplicateId(start, slope)
 
 
 def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":
@@ -79,8 +58,8 @@ class RolledGraph:
     """A base graph's roll at size parameter t: RolledGraph(base, t).
 
     The constructor computes every field from base and t: rows
-    (valid_roll_size(n, t)), active (the first rows^2/n duplicates in
-    (slope, start_row) order), each active duplicate's cells, once, and
+    (valid_roll_size(n, t)), active (every start row of the rows/n lowest
+    slopes, slope-major), each active duplicate's cells, once, and
     graph (the rolled graph on rows*n cells) from them. It keeps the cells
     for induced_clustering: run_trials builds one roll per call, and all of
     its trials read their candidates through the same cells.
@@ -98,7 +77,8 @@ class RolledGraph:
     def __init__(self, base: SignedGraph, t: int):
         n = base.n
         rows = valid_roll_size(n, t)
-        active = tuple(itertools.islice(all_duplicates(rows, n), rows * rows // n))
+        active = tuple(DuplicateId(start, slope)
+                       for slope in range(rows // n) for start in range(rows))
         cells = {d: duplicate_cells(d, rows, n) for d in active}
         base_edges = list(base.scaled_weights())
         weights: dict[tuple[int, int], int] = {}
@@ -117,10 +97,7 @@ class RolledGraph:
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
-        return (
-            f"RolledGraph(n={self.base.n}, rows={self.rows}, "
-            f"active={len(self.active)} of {untrimmed_duplicate_count(self.base.n, self.rows)})"
-        )
+        return f"RolledGraph(n={self.base.n}, rows={self.rows}, active={len(self.active)})"
 
 
 def build_roll(g: SignedGraph, t: int) -> RolledGraph:

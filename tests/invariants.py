@@ -1,6 +1,11 @@
 """Independent checks of the roll's structure, for the tests to run on
 generated and on deliberately corrupted rolls.
 
+all_duplicates lists the paper's full duplicate family on an N x n grid:
+one duplicate per start row and slope 0..(N-1)/(n-1), N*((N-1)/(n-1)+1) in
+all, more than fit disjoint copies of the edge set. The roll keeps the
+first N^2/n of them in (slope, start_row) order as its active copies, and
+the trimmed duplicates' bones carry no weight in the rolled graph.
 duplicate_of inverts duplicate_cells from the grid geometry alone: it names
 the duplicate that owns a pair of cells, or None when the pair is not a
 bone. Each check_* returns the first failure it finds as a string, or None.
@@ -12,18 +17,23 @@ import math
 from fractions import Fraction
 
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
-from rollclust.roll import (
-    DuplicateId,
-    RolledGraph,
-    duplicate_cells,
-    induced_clustering,
-    max_slope,
-)
+from rollclust.roll import DuplicateId, RolledGraph, duplicate_cells, induced_clustering
 
 
 def total_abs_weight(g: SignedGraph) -> Fraction:
     """MaxAgree + MinDisagree of every clustering of g."""
     return sum((abs(w) for _, _, w in g.edges()), Fraction(0))
+
+
+def max_slope(rows: int, cols: int) -> int:
+    # valid rolls have (rows-1) divisible by (cols-1)
+    return (rows - 1) // (cols - 1)
+
+
+def all_duplicates(rows: int, cols: int) -> "list[DuplicateId]":
+    """Every duplicate, active and trimmed, in (slope, start_row) order."""
+    return [DuplicateId(start, slope)
+            for slope in range(max_slope(rows, cols) + 1) for start in range(rows)]
 
 
 def duplicate_of(a: int, b: int, rows: int, cols: int) -> "DuplicateId | None":

@@ -1,5 +1,6 @@
-"""Mutation gate: each mutant of the roll layer, the rounding, the exact
-solver or the reduction must fail the tests named for it.
+"""Mutation gate: each mutant of the graph constructor, the roll layer, the
+rounding, the exact solver or the reduction must fail the tests named for
+it.
 
 A mutant is one textual edit to a module of the package. For each mutant the
 gate copies src/, tests/, perfbench/, README.md and pyproject.toml into a
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+CORE = "src/rollclust/core.py"
 ROLL = "src/rollclust/roll.py"
 ROUNDING = "src/rollclust/rounding.py"
 SOLVERS = "src/rollclust/solvers.py"
@@ -38,6 +40,12 @@ REDUCTION = "src/rollclust/reduction.py"
 
 # name -> (module, original text, mutated text, tests that must fail)
 MUTANTS = {
+    "SignedGraph does not record a zero weight, so a later nonzero one passes": (
+        CORE,
+        "            store[key] = w\n",
+        "            if w:\n                store[key] = w\n",
+        ["tests/test_core.py::test_a_zero_and_a_nonzero_weight_for_one_pair_conflict_in_either_order"],
+    ),
     "cells run backwards (start - j*slope)": (
         ROLL,
         "((start + j * slope) % rows)",
@@ -78,11 +86,12 @@ MUTANTS = {
             "tests/test_roll.py::test_induced_clustering_matches_a_from_scratch_reading",
         ],
     ),
-    "the trim keeps one duplicate too few": (
+    "the roll keeps one start row too few per slope": (
         ROLL,
-        "rows * rows // n))",
-        "rows * rows // n - 1))",
+        "for start in range(rows))",
+        "for start in range(rows - 1))",
         [
+            "tests/test_acceptance.py::test_criterion_01_duplicate_count",
             "tests/test_roll.py::test_build_roll_structure",
             "tests/test_roll.py::test_build_roll_matches_the_public_constructor",
             "tests/test_golden.py::test_roll_command_output_is_byte_identical",

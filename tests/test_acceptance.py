@@ -7,10 +7,10 @@ import random
 import time
 from fractions import Fraction
 
-from rollclust.core import Clustering, ObjectiveKind, clustering_value, contributing_edges
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges
 from rollclust.harness import CompleteSigned, GenSpec, UniformRational, generate
 from rollclust.reduction import ReductionConfig, reduce_and_solve, run_trials
-from rollclust.roll import all_duplicates, build_roll, valid_roll_size
+from rollclust.roll import RolledGraph, build_roll, valid_roll_size
 from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
     SolverKind,
@@ -24,6 +24,7 @@ from rollclust.streams import derive_seed, make_rng
 
 from hoeffding import hoeffding_tail
 from invariants import (
+    all_duplicates,
     check_edge_disjointness,
     check_isomorphism,
     check_value_decomposition,
@@ -55,16 +56,19 @@ class Budget:
 
 
 def test_criterion_01_duplicate_count():
+    # the roll keeps the first rows^2/n duplicates of the full family, slope-major
     with Budget(1, "duplicate count formula", 1):
         for n in range(3, 9):
-            for t in range(3):
+            for t in range(4):
                 rows = valid_roll_size(n, t)
                 assert rows == n * (1 + t * (n - 1))
-                counted = sum(1 for _ in all_duplicates(rows, n))
+                family = all_duplicates(rows, n)
                 formula = rows * ((rows - 1) // (n - 1) + 1)
-                assert counted == formula
+                assert len(family) == formula
                 assert (rows - 1) % (n - 1) == 0
-                assert counted * n > rows * rows
+                assert len(family) * n > rows * rows
+                active = RolledGraph(SignedGraph(n), t).active
+                assert active == tuple(family[: rows * rows // n]), (n, t)
 
 
 def test_criterion_02_bone_partition_and_isomorphism():

@@ -150,6 +150,14 @@ def test_graph_rejects_bad_input():
         SignedGraph(3, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
 
 
+def test_a_zero_and_a_nonzero_weight_for_one_pair_conflict_in_either_order():
+    for weights in ({(0, 1): 0, (1, 0): 1}, {(1, 0): 1, (0, 1): 0}):
+        with pytest.raises(ValueError, match=r"conflicting weights for pair \(0, 1\)"):
+            SignedGraph(2, weights)
+    g = SignedGraph(2, {(0, 1): 0, (1, 0): 0})
+    assert g.edge_count == 0 and g == SignedGraph(2)
+
+
 def test_clustering_domain_mismatch():
     g = SignedGraph(3, {(0, 1): 1})
     with pytest.raises(ValueError):

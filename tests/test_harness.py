@@ -1,7 +1,6 @@
 """The instance generators, and negative controls for the checks in
 tests/invariants.py: each must catch the corruption it is built for."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from rollclust.harness import (
     UniformRational,
     generate,
 )
-from rollclust.roll import DuplicateId, RolledGraph, all_duplicates, build_roll
+from rollclust.roll import RolledGraph, build_roll, duplicate_cells
 from rollclust.solvers import solve_exact
 
 from invariants import (
@@ -126,11 +125,12 @@ def test_negative_control_double_claim_is_caught(monkeypatch):
     g = generate(GenSpec(n=4, model=UniformRational(density=1.0), seed=9))
     corrupted = build_roll(g, 0)
     doubled = corrupted.active + (corrupted.active[0],)
-    # the constructor refuses a duplicate listed twice, and the check
-    # catches it on a built roll
+    # the constructor refuses a second active copy on the first copy's
+    # cells, and the check catches a duplicate listed twice on a built roll
+    first, second = corrupted.active[:2]
     monkeypatch.setattr(
-        "rollclust.roll.all_duplicates",
-        lambda rows, cols: itertools.chain([DuplicateId(0, 0)], all_duplicates(rows, cols)),
+        "rollclust.roll.duplicate_cells",
+        lambda d, rows, cols: duplicate_cells(first if d == second else d, rows, cols),
     )
     with pytest.raises(AssertionError, match="claimed by two active duplicates"):
         RolledGraph(corrupted.base, 0)

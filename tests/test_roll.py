@@ -5,17 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from invariants import duplicate_of
+from invariants import all_duplicates, duplicate_of
 from random_graphs import random_graph
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.roll import (
     DuplicateId,
     RolledGraph,
-    all_duplicates,
     build_roll,
     duplicate_cells,
     induced_clustering,
-    untrimmed_duplicate_count,
     valid_roll_size,
 )
 
@@ -81,10 +79,9 @@ def test_valid_roll_sizes():
 
 
 def test_untrimmed_duplicate_count_examples():
-    assert untrimmed_duplicate_count(3, 5) == 15
-    assert untrimmed_duplicate_count(3, 3) == 6
-    with pytest.raises(ValueError):
-        untrimmed_duplicate_count(4, 5)
+    # N*((N-1)/(n-1)+1) duplicates before trimming
+    assert len(all_duplicates(5, 3)) == 15
+    assert len(all_duplicates(3, 3)) == 6
 
 
 @pytest.mark.parametrize("cols,rows", [(3, 3), (3, 9), (3, 15), (4, 4), (4, 13), (5, 5), (5, 13)])
@@ -100,10 +97,11 @@ def test_bone_partition_exhaustive(cols, rows):
         assert b in duplicate_cells(d, rows, cols)
         bones[(a, b)] = d
     per_dup = cols * (cols - 1) // 2
-    assert len(bones) == untrimmed_duplicate_count(cols, rows) * per_dup
+    assert len(bones) == len(all_duplicates(rows, cols)) * per_dup
     owned = {}
     for d in bones.values():
         owned[d] = owned.get(d, 0) + 1
+    assert set(owned) == set(all_duplicates(rows, cols))
     assert set(owned.values()) == {per_dup}
 
 
@@ -135,7 +133,7 @@ def test_build_roll_structure():
         for d in all_duplicates(9, 3)
         for pair in itertools.combinations(duplicate_cells(d, 9, 3), 2)
     ]
-    assert len(set(owned)) == len(owned) == untrimmed_duplicate_count(3, 9) * 3
+    assert len(set(owned)) == len(owned) == len(all_duplicates(9, 3)) * 3 == 45 * 3
     assert all(duplicate_of(a, b, 9, 3) is not None for a, b in owned)
 
 
@@ -173,7 +171,7 @@ def test_build_roll_computes_each_active_duplicates_cells_once(monkeypatch):
 
 def test_rolled_graph_is_a_frozen_slotted_record_compared_by_identity():
     r = build_roll(random_graph(random.Random(5), 3, density=1.0), 1)
-    assert repr(r) == "RolledGraph(n=3, rows=9, active=27 of 45)"
+    assert repr(r) == "RolledGraph(n=3, rows=9, active=27)"
     assert dataclasses.is_dataclass(r) and not hasattr(r, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.rows = 3
@@ -342,7 +340,7 @@ def test_induced_clustering_matches_a_from_scratch_reading():
                 assert induced_clustering(r, c, d) == want
                 assert induced_clustering(rebuilt, c, d) == want
             inactive = [d for d in all_duplicates(rows, n) if d not in r.active]
-            assert len(inactive) == untrimmed_duplicate_count(n, rows) - len(r.active)
+            assert len(inactive) == len(all_duplicates(rows, n)) - len(r.active)
             for d in inactive[:3]:
                 with pytest.raises(ValueError, match="not active"):
                     induced_clustering(r, c, d)

@@ -64,6 +64,16 @@ def test_exports_are_what_the_readme_and_the_benchmark_import():
     assert set(rollclust.__all__) == readme | perfbench
 
 
+def test_readme_counts_the_exports_and_the_mutants():
+    import mutation_gate
+
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"exports\s+(\d+)\s+names", text) == [str(len(rollclust.__all__))]
+    assert re.findall(r"applies\s+each\s+of\s+its\s+(\d+)\s+mutants", text) == [
+        str(len(mutation_gate.MUTANTS))
+    ]
+
+
 def test_only_core_knows_how_weights_are_stored():
     # SignedGraph's integer-over-scale format stays behind core.py
     leaks = [
