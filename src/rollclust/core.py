@@ -39,6 +39,8 @@ class GraphFormatError(ValueError):
 def as_fraction(value) -> Fraction:
     """value as a Fraction; a float is a TypeError, since it would smuggle
     binary rounding error into exact arithmetic."""
+    if type(value) is Fraction:  # immutable, so it can be shared
+        return value
     if isinstance(value, float):
         raise TypeError(f"expected an exact rational, not the float {value!r}")
     return Fraction(value)
@@ -116,11 +118,11 @@ class SignedGraph:
         pair order. Every value is a nonzero int."""
         return self._weights.items()
 
-    def abs_weight(self, pairs: Iterable[tuple[int, int]]) -> Fraction:
-        """Exact sum of |weight| over the given (u, v) pairs, u < v; pairs
-        without an edge add 0."""
-        weights = self._weights
-        return Fraction(sum(abs(weights.get(pair, 0)) for pair in pairs), self.scale)
+    def abs_weight(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Sum of |weight| over the given (u, v) pairs, u < v, as an int
+        over `scale`; pairs without an edge add 0."""
+        get = self._weights.get
+        return sum([abs(get(pair, 0)) for pair in pairs])
 
     @property
     def edge_count(self) -> int:
@@ -150,10 +152,9 @@ class Clustering:
     labels: "tuple[int, ...]"
 
     def __init__(self, labels: Iterable[int]):
-        raw = list(labels)
         remap: dict[int, int] = {}
         canon = []
-        for lbl in raw:
+        for lbl in labels:
             if lbl not in remap:
                 remap[lbl] = len(remap)
             canon.append(remap[lbl])
@@ -174,17 +175,16 @@ class Clustering:
         return f"Clustering({list(self.labels)})"
 
 
-def _contributing(g: SignedGraph, c: Clustering, objective: ObjectiveKind):
-    """Yield the ((u, v), w * scale) items that count toward the objective."""
-    if len(c) != g.n:
-        raise ValueError(f"clustering covers {len(c)} nodes, graph has {g.n}")
-    labels = c.labels
-    agree = objective is ObjectiveKind.MAX_AGREE
-    for pair, w in g.scaled_weights():
-        u, v = pair
-        # MaxAgree: positive inside or negative across; MinDisagree: the rest
-        if ((w > 0) == (labels[u] == labels[v])) == agree:
-            yield pair, w
+# An edge counts toward MaxAgree when ((w > 0) == same cluster), and toward
+# MinDisagree otherwise; contributing_edges and scaled_values test it inline.
+
+
+def _labelings(g: SignedGraph, clusterings) -> "list[tuple[int, ...]]":
+    labelings = [c.labels for c in clusterings]
+    for labels in labelings:
+        if len(labels) != g.n:
+            raise ValueError(f"clustering covers {len(labels)} nodes, graph has {g.n}")
+    return labelings
 
 
 def contributing_edges(
@@ -196,13 +196,28 @@ def contributing_edges(
     MinDisagree keeps the complement. Zero-weight pairs never contribute,
     and the two objectives' contributing sets partition the nonzero edges.
     """
-    return frozenset(pair for pair, _ in _contributing(g, c, objective))
+    labels = _labelings(g, (c,))[0]
+    agree = objective is ObjectiveKind.MAX_AGREE
+    return frozenset([pair for pair, w in g.scaled_weights()
+                      if ((w > 0) == (labels[pair[0]] == labels[pair[1]])) == agree])
+
+
+def scaled_values(g: SignedGraph, clusterings, objective: ObjectiveKind) -> "list[int]":
+    """scaled_value of each clustering. Each distinct labeling is scored
+    once, in one pass over its labels and g's edge list: the candidates
+    that one grid clustering induces on its copies repeat."""
+    labelings = _labelings(g, clusterings)
+    edges = g.scaled_weights()
+    agree = objective is ObjectiveKind.MAX_AGREE
+    value = {lab: sum([abs(w) for (u, v), w in edges if ((w > 0) == (lab[u] == lab[v])) == agree])
+             for lab in set(labelings)}
+    return [value[lab] for lab in labelings]
 
 
 def scaled_value(g: SignedGraph, c: Clustering, objective: ObjectiveKind) -> int:
     """clustering_value times g.scale: the int sum of |weight * scale| over
     the contributing edges."""
-    return sum(abs(w) for _, w in _contributing(g, c, objective))
+    return scaled_values(g, (c,), objective)[0]
 
 
 def clustering_value(

@@ -2,13 +2,14 @@
 
 reduce_and_solve takes a base graph's roll, rounds the rolled weights,
 hands the rounded graph to a solver, and reads one candidate clustering of
-the base graph out of every active duplicate. Candidates are always scored
-against the original base weights. The call checks its accounting exactly:
-the candidate values must sum to the solver clustering's value on the
-pre-rounding rolled graph, the post-rounding value must agree whether
-computed directly or summed as |rounded weight| over the pre-rounding
-contributing set, and the solver's reported value must equal that direct
-evaluation. A failed check raises RuntimeError.
+the base graph out of every active duplicate, scoring them all in one pass
+against the original base weights. Its accounting stays in ints over each
+graph's scale: the solver clustering's pre-rounding contributing set is
+built once, and its |weight| sums before rounding (pre) and after (kept)
+feed the identities and the drift s1. By integer cross-multiplication it
+checks that kept equals the post-rounding value, that the candidate values
+sum to pre, and that the solver's reported value equals the post-rounding
+value. A failed check raises RuntimeError.
 
 run_trials repeats the pipeline with per-trial derived seeds against the
 exact optimum of the base graph and reports how often the best candidate
@@ -28,7 +29,7 @@ from typing import Optional
 
 from .core import (
     Clustering, ObjectiveKind, SignedGraph, as_fraction, clustering_value, contributing_edges,
-    scaled_value,
+    scaled_values,
 )
 from .jsonutil import frac_to_str, opt_frac_to_str
 from .roll import (
@@ -89,8 +90,10 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     if rolled.t != cfg.t:
         raise ValueError(f"rolled is {rolled!r}, not its base's roll at t={cfg.t}")
     notes: "list[str]" = []
-    spread = cfg.rounding.alpha + cfg.rounding.beta
-    if spread * spread > rows * g.n:
+    # (alpha+beta)^2 > rows*n, in ints over the product of the denominators
+    a, b = cfg.rounding.alpha, cfg.rounding.beta
+    den = a.denominator * b.denominator
+    if (a.numerator * b.denominator + b.numerator * a.denominator) ** 2 > rows * g.n * den * den:
         notes.append("alpha+beta exceeds sqrt(rows*n); tail bounds are weak at this size")
 
     outcome = round_graph(rolled.graph, cfg.rounding)
@@ -98,29 +101,28 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     if grid_res.budget_exhausted:
         notes.append(budget_note(cfg.solver.budget))
 
-    candidates = [induced_clustering(rolled, grid_res.clustering, d) for d in rolled.active]
+    grid = grid_res.clustering
+    candidates = [induced_clustering(rolled, grid, d) for d in rolled.active]
     # scored in ints over g.scale; a Fraction only for the best
-    scaled = [scaled_value(g, c, cfg.objective) for c in candidates]
-
+    scaled = scaled_values(g, candidates, cfg.objective)
     best_index = scaled.index((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(scaled))
     best = SolveResult(candidates[best_index], Fraction(scaled[best_index], g.scale))
 
-    rolled_value_pre = clustering_value(rolled.graph, grid_res.clustering, cfg.objective)
-    if Fraction(sum(scaled), g.scale) != rolled_value_pre:
-        raise RuntimeError("candidate values do not sum to the pre-rounding rolled value")
-
-    rolled_value_post = clustering_value(outcome.after, grid_res.clustering, cfg.objective)
-    pre_set = contributing_edges(rolled.graph, grid_res.clustering, cfg.objective)
-    surviving = outcome.after.abs_weight(pre_set)
-    if surviving != rolled_value_post:
+    before, after = rolled.graph, outcome.after
+    pre_set = contributing_edges(before, grid, cfg.objective)
+    pre, kept = before.abs_weight(pre_set), after.abs_weight(pre_set)
+    post = clustering_value(after, grid, cfg.objective)
+    if kept * post.denominator != post.numerator * after.scale:
         raise RuntimeError("post-rounding value disagrees with the contributing-set sum")
-    if grid_res.value != rolled_value_post:
+    if sum(scaled) * before.scale != pre * g.scale:
+        raise RuntimeError("candidate values do not sum to the pre-rounding rolled value")
+    if grid_res.value.numerator * post.denominator != post.numerator * grid_res.value.denominator:
         raise RuntimeError("solver-reported value disagrees with direct evaluation")
 
     stats = None
     if cfg.lambda_ref > 1:
         u_n = duplication_clustering(u_ref, rows)
-        stats = deviation_stats(outcome, grid_res.clustering, u_n, cfg.lambda_ref, cfg.objective)
+        stats = deviation_stats(outcome, pre, kept, u_n, cfg.lambda_ref, cfg.objective)
     else:
         notes.append("deviation stats skipped: lambda_ref is 1")
 
@@ -172,6 +174,8 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
                          f" {nodes} nodes, more than {EXACT_NODE_LIMIT}")
     opt = solve_exact(g, cfg.objective)
     target = cfg.lambda_ref + cfg.epsilon
+    # a trial is bad when its best is below this for MaxAgree, above it for MinDisagree
+    limit = opt.value / target if cfg.objective is ObjectiveKind.MAX_AGREE else target * opt.value
     # the roll depends only on (g, t): every trial rounds the same one
     rolled = build_roll(g, cfg.t)
 
@@ -192,17 +196,18 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             raise RuntimeError(
                 f"trial {i} (rounding seed {r_seed}, solver seed {s_seed}): {exc}"
             ) from exc
+        best = rep.best.value
         if cfg.objective is ObjectiveKind.MAX_AGREE:
-            bad = rep.best.value < opt.value / target
+            bad = best.numerator * limit.denominator < limit.numerator * best.denominator
         else:
-            bad = rep.best.value > target * opt.value
+            bad = best.numerator * limit.denominator > limit.numerator * best.denominator
         note_counts.update(rep.notes)
         summaries.append(
             TrialSummary(
                 rounding_seed=r_seed,
                 solver_seed=s_seed,
-                best_value=rep.best.value,
-                ratio=None if opt.value == 0 else rep.best.value / opt.value,
+                best_value=best,
+                ratio=None if opt.value == 0 else best / opt.value,
                 bad=bad,
                 gap=rep.stats.gap if rep.stats is not None else None,
             )

@@ -2,13 +2,13 @@
 
 Each edge is rounded independently: a positive weight w becomes beta with
 probability w/beta and 0 otherwise; a negative weight becomes -alpha with
-probability -w/alpha. The expectation is exact: a keep probability num/den
-< 1 keeps the edge iff s % den < num, where s is the edge's 64-bit derived
-seed, accepted below the largest multiple of den not above 2**64; a
-rejected s falls back to an exact draw on the edge's "retry" stream. An
-edge with probability 1 (|w| equal to beta or alpha) is kept without
-drawing. The rounded graph is built in integers: beta and -alpha over the
-product of their denominators.
+probability -w/alpha. The expectation is exact: a keep probability, held
+as a reduced pair of ints num/den < 1, keeps the edge iff s % den < num,
+where s is the edge's 64-bit derived seed, accepted below the largest
+multiple of den not above 2**64; a rejected s falls back to an exact draw
+on the edge's "retry" stream. An edge with probability 1 (|w| equal to
+beta or alpha) is kept without drawing. The rounded graph is built in
+integers: beta and -alpha over the product of their denominators.
 
 Rounding never flips a sign, so a clustering's contributing edge set after
 rounding is a subset of its contributing set before; summing |rounded
@@ -16,11 +16,14 @@ weight| over the pre-rounding contributing set gives the post-rounding
 value exactly.
 
 Deviation accounting compares a candidate clustering against a reference on
-the same rounding outcome (drift sums s1 and s2 and their gap).
+the same rounding outcome (drift sums s1 and s2 and their gap); the caller
+hands over the candidate's contributing-set sums, so only the reference's
+set is built here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,8 +70,9 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     """
     if g.max_abs_weight() > 1:
         raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
-    alpha, beta = params.alpha, params.beta
-    up, down = beta.numerator * alpha.denominator, -alpha.numerator * beta.denominator
+    a_num, a_den = params.alpha.numerator, params.alpha.denominator
+    b_num, b_den = params.beta.numerator, params.beta.denominator
+    up, down = b_num * a_den, -a_num * b_den
     # per distinct scaled weight: (num, den, acceptance limit) of p < 1, or None
     draws: dict[int, tuple[int, int, int] | None] = {}
     weights: dict[tuple[int, int], int] = {}
@@ -76,8 +80,11 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     tags: list[bytes] = []  # each node's encoded id, built at the first draw
     for (u, v), w in g.scaled_weights():
         if w not in draws:
-            p = Fraction(w, g.scale) / beta if w > 0 else Fraction(-w, g.scale) / alpha
-            draws[w] = (p.numerator, p.denominator, acceptance_limit(p.denominator)) if p < 1 else None
+            # p = |w| / magnitude, with |w| = |w * scale| / scale, reduced
+            num, den = (w * b_den, g.scale * b_num) if w > 0 else (-w * a_den, g.scale * a_num)
+            k = math.gcd(num, den)
+            num, den = num // k, den // k
+            draws[w] = (num, den, acceptance_limit(den)) if num < den else None
         if draws[w] is not None:
             num, den, limit = draws[w]
             tags = tags or [encode_part(x) for x in range(g.n)]
@@ -86,7 +93,7 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
                     else make_rng(params.seed, "edge", u, v, "retry").randrange(den) < num):
                 continue
         weights[(u, v)] = up if w > 0 else down
-    scale = alpha.denominator * beta.denominator  # up / scale = beta, down / scale = -alpha
+    scale = a_den * b_den  # up / scale = beta, down / scale = -alpha
     return RoundingOutcome(g, SignedGraph._from_scaled(g.n, scale, weights))
 
 
@@ -111,24 +118,27 @@ class DeviationStats:
 
 def deviation_stats(
     out: RoundingOutcome,
-    candidate: Clustering,
+    pre: int,
+    kept: int,
     reference: Clustering,
     lam: Fraction,
     objective: ObjectiveKind,
 ) -> DeviationStats:
     """Drift accounting for one rounding outcome.
 
-    Contributing sets are taken on the pre-rounding graph; rounded weights
-    come from the outcome. lam must exceed 1.
+    pre and kept are the candidate's pre-rounding contributing-set sums of
+    |weight|, before rounding as an int over out.before.scale and after it
+    over out.after.scale. The reference's contributing set is taken on the
+    pre-rounding graph and summed the same way. lam must exceed 1.
     """
     lam = as_fraction(lam)
     if lam <= 1:
         raise ValueError("lam must be > 1")
     before, after = out.before, out.after
-
-    cand = contributing_edges(before, candidate, objective)
     ref = contributing_edges(before, reference, objective)
-
-    s1 = after.abs_weight(cand) - before.abs_weight(cand)
-    s2 = (after.abs_weight(ref) - before.abs_weight(ref)) / lam
+    # both drifts as ints over before.scale * after.scale
+    b, a = before.scale, after.scale
+    s1 = Fraction(kept * b - pre * a, a * b)
+    s2 = Fraction((after.abs_weight(ref) * b - before.abs_weight(ref) * a) * lam.denominator,
+                  a * b * lam.numerator)
     return DeviationStats(s1=s1, s2=s2)

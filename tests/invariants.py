@@ -10,14 +10,30 @@ duplicate_of inverts duplicate_cells from the grid geometry alone: it names
 the duplicate that owns a pair of cells, or None when the pair is not a
 bone. Each check_* returns the first failure it finds as a string, or None.
 total_abs_weight sums |weight| over a graph's edges() as they are listed.
+
+oracle_run_trials is run_trials as it was written before its accounting
+moved to scaled integers: a fresh roll per trial, candidates read through
+freshly computed duplicate cells and scored one by one with
+clustering_value, the bad event and every report value in Fractions, and
+the drift sums of oracle_deviation_stats rebuilt from both clusterings'
+contributing sets, pair by pair through weight(). It shares round_graph,
+the solvers and the exact optimum with run_trials; each has its own oracle.
 """
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
-from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
-from rollclust.roll import DuplicateId, RolledGraph, duplicate_cells, induced_clustering
+from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value, contributing_edges
+from rollclust.reduction import TrialAggregate, TrialSummary
+from rollclust.roll import (
+    DuplicateId, RolledGraph, build_roll, duplicate_cells, duplication_clustering, induced_clustering,
+)
+from rollclust.rounding import DeviationStats, round_graph
+from rollclust.solvers import budget_note, run_solver, solve_exact
+from rollclust.streams import derive_seed
 
 
 def total_abs_weight(g: SignedGraph) -> Fraction:
@@ -100,3 +116,85 @@ def sqrt_upper(x: Fraction) -> Fraction:
     computed in integers so that no x underflows or overflows a float."""
     p, q = x.numerator, x.denominator
     return Fraction(math.isqrt(p * q * 10**12) + (p != 0), q * 10**6)
+
+
+def oracle_drift(out, c: Clustering, objective: ObjectiveKind) -> Fraction:
+    """Sum of |rounded weight| - |weight| over c's pre-rounding contributing set."""
+    return sum(
+        (abs(out.after.weight(u, v)) - abs(out.before.weight(u, v))
+         for u, v in contributing_edges(out.before, c, objective)),
+        Fraction(0),
+    )
+
+
+def oracle_deviation_stats(out, candidate: Clustering, reference: Clustering, lam: Fraction,
+                           objective: ObjectiveKind) -> DeviationStats:
+    """deviation_stats from both clusterings' contributing sets."""
+    return DeviationStats(s1=oracle_drift(out, candidate, objective),
+                          s2=oracle_drift(out, reference, objective) / lam)
+
+
+def oracle_trial(g: SignedGraph, cfg, u_ref: Clustering):
+    """(best candidate value, gap or None, notes) of one trial."""
+    rolled = build_roll(g, cfg.t)
+    rows = rolled.rows
+    notes = []
+    spread = cfg.rounding.alpha + cfg.rounding.beta
+    if spread * spread > rows * g.n:
+        notes.append("alpha+beta exceeds sqrt(rows*n); tail bounds are weak at this size")
+    outcome = round_graph(rolled.graph, cfg.rounding)
+    res = run_solver(outcome.after, cfg.objective, cfg.solver)
+    if res.budget_exhausted:
+        notes.append(budget_note(cfg.solver.budget))
+    grid = res.clustering
+    candidates = [
+        Clustering(grid.labels[i] for i in duplicate_cells(d, rows, g.n))
+        for d in rolled.active
+    ]
+    values = [clustering_value(g, c, cfg.objective) for c in candidates]
+    assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, cfg.objective)
+    best = (max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(values)
+    if cfg.lambda_ref == 1:
+        notes.append("deviation stats skipped: lambda_ref is 1")
+        return best, None, notes
+    u_n = duplication_clustering(u_ref, rows)
+    stats = oracle_deviation_stats(outcome, grid, u_n, cfg.lambda_ref, cfg.objective)
+    return best, stats.s1 - stats.s2, notes
+
+
+def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
+    opt = solve_exact(g, cfg.objective)
+    target = cfg.lambda_ref + cfg.epsilon
+    summaries = []
+    note_counts: "Counter[str]" = Counter()
+    for i in range(trials):
+        r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
+        s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
+        cfg_i = replace(
+            cfg,
+            rounding=replace(cfg.rounding, seed=r_seed),
+            solver=replace(cfg.solver, seed=s_seed),
+        )
+        best, gap, notes = oracle_trial(g, cfg_i, opt.clustering)
+        note_counts.update(notes)
+        if cfg.objective is ObjectiveKind.MAX_AGREE:
+            bad = best < opt.value / target
+        else:
+            bad = best > target * opt.value
+        ratio = None if opt.value == 0 else best / opt.value
+        summaries.append(TrialSummary(r_seed, s_seed, best, ratio, bad, gap))
+    gaps = [s.gap for s in summaries if s.gap is not None]
+    return TrialAggregate(
+        config=cfg,
+        trials=trials,
+        opt_value=opt.value,
+        opt_clustering=opt.clustering,
+        opt_below_one=opt.value < 1,
+        bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
+        ratios=tuple(s.ratio for s in summaries),
+        gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
+        gap_min=min(gaps) if gaps else None,
+        gap_max=max(gaps) if gaps else None,
+        per_trial=tuple(summaries),
+        notes=tuple(note_counts.items()),
+    )

@@ -46,6 +46,15 @@ MUTANTS = {
         "            if w:\n                store[key] = w\n",
         ["tests/test_core.py::test_a_zero_and_a_nonzero_weight_for_one_pair_conflict_in_either_order"],
     ),
+    "every candidate takes the first candidate's score": (
+        CORE,
+        "    return [value[lab] for lab in labelings]\n",
+        "    return [value[labelings[0]] for lab in labelings]\n",
+        [
+            "tests/test_reduction.py::test_report_accounting_fields",
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
+        ],
+    ),
     "cells run backwards (start - j*slope)": (
         ROLL,
         "((start + j * slope) % rows)",
@@ -133,23 +142,73 @@ MUTANTS = {
     ),
     "the sum check only catches a sum above the rolled value": (
         REDUCTION,
-        "if Fraction(sum(scaled), g.scale) != rolled_value_pre:",
-        "if Fraction(sum(scaled), g.scale) > rolled_value_pre:",
+        "if sum(scaled) * before.scale != pre * g.scale:",
+        "if sum(scaled) * before.scale > pre * g.scale:",
         ["tests/test_reduction.py::test_reduce_and_solve_refuses_candidates_that_do_not_sum"],
     ),
     "reduce_and_solve without its post-rounding check": (
         REDUCTION,
-        "    if surviving != rolled_value_post:\n"
+        "    if kept * post.denominator != post.numerator * after.scale:\n"
         '        raise RuntimeError("post-rounding value disagrees with the contributing-set sum")\n',
         "",
         ["tests/test_reduction.py::test_post_rounding_failure_names_trial_and_seeds"],
     ),
     "reduce_and_solve without its solver-value check": (
         REDUCTION,
-        "    if grid_res.value != rolled_value_post:\n"
+        "    if grid_res.value.numerator * post.denominator != post.numerator * grid_res.value.denominator:\n"
         '        raise RuntimeError("solver-reported value disagrees with direct evaluation")\n',
         "",
         ["tests/test_reduction.py::test_accounting_failure_names_trial_and_seeds"],
+    ),
+    "the post-rounding check sums the pre-rounding weights": (
+        REDUCTION,
+        "if kept * post.denominator != post.numerator * after.scale:",
+        "if pre * post.denominator != post.numerator * after.scale:",
+        # any trial whose rounding changes a contributing weight raises
+        ["tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle"],
+    ),
+    "s1 is computed as pre - kept": (
+        ROUNDING,
+        "s1 = Fraction(kept * b - pre * a, a * b)",
+        "s1 = Fraction(pre * a - kept * b, a * b)",
+        [
+            "tests/test_rounding.py::test_deviation_stats_match_per_pair_sums",
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
+        ],
+    ),
+    "s2 is not divided by lam": (
+        ROUNDING,
+        "* lam.denominator,\n                  a * b * lam.numerator)",
+        ",\n                  a * b)",
+        [
+            "tests/test_rounding.py::test_deviation_stats_refuses_a_float_lambda",
+            "tests/test_reduction.py::test_stats_gating_on_lambda",
+        ],
+    ),
+    "a positive weight's keep probability is read over alpha": (
+        ROUNDING,
+        "(w * b_den, g.scale * b_num) if w > 0",
+        "(w * a_den, g.scale * a_num) if w > 0",
+        ["tests/test_rounding.py::test_round_graph_matches_the_fraction_oracle"],
+    ),
+    "a MaxAgree best exactly at OPT/(lambda+eps) counts as bad": (
+        REDUCTION,
+        "bad = best.numerator * limit.denominator < limit.numerator * best.denominator",
+        "bad = best.numerator * limit.denominator <= limit.numerator * best.denominator",
+        ["tests/test_reduction.py::test_a_best_value_exactly_at_the_target_is_not_a_bad_event"],
+    ),
+    "a MinDisagree best exactly at (lambda+eps)*OPT counts as bad": (
+        REDUCTION,
+        "bad = best.numerator * limit.denominator > limit.numerator * best.denominator",
+        "bad = best.numerator * limit.denominator >= limit.numerator * best.denominator",
+        ["tests/test_reduction.py::test_a_best_value_exactly_at_the_target_is_not_a_bad_event"],
+    ),
+    "the spread note fires at (alpha+beta)^2 == rows*n": (
+        REDUCTION,
+        "** 2 > rows * g.n * den * den:",
+        "** 2 >= rows * g.n * den * den:",
+        # alpha = 5/4, beta = 7/4 on the 9-node t=0 grid sits on the boundary
+        ["tests/test_reduction.py::test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again"],
     ),
     "every trial rounds with the same seed": (
         REDUCTION,

@@ -112,7 +112,8 @@ def test_criterion_04_rounding_preserves_contributing_sets():
             for objective in (MAX, MIN):
                 pre = contributing_edges(out.before, c, objective)
                 assert contributing_edges(out.after, c, objective) <= pre
-                assert clustering_value(out.after, c, objective) == out.after.abs_weight(pre)
+                kept = Fraction(out.after.abs_weight(pre), out.after.scale)
+                assert clustering_value(out.after, c, objective) == kept
 
 
 def round_weight(w, params, rng):

@@ -10,30 +10,29 @@ from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_va
 from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.reduction import (
     ReductionConfig,
-    TrialAggregate,
-    TrialSummary,
+    ReductionReport,
     aggregate_to_dict,
     reduce_and_solve,
     run_trials,
 )
 from rollclust.roll import (
     build_roll,
-    duplicate_cells,
     duplication_clustering,
     induced_clustering,
     valid_roll_size,
 )
-from rollclust.rounding import RoundingParams, deviation_stats, round_graph
+from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
     SolveResult,
     SolverKind,
     SolverSpec,
     budget_note,
-    run_solver,
     solve_exact,
     solve_pivot,
 )
-from rollclust.streams import derive_seed
+from rollclust.streams import derive_seed, make_rng
+
+from invariants import oracle_deviation_stats, oracle_run_trials
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -292,7 +291,7 @@ def test_stats_gating_on_lambda():
     outcome = round_graph(rolled.graph, cfg3.rounding)
     ref = duplication_clustering(solve_exact(g, MAX).clustering, rolled.rows)
     assert rep3.stats.s2 != 0
-    assert rep3.stats == deviation_stats(outcome, grid, ref, Fraction(6, 5), MAX)
+    assert rep3.stats == oracle_deviation_stats(outcome, grid, ref, Fraction(6, 5), MAX)
 
 
 def test_config_validation():
@@ -485,65 +484,11 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
         assert (agg.bad_event_freq, min(agg.ratios)) == (freq, worst), t
 
 
-# The trial loop as it ran before the roll was shared across trials: a fresh
-# roll per trial, candidates read through freshly computed duplicate cells,
-# and every candidate value summed as a Fraction. A test oracle for
-# run_trials.
-
-
-def fraction_trial(g, cfg, u_ref):
-    """(best candidate value, gap or None) of one trial."""
-    rolled = build_roll(g, cfg.t)
-    rows = rolled.rows
-    outcome = round_graph(rolled.graph, cfg.rounding)
-    grid = run_solver(outcome.after, cfg.objective, cfg.solver).clustering
-    candidates = [
-        Clustering(grid.labels[i] for i in duplicate_cells(d, rows, g.n))
-        for d in rolled.active
-    ]
-    values = [clustering_value(g, c, cfg.objective) for c in candidates]
-    assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, cfg.objective)
-    best = (max if cfg.objective is MAX else min)(values)
-    if cfg.lambda_ref == 1:
-        return best, None
-    u_n = duplication_clustering(u_ref, rows)
-    return best, deviation_stats(outcome, grid, u_n, cfg.lambda_ref, cfg.objective).gap
-
-
-def fraction_run_trials(g, cfg, trials):
-    opt = solve_exact(g, cfg.objective)
-    target = cfg.lambda_ref + cfg.epsilon
-    summaries = []
-    for i in range(trials):
-        r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
-        s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
-        cfg_i = replace(
-            cfg,
-            rounding=replace(cfg.rounding, seed=r_seed),
-            solver=replace(cfg.solver, seed=s_seed),
-        )
-        best, gap = fraction_trial(g, cfg_i, opt.clustering)
-        if cfg.objective is MAX:
-            bad = best < opt.value / target
-        else:
-            bad = best > target * opt.value
-        ratio = None if opt.value == 0 else best / opt.value
-        summaries.append(TrialSummary(r_seed, s_seed, best, ratio, bad, gap))
-    gaps = [s.gap for s in summaries if s.gap is not None]
-    return TrialAggregate(
-        config=cfg,
-        trials=trials,
-        opt_value=opt.value,
-        opt_clustering=opt.clustering,
-        opt_below_one=opt.value < 1,
-        bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
-        ratios=tuple(s.ratio for s in summaries),
-        gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
-        gap_min=min(gaps) if gaps else None,
-        gap_max=max(gaps) if gaps else None,
-        per_trial=tuple(summaries),
-        notes=(),
-    )
+def assert_matches_the_oracle(g, cfg, trials):
+    agg, expected = run_trials(g, cfg, trials), oracle_run_trials(g, cfg, trials)
+    assert aggregate_to_dict(agg) == aggregate_to_dict(expected)
+    assert agg.notes == expected.notes
+    return agg
 
 
 @pytest.mark.parametrize("objective, kind", [
@@ -562,9 +507,105 @@ def test_run_trials_matches_the_fraction_oracle(objective, kind, t, lam):
             epsilon=Fraction(1, 20),
             lambda_ref=lam,
         )
-        assert aggregate_to_dict(run_trials(g, cfg, 2)) == aggregate_to_dict(
-            fraction_run_trials(g, cfg, 2)
-        )
+        assert_matches_the_oracle(g, cfg, 2)
+
+
+def test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again(monkeypatch):
+    # the exact solver on the 9-node t=0 grid, a local search stopped at its
+    # budget, fractional alpha != beta, and a rounding whose derived seeds
+    # are all rejected, so every fractional edge draws on its retry stream
+    exact = SolverSpec(SolverKind.EXACT)
+    cut = SolverSpec(SolverKind.LOCAL_SEARCH, seed=5, budget=2)
+    spreads = (RoundingParams(alpha=1, beta=1, seed=6),
+               RoundingParams(alpha=Fraction(5, 4), beta=Fraction(7, 4), seed=6))
+    cases = [(3, 0, exact), (3, 1, cut), (4, 1, cut), (4, 0, SolverSpec(SolverKind.LOCAL_SEARCH, seed=5))]
+    budget_cuts = 0
+    for objective in (MAX, MIN):
+        for lam in (Fraction(1), Fraction(3, 2)):
+            for seed, (n, t, spec) in enumerate(cases):
+                g = generate(GenSpec(n=n, model=UniformRational(density=0.9), seed=seed))
+                for rounding in spreads:
+                    cfg = ReductionConfig(objective, t, rounding, spec, Fraction(1, 20), lam)
+                    agg = assert_matches_the_oracle(g, cfg, 3)
+                    budget_cuts += any("budget" in note for note, _ in agg.notes)
+    assert budget_cuts > 0
+    import rollclust.rounding
+
+    retries = []
+
+    def counting_make_rng(root, *parts):
+        retries.append(parts)
+        return make_rng(root, *parts)
+
+    monkeypatch.setattr(rollclust.rounding, "extended_seed", lambda prefix, data: 2**64 - 1)
+    monkeypatch.setattr(rollclust.rounding, "make_rng", counting_make_rng)
+    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=4))
+    for objective in (MAX, MIN):
+        cfg = ReductionConfig(objective, 1, spreads[1], SolverSpec(SolverKind.LOCAL_SEARCH, seed=5),
+                              Fraction(1, 20), Fraction(3, 2))
+        assert_matches_the_oracle(g, cfg, 2)
+    assert retries and all(parts[-1] == "retry" for parts in retries)
+
+
+@pytest.mark.parametrize("objective", [MAX, MIN])
+def test_a_best_value_exactly_at_the_target_is_not_a_bad_event(monkeypatch, objective):
+    # best = OPT/(lambda+eps) under MaxAgree and (lambda+eps)*OPT under
+    # MinDisagree sit on the target: the bad event is strict, so they do
+    # not count, and a best value one step past the target does
+    import rollclust.reduction
+
+    g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
+    cfg = replace(identity_config(objective), lambda_ref=Fraction(3, 2))
+    opt = solve_exact(g, objective).value
+    target = Fraction(3, 2) + Fraction(1, 20)
+    at = opt / target if objective is MAX else target * opt
+    past = at + (-1 if objective is MAX else 1) * Fraction(1, 10**9)
+    bests = iter([at, past])
+
+    def hand_built(rolled, cfg_i, u_ref):
+        return ReductionReport(SolveResult(u_ref, next(bests)), None, ())
+
+    monkeypatch.setattr(rollclust.reduction, "reduce_and_solve", hand_built)
+    agg = run_trials(g, cfg, 2)
+    assert opt != 0 and [s.best_value for s in agg.per_trial] == [at, past]
+    assert [s.bad for s in agg.per_trial] == [False, True]
+
+
+@pytest.mark.parametrize("lam, reference_sets", [(Fraction(3, 2), 1), (Fraction(1), 0)])
+def test_a_trial_builds_the_grid_clusterings_contributing_set_once(monkeypatch, lam, reference_sets):
+    # reduce_and_solve builds the grid clustering's set and hands its sums
+    # to deviation_stats, which builds only the reference's; the candidates
+    # are read through one induced_clustering call per active copy
+    import rollclust.reduction
+    import rollclust.rounding
+
+    sets = {rollclust.reduction: [], rollclust.rounding: []}
+    for module, seen in sets.items():
+        def counting(g, c, objective, real=module.contributing_edges, seen=seen):
+            seen.append(c)
+            return real(g, c, objective)
+
+        monkeypatch.setattr(module, "contributing_edges", counting)
+    grids = []
+    real_induced = rollclust.reduction.induced_clustering
+
+    def counting_induced(r, c, d):
+        grids.append(c)
+        return real_induced(r, c, d)
+
+    monkeypatch.setattr(rollclust.reduction, "induced_clustering", counting_induced)
+    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=2))
+    cfg = replace(local_config(), objective=MAX, lambda_ref=lam)
+    trials = 4
+    agg = run_trials(g, cfg, trials)
+    copies = len(build_roll(g, 1).active)
+    assert copies == 27 and len(grids) == trials * copies
+    # each trial reads all its copies from its one grid clustering
+    per_trial = [grids[i * copies] for i in range(trials)]
+    assert all(c is per_trial[i // copies] for i, c in enumerate(grids))
+    assert sets[rollclust.reduction] == per_trial
+    reference = duplication_clustering(agg.opt_clustering, valid_roll_size(3, 1))
+    assert sets[rollclust.rounding] == [reference] * (trials * reference_sets)
 
 
 @pytest.mark.parametrize("trials", [1, 2, 5])

@@ -373,12 +373,19 @@ def test_edges_round_independently():
     assert abs(cov) <= limit
 
 
+def candidate_stats(out, cand, ref, lam, objective):
+    """deviation_stats, handed the candidate's contributing-set sums."""
+    pairs = contributing_edges(out.before, cand, objective)
+    pre, kept = out.before.abs_weight(pairs), out.after.abs_weight(pairs)
+    return deviation_stats(out, pre, kept, ref, lam, objective)
+
+
 def test_deviation_stats_counts_and_zero_drift():
     g = SignedGraph(4, {(0, 1): 1, (1, 2): -1, (2, 3): 1, (0, 3): -1})
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=5))  # identity
     cand = Clustering([0, 0, 1, 1])
     ref = Clustering.one_cluster(4)
-    stats = deviation_stats(out, cand, ref, Fraction(3, 2), MAX)
+    stats = candidate_stats(out, cand, ref, Fraction(3, 2), MAX)
     # identity rounding drifts nothing
     assert stats.s1 == 0 and stats.s2 == 0 and stats.gap == 0
     # the sets the drift sums run over: both keep the +1 edges inside, and
@@ -407,7 +414,7 @@ def test_deviation_stats_match_per_pair_sums():
                 Fraction(0),
             )
 
-        stats = deviation_stats(out, cand, ref, lam, MAX)
+        stats = candidate_stats(out, cand, ref, lam, MAX)
         assert stats.s1 == drift(cand)
         assert stats.s2 == drift(ref) / lam
         # the reference drift is weighed by 1/lam once
@@ -418,7 +425,7 @@ def test_deviation_stats_rejects_lambda_at_most_one():
     g = SignedGraph(2, {(0, 1): 1})
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
     with pytest.raises(ValueError):
-        deviation_stats(out, Clustering([0, 0]), Clustering([0, 0]), Fraction(1), MAX)
+        candidate_stats(out, Clustering([0, 0]), Clustering([0, 0]), Fraction(1), MAX)
 
 
 def test_deviation_stats_refuses_a_float_lambda():
@@ -426,8 +433,8 @@ def test_deviation_stats_refuses_a_float_lambda():
     # beta = 2 moves the edge's weight to 0 or 2, so the reference drifts
     out = round_graph(g, RoundingParams(alpha=2, beta=2, seed=0))
     with pytest.raises(TypeError, match="not the float 1.1"):
-        deviation_stats(out, Clustering([0, 1]), Clustering([0, 0]), 1.1, MAX)
-    stats = deviation_stats(out, Clustering([0, 1]), Clustering([0, 0]), "11/10", MAX)
+        candidate_stats(out, Clustering([0, 1]), Clustering([0, 0]), 1.1, MAX)
+    stats = candidate_stats(out, Clustering([0, 1]), Clustering([0, 0]), "11/10", MAX)
     drift = abs(out.after.weight(0, 1)) - 1
     assert drift != 0 and stats.s2 == drift / Fraction(11, 10)
 
@@ -441,7 +448,7 @@ def test_drift_sums_center_on_zero():
     vals = []
     for i in range(2000):
         out = round_graph(g, RoundingParams(alpha=2, beta=2, seed=derive_seed(8, "s1", i)))
-        stats = deviation_stats(out, cand, ref, Fraction(3, 2), MAX)
+        stats = candidate_stats(out, cand, ref, Fraction(3, 2), MAX)
         vals.append(float(stats.s1))
     mean = statistics.fmean(vals)
     sigma = statistics.stdev(vals) / math.sqrt(len(vals))
