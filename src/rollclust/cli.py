@@ -12,7 +12,6 @@ Exit status is 0 only when nothing failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -93,8 +92,6 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("reduce", parents=[common, seeded], help="run the roll pipeline trials")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="report format")
     p.add_argument("graph")
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--t", type=int, default=0)
@@ -270,29 +267,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _ratio_histogram(ratios, bins: int = 10):
-    """Equal-width bins over the observed exact ratios, as exact
-    (left, right, count) rows; the last bin also holds the maximum."""
-    present = [r for r in ratios if r is not None]
-    if not present:
-        return []
-    lo, hi = min(present), max(present)
-    if lo == hi:
-        return [(lo, hi, len(present))]
-    counts = [0] * bins
-    for x in present:
-        counts[min((x - lo) * bins // (hi - lo), bins - 1)] += 1
-    edges = [lo + (hi - lo) * b / bins for b in range(bins)] + [hi]
-    return [(edges[b], edges[b + 1], counts[b]) for b in range(bins)]
-
-
-def _decimal(x: Fraction, places: int = 6) -> str:
-    """A non-negative x rounded half to even at the given decimal places,
-    without a float."""
-    whole, frac = divmod(round(x * 10**places), 10**places)
-    return f"{whole}.{frac:0{places}d}"
-
-
 def cmd_reduce(args) -> int:
     g = read_graph(args.graph)
     cfg = ReductionConfig(
@@ -309,14 +283,7 @@ def cmd_reduce(args) -> int:
         # a failed accounting identity: the program's fault, not the input's
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = args.out or "report.json"
-    _write_json(out, aggregate_to_dict(agg))
-    if args.format == "csv":
-        with open(out + ".csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for left, right, count in _ratio_histogram(agg.ratios):
-                writer.writerow([_decimal(left), _decimal(right), count])
+    _write_json(args.out or "report.json", aggregate_to_dict(agg))
     print(f"trials={agg.trials} opt={frac_to_str(agg.opt_value)} "
           f"bad_event_freq={frac_to_str(agg.bad_event_freq)}")
     for note, count in agg.notes:

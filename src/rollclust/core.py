@@ -229,9 +229,11 @@ def clustering_value(
 
 # --- graph text format ----------------------------------------------------
 #
-# Line 1: "n m". Then exactly m lines "u v w" with 0-based node ids and w a
-# rational written as a decimal or p/q. Duplicate pairs and self-loops are
-# format errors. Written files round-trip exactly.
+# Line 1: "n m", with n at most MAX_NODES. Then exactly m lines "u v w" with
+# 0-based node ids and w a rational written as a decimal or p/q. Duplicate
+# pairs and self-loops are format errors. Written files round-trip exactly.
+
+MAX_NODES = 10**6
 
 
 def parse_weight(token: str) -> Fraction:
@@ -254,6 +256,8 @@ def parse_graph(text: str) -> SignedGraph:
         raise GraphFormatError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative")
+    if n > MAX_NODES:
+        raise GraphFormatError(f"n = {n} is above the {MAX_NODES}-node limit")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}")
     weights: dict[tuple[int, int], Fraction] = {}

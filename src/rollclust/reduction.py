@@ -3,21 +3,23 @@
 reduce_and_solve takes a base graph's roll, rounds the rolled weights,
 hands the rounded graph to a solver, and reads one candidate clustering of
 the base graph out of every active duplicate, scoring them all in one pass
-against the original base weights. Its accounting stays in ints over each
-graph's scale: the solver clustering's pre-rounding contributing set is
-built once, and its |weight| sums before rounding (pre) and after (kept)
-feed the identities and the drift s1. By integer cross-multiplication it
-checks that kept equals the post-rounding value, that the candidate values
-sum to pre, and that the solver's reported value equals the post-rounding
-value. A failed check raises RuntimeError.
+against the original base weights. It reports only what run_trials reads:
+the best candidate's value, the drift gap and the trial's notes. Its
+accounting stays in ints over each graph's scale: the solver clustering's
+pre-rounding contributing set is built once, and its |weight| sums before
+rounding (pre) and after (kept) feed the identities and the drift gap. By
+integer cross-multiplication it checks that kept equals the post-rounding
+value, that the candidate values sum to pre, and that the solver's
+reported value equals the post-rounding value. A failed check raises
+RuntimeError.
 
 run_trials repeats the pipeline with per-trial derived seeds against the
 exact optimum of the base graph and reports how often the best candidate
 fails the (lambda+epsilon) target, the distribution of best/OPT ratios,
-and drift statistics when available. The roll depends only on the base
-and t, so run_trials builds it once per call, and its trials share the
-roll and its duplicate cells; each trial rounds it afresh. Frequencies
-are measurements, not certificates.
+and the drift gaps' mean, minimum and maximum when lambda_ref > 1. The
+roll depends only on the base and t, so run_trials builds it once per
+call, and its trials share the roll and its duplicate cells; each trial
+rounds it afresh. Frequencies are measurements, not certificates.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from .jsonutil import frac_to_str, opt_frac_to_str
 from .roll import (
     RolledGraph, build_roll, duplication_clustering, induced_clustering, valid_roll_size,
 )
-from .rounding import DeviationStats, RoundingParams, deviation_stats, round_graph
-from .solvers import (
-    EXACT_NODE_LIMIT, SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact,
-)
+from .rounding import RoundingParams, deviation_stats, round_graph
+from .solvers import EXACT_NODE_LIMIT, SolverKind, SolverSpec, budget_note, run_solver, solve_exact
 from .streams import derive_seed
 
 
@@ -72,29 +72,31 @@ class ReductionConfig:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    best: SolveResult
-    stats: Optional[DeviationStats]
+    best: Fraction
+    gap: Optional[Fraction]
     notes: "tuple[str, ...]"
 
 
 def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clustering) -> ReductionReport:
     """Round a base's roll once, solve it, check the accounting identities
-    and report the best candidate.
+    and report the best candidate's value.
 
     rolled must be its base's roll at cfg.t, and round_graph rejects a base
-    that is not normalized (all |weight| <= 1). When lambda_ref > 1,
-    deviation statistics against u_ref's duplication clustering are
-    included.
+    that is not normalized (all |weight| <= 1). When lambda_ref > 1, the
+    report's gap is the drift gap against u_ref's duplication clustering;
+    otherwise it is None.
     """
     g, rows = rolled.base, rolled.rows
     if rolled.t != cfg.t:
         raise ValueError(f"rolled is {rolled!r}, not its base's roll at t={cfg.t}")
     notes: "list[str]" = []
-    # (alpha+beta)^2 > rows*n, in ints over the product of the denominators
-    a, b = cfg.rounding.alpha, cfg.rounding.beta
-    den = a.denominator * b.denominator
-    if (a.numerator * b.denominator + b.numerator * a.denominator) ** 2 > rows * g.n * den * den:
-        notes.append("alpha+beta exceeds sqrt(rows*n); tail bounds are weak at this size")
+    # ((alpha+beta)/max|w|)^2 > rows*n, in ints: rounding reads alpha and
+    # beta only against |w|, so scaling all three together keeps the note;
+    # an edgeless base (q = 0) raises none
+    top, spread = g.max_abs_weight(), cfg.rounding.alpha + cfg.rounding.beta
+    p, q = spread.numerator * top.denominator, spread.denominator * top.numerator
+    if q and p * p > rows * g.n * q * q:
+        notes.append("(alpha+beta)/max|w| exceeds sqrt(rows*n); tail bounds are weak at this size")
 
     outcome = round_graph(rolled.graph, cfg.rounding)
     grid_res = run_solver(outcome.after, cfg.objective, cfg.solver)
@@ -105,8 +107,7 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     candidates = [induced_clustering(rolled, grid, d) for d in rolled.active]
     # scored in ints over g.scale; a Fraction only for the best
     scaled = scaled_values(g, candidates, cfg.objective)
-    best_index = scaled.index((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(scaled))
-    best = SolveResult(candidates[best_index], Fraction(scaled[best_index], g.scale))
+    best = Fraction((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(scaled), g.scale)
 
     before, after = rolled.graph, outcome.after
     pre_set = contributing_edges(before, grid, cfg.objective)
@@ -119,14 +120,14 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     if grid_res.value.numerator * post.denominator != post.numerator * grid_res.value.denominator:
         raise RuntimeError("solver-reported value disagrees with direct evaluation")
 
-    stats = None
+    gap = None
     if cfg.lambda_ref > 1:
         u_n = duplication_clustering(u_ref, rows)
-        stats = deviation_stats(outcome, pre, kept, u_n, cfg.lambda_ref, cfg.objective)
+        gap = deviation_stats(outcome, pre, kept, u_n, cfg.lambda_ref, cfg.objective)
     else:
         notes.append("deviation stats skipped: lambda_ref is 1")
 
-    return ReductionReport(best=best, stats=stats, notes=tuple(notes))
+    return ReductionReport(best=best, gap=gap, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
             raise RuntimeError(
                 f"trial {i} (rounding seed {r_seed}, solver seed {s_seed}): {exc}"
             ) from exc
-        best = rep.best.value
+        best = rep.best
         if cfg.objective is ObjectiveKind.MAX_AGREE:
             bad = best.numerator * limit.denominator < limit.numerator * best.denominator
         else:
@@ -209,7 +210,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
                 best_value=best,
                 ratio=None if opt.value == 0 else best / opt.value,
                 bad=bad,
-                gap=rep.stats.gap if rep.stats is not None else None,
+                gap=rep.gap,
             )
         )
     gaps = [s.gap for s in summaries if s.gap is not None]

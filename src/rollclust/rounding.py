@@ -16,7 +16,7 @@ weight| over the pre-rounding contributing set gives the post-rounding
 value exactly.
 
 Deviation accounting compares a candidate clustering against a reference on
-the same rounding outcome (drift sums s1 and s2 and their gap); the caller
+the same rounding outcome and returns one number, the drift gap; the caller
 hands over the candidate's contributing-set sums, so only the reference's
 set is built here.
 """
@@ -97,25 +97,6 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     return RoundingOutcome(g, SignedGraph._from_scaled(g.n, scale, weights))
 
 
-@dataclass(frozen=True, eq=True)
-class DeviationStats:
-    """How far a rounding outcome drifted from its expectation, for a
-    candidate clustering and a reference clustering on the same outcome.
-
-    s1 sums (|rounded| - |original|) over the candidate's pre-rounding
-    contributing edges; s2 does the same for the reference, scaled by
-    1/lam. Both have expectation zero. gap is the diagnostic difference
-    s1 - s2, which weighs the reference drift by 1/lam once.
-    """
-
-    s1: Fraction
-    s2: Fraction
-
-    @property
-    def gap(self) -> Fraction:
-        return self.s1 - self.s2
-
-
 def deviation_stats(
     out: RoundingOutcome,
     pre: int,
@@ -123,22 +104,24 @@ def deviation_stats(
     reference: Clustering,
     lam: Fraction,
     objective: ObjectiveKind,
-) -> DeviationStats:
-    """Drift accounting for one rounding outcome.
+) -> Fraction:
+    """The drift gap of one rounding outcome: the candidate's drift minus
+    the reference's drift over lam.
 
-    pre and kept are the candidate's pre-rounding contributing-set sums of
-    |weight|, before rounding as an int over out.before.scale and after it
-    over out.after.scale. The reference's contributing set is taken on the
-    pre-rounding graph and summed the same way. lam must exceed 1.
+    A clustering's drift sums |rounded weight| - |weight| over its
+    pre-rounding contributing edges, and has expectation zero. pre and
+    kept are the candidate's sums of |weight| over that set, before
+    rounding as an int over out.before.scale and after it over
+    out.after.scale. The reference's set is taken on the pre-rounding
+    graph and summed the same way. lam must exceed 1.
     """
     lam = as_fraction(lam)
     if lam <= 1:
         raise ValueError("lam must be > 1")
     before, after = out.before, out.after
     ref = contributing_edges(before, reference, objective)
-    # both drifts as ints over before.scale * after.scale
+    # both drifts as ints over before.scale * after.scale * lam.numerator
     b, a = before.scale, after.scale
-    s1 = Fraction(kept * b - pre * a, a * b)
-    s2 = Fraction((after.abs_weight(ref) * b - before.abs_weight(ref) * a) * lam.denominator,
-                  a * b * lam.numerator)
-    return DeviationStats(s1=s1, s2=s2)
+    s1 = (kept * b - pre * a) * lam.numerator
+    s2 = (after.abs_weight(ref) * b - before.abs_weight(ref) * a) * lam.denominator
+    return Fraction(s1 - s2, a * b * lam.numerator)

@@ -31,7 +31,7 @@ from rollclust.reduction import TrialAggregate, TrialSummary
 from rollclust.roll import (
     DuplicateId, RolledGraph, build_roll, duplicate_cells, duplication_clustering, induced_clustering,
 )
-from rollclust.rounding import DeviationStats, round_graph
+from rollclust.rounding import round_graph
 from rollclust.solvers import budget_note, run_solver, solve_exact
 from rollclust.streams import derive_seed
 
@@ -128,10 +128,11 @@ def oracle_drift(out, c: Clustering, objective: ObjectiveKind) -> Fraction:
 
 
 def oracle_deviation_stats(out, candidate: Clustering, reference: Clustering, lam: Fraction,
-                           objective: ObjectiveKind) -> DeviationStats:
-    """deviation_stats from both clusterings' contributing sets."""
-    return DeviationStats(s1=oracle_drift(out, candidate, objective),
-                          s2=oracle_drift(out, reference, objective) / lam)
+                           objective: ObjectiveKind) -> "tuple[Fraction, Fraction]":
+    """The two sides of deviation_stats' gap, from both clusterings'
+    contributing sets: s1, the candidate's drift, and s2, the reference's
+    drift over lam. The gap is s1 - s2."""
+    return oracle_drift(out, candidate, objective), oracle_drift(out, reference, objective) / lam
 
 
 def oracle_trial(g: SignedGraph, cfg, u_ref: Clustering):
@@ -139,9 +140,9 @@ def oracle_trial(g: SignedGraph, cfg, u_ref: Clustering):
     rolled = build_roll(g, cfg.t)
     rows = rolled.rows
     notes = []
-    spread = cfg.rounding.alpha + cfg.rounding.beta
-    if spread * spread > rows * g.n:
-        notes.append("alpha+beta exceeds sqrt(rows*n); tail bounds are weak at this size")
+    top = max((abs(w) for _, _, w in g.edges()), default=0)
+    if top and ((cfg.rounding.alpha + cfg.rounding.beta) / top) ** 2 > rows * g.n:
+        notes.append("(alpha+beta)/max|w| exceeds sqrt(rows*n); tail bounds are weak at this size")
     outcome = round_graph(rolled.graph, cfg.rounding)
     res = run_solver(outcome.after, cfg.objective, cfg.solver)
     if res.budget_exhausted:
@@ -158,8 +159,8 @@ def oracle_trial(g: SignedGraph, cfg, u_ref: Clustering):
         notes.append("deviation stats skipped: lambda_ref is 1")
         return best, None, notes
     u_n = duplication_clustering(u_ref, rows)
-    stats = oracle_deviation_stats(outcome, grid, u_n, cfg.lambda_ref, cfg.objective)
-    return best, stats.s1 - stats.s2, notes
+    s1, s2 = oracle_deviation_stats(outcome, grid, u_n, cfg.lambda_ref, cfg.objective)
+    return best, s1 - s2, notes
 
 
 def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:

@@ -169,8 +169,8 @@ MUTANTS = {
     ),
     "s1 is computed as pre - kept": (
         ROUNDING,
-        "s1 = Fraction(kept * b - pre * a, a * b)",
-        "s1 = Fraction(pre * a - kept * b, a * b)",
+        "s1 = (kept * b - pre * a) * lam.numerator",
+        "s1 = (pre * a - kept * b) * lam.numerator",
         [
             "tests/test_rounding.py::test_deviation_stats_match_per_pair_sums",
             "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
@@ -178,12 +178,18 @@ MUTANTS = {
     ),
     "s2 is not divided by lam": (
         ROUNDING,
-        "* lam.denominator,\n                  a * b * lam.numerator)",
-        ",\n                  a * b)",
+        "before.abs_weight(ref) * a) * lam.denominator",
+        "before.abs_weight(ref) * a) * lam.numerator",
         [
             "tests/test_rounding.py::test_deviation_stats_refuses_a_float_lambda",
             "tests/test_reduction.py::test_stats_gating_on_lambda",
         ],
+    ),
+    "the gap adds the reference drift instead of subtracting it": (
+        ROUNDING,
+        "return Fraction(s1 - s2, a * b * lam.numerator)",
+        "return Fraction(s1 + s2, a * b * lam.numerator)",
+        ["tests/test_rounding.py::test_deviation_stats_match_per_pair_sums"],
     ),
     "a positive weight's keep probability is read over alpha": (
         ROUNDING,
@@ -203,12 +209,12 @@ MUTANTS = {
         "bad = best.numerator * limit.denominator >= limit.numerator * best.denominator",
         ["tests/test_reduction.py::test_a_best_value_exactly_at_the_target_is_not_a_bad_event"],
     ),
-    "the spread note fires at (alpha+beta)^2 == rows*n": (
+    "the spread note fires at ((alpha+beta)/max|w|)^2 == rows*n": (
         REDUCTION,
-        "** 2 > rows * g.n * den * den:",
-        "** 2 >= rows * g.n * den * den:",
-        # alpha = 5/4, beta = 7/4 on the 9-node t=0 grid sits on the boundary
-        ["tests/test_reduction.py::test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again"],
+        "if q and p * p > rows * g.n * q * q:",
+        "if q and p * p >= rows * g.n * q * q:",
+        # alpha = 5/4, beta = 7/4 at max|w| = 1 on the 9-node t=0 grid sits on the boundary
+        ["tests/test_reduction.py::test_spread_note_emitted"],
     ),
     "every trial rounds with the same seed": (
         REDUCTION,
@@ -227,8 +233,8 @@ MUTANTS = {
     ),
     "the best candidate's value is read over the rounded graph's scale": (
         REDUCTION,
-        "Fraction(scaled[best_index], g.scale)",
-        "Fraction(scaled[best_index], outcome.after.scale)",
+        "(scaled), g.scale)",
+        "(scaled), outcome.after.scale)",
         [
             # the scales differ only on a base with a fractional weight
             "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",

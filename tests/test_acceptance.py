@@ -234,7 +234,7 @@ def test_criterion_10_identity_regime_recovers_optimum():
             )
             opt = solve_exact(g, MAX)
             rep = reduce_and_solve(build_roll(g, 0), cfg, opt.clustering)
-            if rep.best.value == opt.value:
+            if rep.best == opt.value:
                 hits += 1
         assert hits == 100, f"only {hits}/100 trials recovered the optimum"
 

@@ -6,6 +6,7 @@ import pytest
 
 from rollclust.core import (
     Clustering,
+    MAX_NODES,
     GraphFormatError,
     ObjectiveKind,
     SignedGraph,
@@ -187,6 +188,12 @@ def test_graph_text_roundtrip():
 def test_graph_text_format_errors(text):
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+def test_graph_header_node_count_is_capped():
+    assert parse_graph(f"{MAX_NODES} 1\n0 1 1/2\n").n == MAX_NODES
+    with pytest.raises(GraphFormatError, match="n = 1000001 is above the 1000000-node limit"):
+        parse_graph(f"{MAX_NODES + 1} 1\n0 1 1/2\n")
 
 
 def test_clustering_canonical_form():

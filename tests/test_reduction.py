@@ -23,7 +23,6 @@ from rollclust.roll import (
 )
 from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
-    SolveResult,
     SolverKind,
     SolverSpec,
     budget_note,
@@ -32,7 +31,7 @@ from rollclust.solvers import (
 )
 from rollclust.streams import derive_seed, make_rng
 
-from invariants import oracle_deviation_stats, oracle_run_trials
+from invariants import oracle_deviation_stats, oracle_run_trials, total_abs_weight
 
 MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
@@ -123,9 +122,8 @@ def test_identity_regime_recovers_optimum():
             opt = solve_exact(g, objective)
             cfg = identity_config(objective, seed=trial)
             rep, _, _, candidates = reduce_reading_candidates(g, cfg)
-            assert rep.best.value == opt.value
+            assert rep.best == opt.value
             assert all(clustering_value(g, c, objective) == opt.value for c in candidates)
-            assert clustering_value(g, rep.best.clustering, objective) == rep.best.value
 
 
 def test_report_accounting_fields():
@@ -140,7 +138,7 @@ def test_report_accounting_fields():
     assert sum(values, Fraction(0)) == pre
     rounded = round_graph(rolled.graph, cfg.rounding).after
     assert clustering_value(rounded, grid, MAX) == pre  # identity rounding
-    assert rep.best == SolveResult(candidates[values.index(max(values))], max(values))
+    assert rep.best == max(values)
 
 
 def test_reduce_with_real_rounding_and_local_search():
@@ -160,10 +158,10 @@ def test_reduce_with_real_rounding_and_local_search():
     )
     rep, rolled, grid, candidates = reduce_reading_candidates(g, cfg)
     # accounting ran without raising; the best candidate cannot beat OPT
-    assert rep.best.value >= solve_exact(g, MIN).value
+    assert rep.best >= solve_exact(g, MIN).value
     values = [clustering_value(g, c, MIN) for c in candidates]
     assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, MIN)
-    assert rep.best.value == min(values)
+    assert rep.best == min(values)
 
 
 def test_reduce_rejects_unnormalized():
@@ -174,17 +172,19 @@ def test_reduce_rejects_unnormalized():
 
 
 def test_spread_note_emitted():
+    # the note compares ((alpha+beta)/max|w|)^2 with rows*n = 9 on the
+    # 9-node t=0 grid: a third of the weights at alpha = beta = 1 reads as
+    # 6^2, alpha+beta = 3 at max|w| = 1 sits on the boundary, and an
+    # edgeless base raises none
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1})
-    cfg = ReductionConfig(
-        objective=MAX,
-        t=0,
-        rounding=RoundingParams(alpha=3, beta=3, seed=0),
-        solver=SolverSpec(SolverKind.EXACT),
-        epsilon=Fraction(1, 20),
-        lambda_ref=Fraction(1),
-    )
-    rep = reduce_on_roll(g, cfg)
-    assert any("alpha+beta" in note for note in rep.notes)
+    third = SignedGraph(3, {(0, 1): Fraction(1, 3), (1, 2): Fraction(-1, 3)})
+    cases = [(g, 3, 3, True), (g, 1, 1, False), (third, 1, 1, True),
+             (g, Fraction(5, 4), Fraction(7, 4), False), (SignedGraph(3), 3, 3, False)]
+    for base, alpha, beta, noted in cases:
+        cfg = replace(identity_config(MAX), rounding=RoundingParams(alpha, beta, seed=0))
+        notes = reduce_on_roll(base, cfg).notes
+        assert ("(alpha+beta)/max|w| exceeds sqrt(rows*n); tail bounds are weak at this size"
+                in notes) == noted, (base, alpha, beta)
 
 
 def local_config(budget=1000):
@@ -261,7 +261,7 @@ def test_local_pipeline_on_216_node_grid():
     assert len(candidates) == 216
     values = [clustering_value(g, c, MIN) for c in candidates]
     assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, MIN)
-    assert rep.best.value >= solve_exact(g, MIN).value
+    assert rep.best >= solve_exact(g, MIN).value
     assert not any("budget" in note for note in rep.notes)
 
 
@@ -269,7 +269,7 @@ def test_stats_gating_on_lambda():
     rng = random.Random(31)
     g = pm1_graph(rng, 3)
     rep = reduce_on_roll(g, identity_config(MAX))
-    assert rep.stats is None
+    assert rep.gap is None
     assert any("lambda_ref" in note for note in rep.notes)
 
     cfg2 = ReductionConfig(
@@ -281,17 +281,17 @@ def test_stats_gating_on_lambda():
         lambda_ref=Fraction(6, 5),
     )
     rep2 = reduce_on_roll(g, cfg2)
-    assert rep2.stats is not None
     # identity rounding leaves no per-edge drift
-    assert rep2.stats.s1 == 0 and rep2.stats.s2 == 0 and rep2.stats.gap == 0
-    # at alpha = beta = 2 the reference drifts, so s2 shows which lambda
-    # reached deviation_stats
+    assert rep2.gap == 0
+    # at alpha = beta = 2 the reference drifts, so the gap shows which
+    # lambda reached deviation_stats
     cfg3 = replace(cfg2, rounding=RoundingParams(alpha=2, beta=2, seed=0))
     rep3, rolled, grid, _ = reduce_reading_candidates(g, cfg3)
     outcome = round_graph(rolled.graph, cfg3.rounding)
     ref = duplication_clustering(solve_exact(g, MAX).clustering, rolled.rows)
-    assert rep3.stats.s2 != 0
-    assert rep3.stats == oracle_deviation_stats(outcome, grid, ref, Fraction(6, 5), MAX)
+    s1, s2 = oracle_deviation_stats(outcome, grid, ref, Fraction(6, 5), MAX)
+    assert s2 != 0
+    assert rep3.gap == s1 - s2
 
 
 def test_config_validation():
@@ -330,6 +330,63 @@ def test_run_trials_identity_regime():
         assert s.rounding_seed == derive_seed(0, "trial", i, "round")
         assert s.solver_seed == derive_seed(0, "trial", i, "solve")
         assert not s.bad
+
+
+def scaled_base(g, k):
+    return SignedGraph(g.n, {(u, v): w * k for u, v, w in g.edges()})
+
+
+# (solver, objective, t) for the pipeline-level metamorphic relations; the
+# exact solver takes only the 9-node grid of a 3-node base at t = 0
+PIPELINE = [
+    (kind, objective, t)
+    for kind, objective in [(SolverKind.LOCAL_SEARCH, MAX), (SolverKind.LOCAL_SEARCH, MIN),
+                            (SolverKind.TRIVIAL_MAX, MAX), (SolverKind.EXACT, MAX),
+                            (SolverKind.EXACT, MIN)]
+    for t in (0, 1, 2)
+    if kind is not SolverKind.EXACT or t == 0
+]
+
+
+def pipeline_bases(kind):
+    sizes = (3,) if kind is SolverKind.EXACT else (3, 4, 5)
+    return [generate(GenSpec(n=n, model=UniformRational(density=0.9), seed=seed))
+            for seed, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("kind, objective, t", PIPELINE)
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
+def test_run_trials_keeps_its_verdicts_when_weights_and_magnitudes_scale_together(
+    kind, objective, t, lam
+):
+    # rounding reads alpha and beta only against |w|, so a base with alpha
+    # = 9/2, beta = 6 draws what its third does with alpha = 3/2, beta = 2,
+    # and every value in the report is three times the third's
+    for seed, g in enumerate(pipeline_bases(kind)):
+        cfg = ReductionConfig(objective, t, RoundingParams(Fraction(3, 2), 2, seed=seed),
+                              SolverSpec(kind, seed=seed + 5, budget=1000), Fraction(1, 20), lam)
+        small = run_trials(scaled_base(g, Fraction(1, 3)), cfg, 2)
+        big = run_trials(g, replace(cfg, rounding=RoundingParams(Fraction(9, 2), 6, seed=seed)), 2)
+        assert big.opt_value == 3 * small.opt_value
+        assert big.ratios == small.ratios and big.notes == small.notes
+        for a, b in zip(small.per_trial, big.per_trial):
+            assert b.bad == a.bad and b.best_value == 3 * a.best_value
+            assert b.gap == (None if lam == 1 else 3 * a.gap)
+
+
+@pytest.mark.parametrize("kind, t", [(kind, t) for kind, objective, t in PIPELINE if objective is MIN])
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
+@pytest.mark.parametrize("budget", [1000, 3])
+def test_max_agree_and_min_disagree_trials_add_up_to_the_total_weight(kind, t, lam, budget):
+    # both objectives solve the same rounded grid to the same clustering, so
+    # their best candidates are one candidate, whose values sum to the total
+    for seed, g in enumerate(pipeline_bases(kind)):
+        total = total_abs_weight(g)
+        cfg = ReductionConfig(MAX, t, RoundingParams(Fraction(5, 4), Fraction(3, 2), seed=seed),
+                              SolverSpec(kind, seed=seed + 5, budget=budget), Fraction(1, 20), lam)
+        hi, lo = run_trials(g, cfg, 3), run_trials(g, replace(cfg, objective=MIN), 3)
+        assert hi.opt_value + lo.opt_value == total
+        assert [a.best_value + b.best_value for a, b in zip(hi.per_trial, lo.per_trial)] == [total] * 3
 
 
 def test_accounting_failure_names_trial_and_seeds(monkeypatch):
@@ -563,7 +620,7 @@ def test_a_best_value_exactly_at_the_target_is_not_a_bad_event(monkeypatch, obje
     bests = iter([at, past])
 
     def hand_built(rolled, cfg_i, u_ref):
-        return ReductionReport(SolveResult(u_ref, next(bests)), None, ())
+        return ReductionReport(next(bests), None, ())
 
     monkeypatch.setattr(rollclust.reduction, "reduce_and_solve", hand_built)
     agg = run_trials(g, cfg, 2)
@@ -702,6 +759,6 @@ def test_each_trial_replays_from_its_seeds(objective, lam, t):
         cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed), solver=replace(cfg.solver, seed=s_seed))
         rolled = build_roll(g, cfg.t)
         rep = reduce_and_solve(rolled, cfg_i, solve_exact(g, cfg.objective).clustering)
-        assert rep.best.value == trial.best_value
-        assert (rep.stats.gap if rep.stats is not None else None) == trial.gap
+        assert rep.best == trial.best_value
+        assert rep.gap == trial.gap
         assert (trial.gap is None) == (lam == 1)

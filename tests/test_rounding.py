@@ -22,6 +22,7 @@ from rollclust.rounding import (
 from rollclust.streams import derive_seed, encode_part, make_rng
 
 from hoeffding import hoeffding_tail
+from invariants import oracle_drift
 from random_graphs import random_graph
 
 MAX = ObjectiveKind.MAX_AGREE
@@ -373,7 +374,7 @@ def test_edges_round_independently():
     assert abs(cov) <= limit
 
 
-def candidate_stats(out, cand, ref, lam, objective):
+def candidate_gap(out, cand, ref, lam, objective):
     """deviation_stats, handed the candidate's contributing-set sums."""
     pairs = contributing_edges(out.before, cand, objective)
     pre, kept = out.before.abs_weight(pairs), out.after.abs_weight(pairs)
@@ -385,9 +386,9 @@ def test_deviation_stats_counts_and_zero_drift():
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=5))  # identity
     cand = Clustering([0, 0, 1, 1])
     ref = Clustering.one_cluster(4)
-    stats = candidate_stats(out, cand, ref, Fraction(3, 2), MAX)
     # identity rounding drifts nothing
-    assert stats.s1 == 0 and stats.s2 == 0 and stats.gap == 0
+    assert candidate_gap(out, cand, ref, Fraction(3, 2), MAX) == 0
+    assert oracle_drift(out, cand, MAX) == 0 and oracle_drift(out, ref, MAX) == 0
     # the sets the drift sums run over: both keep the +1 edges inside, and
     # only the candidate cuts the -1 edges
     cand_set = contributing_edges(g, cand, MAX)
@@ -398,7 +399,8 @@ def test_deviation_stats_counts_and_zero_drift():
 
 
 def test_deviation_stats_match_per_pair_sums():
-    # the drift sums restated pair by pair through weight()
+    # the drift sums restated pair by pair through weight(); the reference
+    # drift is weighed by 1/lam once
     rng = random.Random(59)
     for i in range(20):
         g = random_graph(rng, 6)
@@ -406,26 +408,16 @@ def test_deviation_stats_match_per_pair_sums():
         cand = Clustering([rng.randrange(3) for _ in range(6)])
         ref = Clustering([rng.randrange(2) for _ in range(6)])
         lam = Fraction(3, 2)
-
-        def drift(c):
-            return sum(
-                (abs(out.after.weight(u, v)) - abs(g.weight(u, v))
-                 for u, v in contributing_edges(g, c, MAX)),
-                Fraction(0),
-            )
-
-        stats = candidate_stats(out, cand, ref, lam, MAX)
-        assert stats.s1 == drift(cand)
-        assert stats.s2 == drift(ref) / lam
-        # the reference drift is weighed by 1/lam once
-        assert stats.gap == drift(cand) - drift(ref) / lam
+        assert candidate_gap(out, cand, ref, lam, MAX) == (
+            oracle_drift(out, cand, MAX) - oracle_drift(out, ref, MAX) / lam
+        )
 
 
 def test_deviation_stats_rejects_lambda_at_most_one():
     g = SignedGraph(2, {(0, 1): 1})
     out = round_graph(g, RoundingParams(alpha=1, beta=1, seed=0))
     with pytest.raises(ValueError):
-        candidate_stats(out, Clustering([0, 0]), Clustering([0, 0]), Fraction(1), MAX)
+        candidate_gap(out, Clustering([0, 0]), Clustering([0, 0]), Fraction(1), MAX)
 
 
 def test_deviation_stats_refuses_a_float_lambda():
@@ -433,23 +425,27 @@ def test_deviation_stats_refuses_a_float_lambda():
     # beta = 2 moves the edge's weight to 0 or 2, so the reference drifts
     out = round_graph(g, RoundingParams(alpha=2, beta=2, seed=0))
     with pytest.raises(TypeError, match="not the float 1.1"):
-        candidate_stats(out, Clustering([0, 1]), Clustering([0, 0]), 1.1, MAX)
-    stats = candidate_stats(out, Clustering([0, 1]), Clustering([0, 0]), "11/10", MAX)
+        candidate_gap(out, Clustering([0, 1]), Clustering([0, 0]), 1.1, MAX)
+    # the candidate cuts the edge, so only the reference drifts
+    gap = candidate_gap(out, Clustering([0, 1]), Clustering([0, 0]), "11/10", MAX)
     drift = abs(out.after.weight(0, 1)) - 1
-    assert drift != 0 and stats.s2 == drift / Fraction(11, 10)
+    assert drift != 0 and gap == -drift / Fraction(11, 10)
 
 
 def test_drift_sums_center_on_zero():
-    # empirical mean of s1 over many roundings sits within 3 sample sigmas of 0
+    # empirical mean of the gap over many roundings sits within 3 sample
+    # sigmas of 0, and each gap is the oracle's
     rng = random.Random(71)
     g = random_graph(rng, 6, density=0.9)
     cand = Clustering([0, 1, 0, 1, 2, 2])
     ref = Clustering.one_cluster(6)
+    lam = Fraction(3, 2)
     vals = []
     for i in range(2000):
         out = round_graph(g, RoundingParams(alpha=2, beta=2, seed=derive_seed(8, "s1", i)))
-        stats = candidate_stats(out, cand, ref, Fraction(3, 2), MAX)
-        vals.append(float(stats.s1))
+        gap = candidate_gap(out, cand, ref, lam, MAX)
+        assert gap == oracle_drift(out, cand, MAX) - oracle_drift(out, ref, MAX) / lam
+        vals.append(float(gap))
     mean = statistics.fmean(vals)
     sigma = statistics.stdev(vals) / math.sqrt(len(vals))
     assert abs(mean) <= 3 * sigma
