@@ -11,8 +11,7 @@ from fractions import Fraction
 
 
 def frac_to_str(w: Fraction) -> str:
-    w = Fraction(w)
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+    return str(Fraction(w))
 
 
 def opt_frac_to_str(w) -> "str | None":

@@ -13,11 +13,13 @@ value, that the candidate values sum to pre, and that the solver's
 reported value equals the post-rounding value. A failed check raises
 RuntimeError.
 
-run_trials repeats the pipeline with per-trial derived seeds against the
-exact optimum of the base graph and reports how often the best candidate
-fails the (lambda+epsilon) target, the distribution of best/OPT ratios,
-and the drift gaps' mean, minimum and maximum when lambda_ref > 1. The
-roll depends only on the base and t, so run_trials builds it once per
+run_trials repeats the pipeline against the exact optimum of the base
+graph. Rounding is its only random step: each trial derives one rounding
+seed and passes cfg.solver on unchanged, as no solver that a
+ReductionConfig accepts reads a seed. It reports how often the best
+candidate fails the (lambda+epsilon) target, the distribution of best/OPT
+ratios, and the drift gaps' mean, minimum and maximum when lambda_ref > 1.
+The roll depends only on the base and t, so run_trials builds it once per
 call, and its trials share the roll and its duplicate cells; each trial
 rounds it afresh. Frequencies are measurements, not certificates.
 """
@@ -133,7 +135,6 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
 @dataclass(frozen=True)
 class TrialSummary:
     rounding_seed: int
-    solver_seed: int
     best_value: Fraction
     ratio: Optional[Fraction]
     bad: bool
@@ -159,11 +160,11 @@ class TrialAggregate:
 
 
 def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggregate:
-    """Repeat reduce_and_solve with derived per-trial seeds and measure the
-    bad event: best candidate worse than OPT/(lambda+eps) for MaxAgree, or
-    worse than (lambda+eps)*OPT for MinDisagree. Needs the base graph to be
-    small enough for the exact oracle. A failed accounting identity raises
-    RuntimeError naming the trial index and both derived seeds."""
+    """Repeat reduce_and_solve with a derived rounding seed per trial and
+    measure the bad event: best candidate worse than OPT/(lambda+eps) for
+    MaxAgree, or worse than (lambda+eps)*OPT for MinDisagree. Needs the base
+    graph to be small enough for the exact oracle. A failed accounting
+    identity raises RuntimeError naming the trial and its rounding seed."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if g.max_abs_weight() > 1:
@@ -184,19 +185,12 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
     note_counts: "Counter[str]" = Counter()
     for i in range(trials):
         r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
-        s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
-        cfg_i = replace(
-            cfg,
-            rounding=replace(cfg.rounding, seed=r_seed),
-            solver=replace(cfg.solver, seed=s_seed),
-        )
+        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed))
         try:
             rep = reduce_and_solve(rolled, cfg_i, opt.clustering)
         except RuntimeError as exc:
-            # name the seeds that replay the failing trial on its own
-            raise RuntimeError(
-                f"trial {i} (rounding seed {r_seed}, solver seed {s_seed}): {exc}"
-            ) from exc
+            # name the seed that replays the failing trial on its own
+            raise RuntimeError(f"trial {i} (rounding seed {r_seed}): {exc}") from exc
         best = rep.best
         if cfg.objective is ObjectiveKind.MAX_AGREE:
             bad = best.numerator * limit.denominator < limit.numerator * best.denominator
@@ -206,7 +200,6 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         summaries.append(
             TrialSummary(
                 rounding_seed=r_seed,
-                solver_seed=s_seed,
                 best_value=best,
                 ratio=None if opt.value == 0 else best / opt.value,
                 bad=bad,
@@ -242,7 +235,6 @@ def config_to_dict(cfg: ReductionConfig) -> dict:
         "beta": frac_to_str(cfg.rounding.beta),
         "rounding_seed": cfg.rounding.seed,
         "solver": cfg.solver.kind.value,
-        "solver_seed": cfg.solver.seed,
         "budget": cfg.solver.budget,
         "epsilon": frac_to_str(cfg.epsilon),
         "lambda": frac_to_str(cfg.lambda_ref),
@@ -264,7 +256,6 @@ def aggregate_to_dict(agg: TrialAggregate) -> dict:
         "per_trial": [
             {
                 "rounding_seed": s.rounding_seed,
-                "solver_seed": s.solver_seed,
                 "best_value": frac_to_str(s.best_value),
                 "ratio": opt_frac_to_str(s.ratio),
                 "bad": s.bad,

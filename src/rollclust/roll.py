@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Clustering, SignedGraph
+from .core import MAX_NODES, Clustering, SignedGraph
 
 
 class DuplicateId(NamedTuple):
@@ -36,13 +36,17 @@ class DuplicateId(NamedTuple):
 
 
 def valid_roll_size(n: int, t: int) -> int:
-    """Row count N = n*(1 + t*(n-1)). n | N, so the N/n lowest slopes hold
-    N^2/n copies; (n-1) | (N-1) matters only to the full duplicate family."""
+    """Row count N = n*(1 + t*(n-1)), refused when the N*n-cell grid is above
+    MAX_NODES, as no graph file could hold it. n | N, so the N/n lowest slopes
+    hold N^2/n copies; (n-1) | (N-1) matters only to the full duplicate family."""
     if n < 3:
         raise ValueError("base graph must have at least 3 nodes")
     if t < 0:
         raise ValueError("t must be non-negative")
-    return n * (1 + t * (n - 1))
+    rows = n * (1 + t * (n - 1))
+    if rows * n > MAX_NODES:
+        raise ValueError(f"t={t} rolls {n} nodes into {rows * n}, above the {MAX_NODES}-node limit")
+    return rows
 
 
 def duplicate_cells(d: DuplicateId, rows: int, cols: int) -> "tuple[int, ...]":

@@ -170,12 +170,7 @@ def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
     note_counts: "Counter[str]" = Counter()
     for i in range(trials):
         r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
-        s_seed = derive_seed(cfg.solver.seed, "trial", i, "solve")
-        cfg_i = replace(
-            cfg,
-            rounding=replace(cfg.rounding, seed=r_seed),
-            solver=replace(cfg.solver, seed=s_seed),
-        )
+        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed))
         best, gap, notes = oracle_trial(g, cfg_i, opt.clustering)
         note_counts.update(notes)
         if cfg.objective is ObjectiveKind.MAX_AGREE:
@@ -183,7 +178,7 @@ def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
         else:
             bad = best > target * opt.value
         ratio = None if opt.value == 0 else best / opt.value
-        summaries.append(TrialSummary(r_seed, s_seed, best, ratio, bad, gap))
+        summaries.append(TrialSummary(r_seed, best, ratio, bad, gap))
     gaps = [s.gap for s in summaries if s.gap is not None]
     return TrialAggregate(
         config=cfg,

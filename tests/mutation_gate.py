@@ -95,6 +95,12 @@ MUTANTS = {
             "tests/test_roll.py::test_induced_clustering_matches_a_from_scratch_reading",
         ],
     ),
+    "the roll ceiling refuses a grid of exactly MAX_NODES nodes": (
+        ROLL,
+        "if rows * n > MAX_NODES:",
+        "if rows * n >= MAX_NODES:",
+        ["tests/test_roll.py::test_valid_roll_size_admits_grids_up_to_the_node_ceiling"],
+    ),
     "the roll keeps one start row too few per slope": (
         ROLL,
         "for start in range(rows))",
@@ -218,8 +224,8 @@ MUTANTS = {
     ),
     "every trial rounds with the same seed": (
         REDUCTION,
-        "rounding=replace(cfg.rounding, seed=r_seed),",
-        "rounding=cfg.rounding,",
+        "rounding=replace(cfg.rounding, seed=r_seed))",
+        "rounding=cfg.rounding)",
         [
             "tests/test_reduction.py::test_each_trial_replays_from_its_seeds",
             "tests/test_golden.py::test_seeded_report_is_byte_identical",
@@ -227,8 +233,14 @@ MUTANTS = {
     ),
     "trials round with r_seed ^ 1 and report r_seed": (
         REDUCTION,
-        "rounding=replace(cfg.rounding, seed=r_seed),",
-        "rounding=replace(cfg.rounding, seed=r_seed ^ 1),",
+        "rounding=replace(cfg.rounding, seed=r_seed))",
+        "rounding=replace(cfg.rounding, seed=r_seed ^ 1))",
+        ["tests/test_reduction.py::test_each_trial_replays_from_its_seeds"],
+    ),
+    "every trial reports the config's rounding seed": (
+        REDUCTION,
+        "rounding_seed=r_seed,",
+        "rounding_seed=cfg.rounding.seed,",
         ["tests/test_reduction.py::test_each_trial_replays_from_its_seeds"],
     ),
     "the best candidate's value is read over the rounded graph's scale": (

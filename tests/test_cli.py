@@ -316,6 +316,25 @@ def test_a_header_above_the_node_limit_fails_before_allocating_for_it(tmp_path, 
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("command", ["roll", "reduce"])
+def test_a_roll_above_the_node_limit_fails_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # the t=10^6 roll of a 3-node base would hold 18,000,009 nodes, more
+    # than a graph file may declare
+    import rollclust.reduction
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved the base before sizing its roll")
+
+    base = gen_graph(tmp_path, capsys)
+    monkeypatch.setattr(rollclust.reduction, "solve_exact", no_solving)
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, command, str(base), "--t", "1000000", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: t=1000000 rolls 3 nodes into 18000009, above the {MAX_NODES}-node limit\n"
+    assert list(tmp_path.iterdir()) == [base]
+
+
 def test_reduce_prints_trial_notes_on_stderr(tmp_path, capsys):
     base = gen_graph(tmp_path, capsys)
     code, out, err = run(capsys, "reduce", str(base), "--t", "1", "--solver", "local",

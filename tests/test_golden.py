@@ -105,74 +105,74 @@ def local_result(name, objective):
 
 
 REPORTS = {
-    ("rational-3-0", "max", "local", "1", 1): "418d648bbc107d42",
-    ("rational-3-0", "max", "local", "1", 2): "fddb8a91599259b6",
-    ("rational-3-0", "max", "local", "3/2", 1): "bb206082052c75c8",
-    ("rational-3-0", "max", "local", "3/2", 2): "217c500ece99c25c",
-    ("rational-3-0", "max", "trivial", "1", 1): "9df2e7945319aafe",
-    ("rational-3-0", "max", "trivial", "1", 2): "4db8e7195b9ea7e1",
-    ("rational-3-0", "max", "trivial", "3/2", 1): "a8517a75491ae26a",
-    ("rational-3-0", "max", "trivial", "3/2", 2): "a6a3fb0aa3dd0450",
-    ("rational-3-0", "max", "exact", "1", 1): "4c920cfa399bc5ac",
-    ("rational-3-0", "max", "exact", "1", 2): "454539d8c38944b6",
-    ("rational-3-0", "max", "exact", "3/2", 1): "9dec2af269fbfe59",
-    ("rational-3-0", "max", "exact", "3/2", 2): "5a7753133525643e",
-    ("rational-3-0", "min", "local", "1", 1): "f44407e8094b33c2",
-    ("rational-3-0", "min", "local", "1", 2): "2b94cf83a9ef5577",
-    ("rational-3-0", "min", "local", "3/2", 1): "72a447f17ba6dd21",
-    ("rational-3-0", "min", "local", "3/2", 2): "55ea9754e8e10b3c",
-    ("rational-3-0", "min", "exact", "1", 1): "117b0f7c03d8a9be",
-    ("rational-3-0", "min", "exact", "1", 2): "0c8f508727783a39",
-    ("rational-3-0", "min", "exact", "3/2", 1): "99b539bfad1031e4",
-    ("rational-3-0", "min", "exact", "3/2", 2): "9b282e05b2c87e94",
-    ("rational-3-1", "max", "local", "1", 1): "1d2aa498440e5efe",
-    ("rational-3-1", "max", "local", "1", 2): "a75fccae09bcf6fb",
-    ("rational-3-1", "max", "local", "3/2", 1): "3173efa4aadd9dfb",
-    ("rational-3-1", "max", "local", "3/2", 2): "0006be8aa62a4ea4",
-    ("rational-3-1", "max", "trivial", "1", 1): "a2c6fbf93af1b0c5",
-    ("rational-3-1", "max", "trivial", "1", 2): "c7de1d6d02a5f3a3",
-    ("rational-3-1", "max", "trivial", "3/2", 1): "c260390e34c3a15f",
-    ("rational-3-1", "max", "trivial", "3/2", 2): "76088b243c258ad0",
-    ("rational-3-1", "min", "local", "1", 1): "b21a76c55b0e4e8c",
-    ("rational-3-1", "min", "local", "1", 2): "f01f9292d1cc3965",
-    ("rational-3-1", "min", "local", "3/2", 1): "0d51d09863ea1b64",
-    ("rational-3-1", "min", "local", "3/2", 2): "9658bd0bad6eb4ae",
-    ("planted-4-1", "max", "local", "1", 1): "4732ea7b89f2d50a",
-    ("planted-4-1", "max", "local", "1", 2): "461fb6269fc78025",
-    ("planted-4-1", "max", "local", "3/2", 1): "4fae544876615b5d",
-    ("planted-4-1", "max", "local", "3/2", 2): "c91e1a83bab8a30a",
-    ("planted-4-1", "max", "trivial", "1", 1): "d5897de5b715af0f",
-    ("planted-4-1", "max", "trivial", "1", 2): "c8e9df375ad978f5",
-    ("planted-4-1", "max", "trivial", "3/2", 1): "b861160f6670543c",
-    ("planted-4-1", "max", "trivial", "3/2", 2): "ffd34cd42366599f",
-    ("planted-4-1", "min", "local", "1", 1): "8ec096cb6661580f",
-    ("planted-4-1", "min", "local", "1", 2): "6fd4926d331f1f68",
-    ("planted-4-1", "min", "local", "3/2", 1): "328dbbb639eaf478",
-    ("planted-4-1", "min", "local", "3/2", 2): "364cac551bd154b7",
-    ("signed-3-1", "max", "local", "1", 1): "62f642fb44cd76b3",
-    ("signed-3-1", "max", "local", "1", 2): "a1725c833bdd76cf",
-    ("signed-3-1", "max", "local", "3/2", 1): "7c46821a9a63b726",
-    ("signed-3-1", "max", "local", "3/2", 2): "71aa443a6044deeb",
-    ("signed-3-1", "max", "trivial", "1", 1): "8f22bcf3cecd2b62",
-    ("signed-3-1", "max", "trivial", "1", 2): "fc62943a49ad62e4",
-    ("signed-3-1", "max", "trivial", "3/2", 1): "baea18bd2d48cb37",
-    ("signed-3-1", "max", "trivial", "3/2", 2): "bc9be9bb88f59401",
-    ("signed-3-1", "min", "local", "1", 1): "0995a7bc38a72b8c",
-    ("signed-3-1", "min", "local", "1", 2): "773bf8091735a62d",
-    ("signed-3-1", "min", "local", "3/2", 1): "dca0fcc5e13403af",
-    ("signed-3-1", "min", "local", "3/2", 2): "76110db0f5503a81",
-    ("sparse-4-0", "max", "local", "1", 1): "f1c39dc69a1b6d75",
-    ("sparse-4-0", "max", "local", "1", 2): "7ccf94c7436761b7",
-    ("sparse-4-0", "max", "local", "3/2", 1): "d6ddf44cd5c13ac7",
-    ("sparse-4-0", "max", "local", "3/2", 2): "1f4f3bac55e0c4a4",
-    ("sparse-4-0", "max", "trivial", "1", 1): "0a298bbd9b2c6a6f",
-    ("sparse-4-0", "max", "trivial", "1", 2): "cf7906490bb5d369",
-    ("sparse-4-0", "max", "trivial", "3/2", 1): "45f6219f147d2394",
-    ("sparse-4-0", "max", "trivial", "3/2", 2): "2c7492dca39e9413",
-    ("sparse-4-0", "min", "local", "1", 1): "a978160f52a5201f",
-    ("sparse-4-0", "min", "local", "1", 2): "c5ab615adfcbe936",
-    ("sparse-4-0", "min", "local", "3/2", 1): "768594f41b9cee32",
-    ("sparse-4-0", "min", "local", "3/2", 2): "8f70ed1eda9c243f",
+    ("rational-3-0", "max", "local", "1", 1): "7695895c51613a22",
+    ("rational-3-0", "max", "local", "1", 2): "5c9441d5f618aa03",
+    ("rational-3-0", "max", "local", "3/2", 1): "88523365da1a9c31",
+    ("rational-3-0", "max", "local", "3/2", 2): "1bcf2927aca672ae",
+    ("rational-3-0", "max", "trivial", "1", 1): "db85e9e914a68521",
+    ("rational-3-0", "max", "trivial", "1", 2): "a1dbebab4624d269",
+    ("rational-3-0", "max", "trivial", "3/2", 1): "19f71638f551f250",
+    ("rational-3-0", "max", "trivial", "3/2", 2): "a4fc778113df60a4",
+    ("rational-3-0", "max", "exact", "1", 1): "dcdb53a363153840",
+    ("rational-3-0", "max", "exact", "1", 2): "99852bfce5c485b8",
+    ("rational-3-0", "max", "exact", "3/2", 1): "bbc87bc6c1baf89b",
+    ("rational-3-0", "max", "exact", "3/2", 2): "24628e3d1351a7b7",
+    ("rational-3-0", "min", "local", "1", 1): "43df047e31aedda2",
+    ("rational-3-0", "min", "local", "1", 2): "a88b61fe177369a7",
+    ("rational-3-0", "min", "local", "3/2", 1): "679f61c07cffac82",
+    ("rational-3-0", "min", "local", "3/2", 2): "e9c06417cf2f0bcc",
+    ("rational-3-0", "min", "exact", "1", 1): "ef3b097ed5b8c51d",
+    ("rational-3-0", "min", "exact", "1", 2): "55c80022886cdfac",
+    ("rational-3-0", "min", "exact", "3/2", 1): "2340a1f05cb6be17",
+    ("rational-3-0", "min", "exact", "3/2", 2): "c299eff3887293f8",
+    ("rational-3-1", "max", "local", "1", 1): "bb8f0f2cf545b685",
+    ("rational-3-1", "max", "local", "1", 2): "009fec5d049d6031",
+    ("rational-3-1", "max", "local", "3/2", 1): "ec5d8099a92755bf",
+    ("rational-3-1", "max", "local", "3/2", 2): "bc81eb7a70f4e6b0",
+    ("rational-3-1", "max", "trivial", "1", 1): "43950d357cf90f2e",
+    ("rational-3-1", "max", "trivial", "1", 2): "712dea6f0d2c63c8",
+    ("rational-3-1", "max", "trivial", "3/2", 1): "df4424536bddb41c",
+    ("rational-3-1", "max", "trivial", "3/2", 2): "9adb532747a80f34",
+    ("rational-3-1", "min", "local", "1", 1): "95dc300bc0809d9e",
+    ("rational-3-1", "min", "local", "1", 2): "a53200c62b078792",
+    ("rational-3-1", "min", "local", "3/2", 1): "f4bbe1976b0ec32f",
+    ("rational-3-1", "min", "local", "3/2", 2): "6f13bc2ff4c25e82",
+    ("planted-4-1", "max", "local", "1", 1): "f7dfb2fe7af7a4d2",
+    ("planted-4-1", "max", "local", "1", 2): "6014cf62a4604aa8",
+    ("planted-4-1", "max", "local", "3/2", 1): "4f6a2a3f551efa47",
+    ("planted-4-1", "max", "local", "3/2", 2): "98791184f601c780",
+    ("planted-4-1", "max", "trivial", "1", 1): "27d61b30d861f8d8",
+    ("planted-4-1", "max", "trivial", "1", 2): "f148fc503c47d840",
+    ("planted-4-1", "max", "trivial", "3/2", 1): "0606d50372ac164b",
+    ("planted-4-1", "max", "trivial", "3/2", 2): "d16f167de89b2a19",
+    ("planted-4-1", "min", "local", "1", 1): "8f8a5c73182ba45e",
+    ("planted-4-1", "min", "local", "1", 2): "2cefcd3498512667",
+    ("planted-4-1", "min", "local", "3/2", 1): "41f89b545b560269",
+    ("planted-4-1", "min", "local", "3/2", 2): "9099a14d7d8cc4e9",
+    ("signed-3-1", "max", "local", "1", 1): "329ff980b7a65973",
+    ("signed-3-1", "max", "local", "1", 2): "e7f4ce40d3548cb8",
+    ("signed-3-1", "max", "local", "3/2", 1): "d8713ef6194dec08",
+    ("signed-3-1", "max", "local", "3/2", 2): "3666cc45cb053658",
+    ("signed-3-1", "max", "trivial", "1", 1): "af2b038127cc8da2",
+    ("signed-3-1", "max", "trivial", "1", 2): "db51955082cb6e5c",
+    ("signed-3-1", "max", "trivial", "3/2", 1): "bd263b7dd8bb8508",
+    ("signed-3-1", "max", "trivial", "3/2", 2): "391c67d5f9940e1c",
+    ("signed-3-1", "min", "local", "1", 1): "bf6b36d449486231",
+    ("signed-3-1", "min", "local", "1", 2): "99cbe9bf58580131",
+    ("signed-3-1", "min", "local", "3/2", 1): "d66ab599df45b18f",
+    ("signed-3-1", "min", "local", "3/2", 2): "9d25b878a3493931",
+    ("sparse-4-0", "max", "local", "1", 1): "7e1f624c6afd7731",
+    ("sparse-4-0", "max", "local", "1", 2): "1d4f3d624392cb22",
+    ("sparse-4-0", "max", "local", "3/2", 1): "a082108a9fcfd281",
+    ("sparse-4-0", "max", "local", "3/2", 2): "edcbe7a79dda2c0a",
+    ("sparse-4-0", "max", "trivial", "1", 1): "6803d6fb7d6e93f1",
+    ("sparse-4-0", "max", "trivial", "1", 2): "c51308730dd881d3",
+    ("sparse-4-0", "max", "trivial", "3/2", 1): "408cefd767eaa57f",
+    ("sparse-4-0", "max", "trivial", "3/2", 2): "942564721f8765d0",
+    ("sparse-4-0", "min", "local", "1", 1): "d48f67ef2aa8cd29",
+    ("sparse-4-0", "min", "local", "1", 2): "6a97d5536268ece9",
+    ("sparse-4-0", "min", "local", "3/2", 1): "ccc52315e4058b39",
+    ("sparse-4-0", "min", "local", "3/2", 2): "b95d657b3303c47f",
 }
 
 LOCAL = {

@@ -328,7 +328,6 @@ def test_run_trials_identity_regime():
     assert agg.gap_mean is None  # lambda_ref == 1, no stats
     for i, s in enumerate(agg.per_trial):
         assert s.rounding_seed == derive_seed(0, "trial", i, "round")
-        assert s.solver_seed == derive_seed(0, "trial", i, "solve")
         assert not s.bad
 
 
@@ -389,6 +388,17 @@ def test_max_agree_and_min_disagree_trials_add_up_to_the_total_weight(kind, t, l
         assert [a.best_value + b.best_value for a, b in zip(hi.per_trial, lo.per_trial)] == [total] * 3
 
 
+@pytest.mark.parametrize("kind, objective, t", PIPELINE)
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
+def test_a_reduction_does_not_depend_on_the_solver_seed(kind, objective, t, lam):
+    # rounding is the only random step: no grid solver reads the seed
+    for seed, g in enumerate(pipeline_bases(kind)):
+        cfg = ReductionConfig(objective, t, RoundingParams(1, Fraction(3, 2), seed=seed),
+                              SolverSpec(kind, seed=3), Fraction(1, 20), lam)
+        other = replace(cfg, solver=SolverSpec(kind, seed=4))
+        assert aggregate_to_dict(run_trials(g, cfg, 2)) == aggregate_to_dict(run_trials(g, other, 2))
+
+
 def test_accounting_failure_names_trial_and_seeds(monkeypatch):
     import rollclust.reduction
 
@@ -406,13 +416,11 @@ def test_accounting_failure_names_trial_and_seeds(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         run_trials(g, cfg, trials=3)
     r_seed = derive_seed(9, "trial", 1, "round")
-    s_seed = derive_seed(0, "trial", 1, "solve")
     assert str(info.value).startswith(
-        f"trial 1 (rounding seed {r_seed}, solver seed {s_seed}): "
-        "solver-reported value disagrees"
+        f"trial 1 (rounding seed {r_seed}): solver-reported value disagrees"
     )
-    # the named seeds are the ones the failing trial ran under
-    assert (calls[1].seed, len(calls)) == (s_seed, 2)
+    # every trial hands the config's solver spec on unchanged
+    assert calls == [cfg.solver] * 2
 
 
 def test_post_rounding_failure_names_trial_and_seeds(monkeypatch):
@@ -429,8 +437,7 @@ def test_post_rounding_failure_names_trial_and_seeds(monkeypatch):
     monkeypatch.setattr(rollclust.reduction, "contributing_edges", drops_a_pair)
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): 1})
     r_seed = derive_seed(9, "trial", 0, "round")
-    s_seed = derive_seed(0, "trial", 0, "solve")
-    message = (f"trial 0 (rounding seed {r_seed}, solver seed {s_seed}): "
+    message = (f"trial 0 (rounding seed {r_seed}): "
                "post-rounding value disagrees with the contributing-set sum")
     with pytest.raises(RuntimeError, match=re.escape(message)):
         run_trials(g, identity_config(MAX, seed=9), trials=2)
@@ -512,7 +519,7 @@ def test_report_rationals_parse_back_exactly():
 
 # The paper's concentration claim as a seeded table: a UniformRational
 # (density 1) base from generator seed 3, MaxAgree by local search, lambda 1,
-# epsilon 1/20, rounding and solver seed 1, 20 trials. Each cell is
+# epsilon 1/20, rounding seed 1, 20 trials. Each cell is
 # (t, bad-event frequency, smallest best/OPT ratio). The README shows the
 # loop. At n=5 the ratio stays at 209/214 (0.977) for t = 1 and 2 with no
 # bad event: the local search falls short of OPT there, not the rounding.
@@ -727,6 +734,18 @@ def test_run_trials_refuses_a_grid_too_big_for_the_exact_solver(monkeypatch, n, 
         run_trials(g, identity_config(MAX, t=t), 2)
 
 
+def test_run_trials_refuses_a_roll_above_the_node_limit_before_solving(monkeypatch):
+    import rollclust.reduction
+
+    def no_solving(*args):
+        raise AssertionError("solved the base before sizing its roll")
+
+    monkeypatch.setattr(rollclust.reduction, "solve_exact", no_solving)
+    cfg = replace(identity_config(MAX, t=55556), solver=SolverSpec(SolverKind.LOCAL_SEARCH))
+    with pytest.raises(ValueError, match="t=55556 rolls 3 nodes into 1000017, above the"):
+        run_trials(SignedGraph(3, {(0, 1): 1}), cfg, 2)
+
+
 def test_reduce_and_solve_rejects_a_roll_at_another_t():
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
     cfg = identity_config(MAX, t=0)
@@ -742,7 +761,7 @@ def test_reduce_and_solve_rejects_a_roll_at_another_t():
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
 @pytest.mark.parametrize("objective", [MAX, MIN])
 def test_each_trial_replays_from_its_seeds(objective, lam, t):
-    # the seeds a failing trial's error names are enough to rerun it alone
+    # the seed a failing trial's error names is enough to rerun it alone
     g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=4))
     cfg = ReductionConfig(
         objective=objective,
@@ -755,8 +774,8 @@ def test_each_trial_replays_from_its_seeds(objective, lam, t):
     agg = run_trials(g, cfg, trials=2)
     for i, trial in enumerate(agg.per_trial):
         # the replay snippet in the README, as written
-        r_seed, s_seed = agg.per_trial[i].rounding_seed, agg.per_trial[i].solver_seed
-        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed), solver=replace(cfg.solver, seed=s_seed))
+        r_seed = agg.per_trial[i].rounding_seed
+        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed))
         rolled = build_roll(g, cfg.t)
         rep = reduce_and_solve(rolled, cfg_i, solve_exact(g, cfg.objective).clustering)
         assert rep.best == trial.best_value

@@ -7,7 +7,7 @@ import pytest
 
 from invariants import all_duplicates, duplicate_of
 from random_graphs import random_graph
-from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
+from rollclust.core import MAX_NODES, Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.roll import (
     DuplicateId,
     RolledGraph,
@@ -76,6 +76,21 @@ def test_valid_roll_sizes():
             rows = valid_roll_size(n, t)
             assert (rows - 1) % (n - 1) == 0
             assert rows * rows % n == 0
+
+
+def test_valid_roll_size_admits_grids_up_to_the_node_ceiling():
+    # rows * n = 10 * (1 + 1111 * 9) * 10 is exactly MAX_NODES
+    assert valid_roll_size(10, 1111) * 10 == MAX_NODES
+    assert valid_roll_size(3, 55555) * 3 == MAX_NODES - 1
+
+
+def test_valid_roll_size_refuses_a_grid_above_the_node_ceiling():
+    # 3 * (1 + 55556 * 2) * 3 = 1,000,017 nodes; nothing is built
+    with pytest.raises(ValueError) as info:
+        valid_roll_size(3, 55556)
+    assert str(info.value) == "t=55556 rolls 3 nodes into 1000017, above the 1000000-node limit"
+    with pytest.raises(ValueError, match="above the 1000000-node limit"):
+        build_roll(SignedGraph(3, {(0, 1): 1}), 10**6)
 
 
 def test_untrimmed_duplicate_count_examples():
