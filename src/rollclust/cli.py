@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from .core import GraphFormatError, ObjectiveKind, format_graph, read_graph, write_graph
+from .core import ObjectiveKind, format_graph, parse_rational, read_graph, write_graph
 from .harness import (
     CompleteSigned,
     GenSpec,
@@ -35,7 +35,7 @@ from .streams import derive_seed
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

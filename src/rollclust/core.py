@@ -19,6 +19,7 @@ All arithmetic is exact; nothing here uses floats.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -234,11 +235,21 @@ def clustering_value(
 # pairs and self-loops are format errors. Written files round-trip exactly.
 
 MAX_NODES = 10**6
+MAX_EXPONENT = 4300  # Python's own cap on the digits of an integer token
+
+
+def parse_rational(token: str) -> Fraction:
+    """Fraction(token), but a decimal exponent above MAX_EXPONENT in absolute
+    value is a ValueError, not a power of ten that Fraction expands in full."""
+    exp = re.search(r"e([-+]?[\d_]+)", token, re.IGNORECASE)
+    if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent above {MAX_EXPONENT} in absolute value")
+    return Fraction(token)
 
 
 def parse_weight(token: str) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_rational(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad weight {token!r}: {exc}") from None
 

@@ -1,27 +1,26 @@
 """The roll-round-solve pipeline and its trial harness.
 
-reduce_and_solve takes a base graph's roll, rounds the rolled weights,
-hands the rounded graph to a solver, and reads one candidate clustering of
-the base graph out of every active duplicate, scoring them all in one pass
-against the original base weights. It reports only what run_trials reads:
-the best candidate's value, the drift gap and the trial's notes. Its
-accounting stays in ints over each graph's scale: the solver clustering's
-pre-rounding contributing set is built once, and its |weight| sums before
-rounding (pre) and after (kept) feed the identities and the drift gap. By
-integer cross-multiplication it checks that kept equals the post-rounding
-value, that the candidate values sum to pre, and that the solver's
-reported value equals the post-rounding value. A failed check raises
-RuntimeError.
+reduce_and_solve is one trial: it rounds a base graph's roll with the
+trial's rounding seed, solves the rounded graph, reads one candidate
+clustering of the base graph out of every active duplicate, scores them
+all in one pass against the base weights, and returns the trial's report
+row, a TrialSummary. Its accounting stays in ints over each graph's
+scale: the solver clustering's pre-rounding contributing set is built
+once, and its |weight| sums before rounding (pre) and after (kept) feed
+the identities and the drift gap. By integer cross-multiplication it
+checks that kept equals the post-rounding value, that the candidate
+values sum to pre, and that the solver's reported value equals the
+post-rounding value. A failed check raises RuntimeError.
 
-run_trials repeats the pipeline against the exact optimum of the base
-graph. Rounding is its only random step: each trial derives one rounding
-seed and passes cfg.solver on unchanged, as no solver that a
-ReductionConfig accepts reads a seed. It reports how often the best
-candidate fails the (lambda+epsilon) target, the distribution of best/OPT
-ratios, and the drift gaps' mean, minimum and maximum when lambda_ref > 1.
-The roll depends only on the base and t, so run_trials builds it once per
-call, and its trials share the roll and its duplicate cells; each trial
-rounds it afresh. Frequencies are measurements, not certificates.
+run_trials repeats the trial against the exact optimum of the base graph.
+Rounding is its only random step: each trial derives one rounding seed
+and passes cfg.solver on unchanged, as no solver that a ReductionConfig
+accepts reads a seed. It reports how often the best candidate fails the
+(lambda+epsilon) target, the distribution of best/OPT ratios, and the
+drift gaps' mean, minimum and maximum when lambda_ref > 1. The roll
+depends only on the base and t, so run_trials builds it once per call,
+and its trials share the roll and its duplicate cells; each trial rounds
+it afresh. Frequencies are measurements, not certificates.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ from .roll import (
     RolledGraph, build_roll, duplication_clustering, induced_clustering, valid_roll_size,
 )
 from .rounding import RoundingParams, deviation_stats, round_graph
-from .solvers import EXACT_NODE_LIMIT, SolverKind, SolverSpec, budget_note, run_solver, solve_exact
+from .solvers import (
+    EXACT_NODE_LIMIT, SolveResult, SolverKind, SolverSpec, budget_note, run_solver, solve_exact,
+)
 from .streams import derive_seed
 
 
@@ -73,21 +74,25 @@ class ReductionConfig:
 
 
 @dataclass(frozen=True)
-class ReductionReport:
-    best: Fraction
+class TrialSummary:
+    rounding_seed: int
+    best_value: Fraction
+    ratio: Optional[Fraction]
+    bad: bool
     gap: Optional[Fraction]
     notes: "tuple[str, ...]"
 
 
-def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clustering) -> ReductionReport:
-    """Round a base's roll once, solve it, check the accounting identities
-    and report the best candidate's value.
-
-    rolled must be its base's roll at cfg.t, and round_graph rejects a base
-    that is not normalized (all |weight| <= 1). When lambda_ref > 1, the
-    report's gap is the drift gap against u_ref's duplication clustering;
-    otherwise it is None.
-    """
+def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, opt: SolveResult,
+                     seed: int) -> TrialSummary:
+    """One trial: round a base's roll with the given rounding seed, solve
+    it, check the accounting identities and judge the best candidate
+    against opt, the base's exact optimum. rolled must be its base's roll
+    at cfg.t, and round_graph rejects a base that is not normalized (all
+    |weight| <= 1). The trial is bad when its best is worse than
+    OPT/(lambda+eps) for MaxAgree, or (lambda+eps)*OPT for MinDisagree.
+    When lambda_ref > 1, gap is the drift gap against opt's duplication
+    clustering; otherwise it is None."""
     g, rows = rolled.base, rolled.rows
     if rolled.t != cfg.t:
         raise ValueError(f"rolled is {rolled!r}, not its base's roll at t={cfg.t}")
@@ -100,7 +105,7 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     if q and p * p > rows * g.n * q * q:
         notes.append("(alpha+beta)/max|w| exceeds sqrt(rows*n); tail bounds are weak at this size")
 
-    outcome = round_graph(rolled.graph, cfg.rounding)
+    outcome = round_graph(rolled.graph, replace(cfg.rounding, seed=seed))
     grid_res = run_solver(outcome.after, cfg.objective, cfg.solver)
     if grid_res.budget_exhausted:
         notes.append(budget_note(cfg.solver.budget))
@@ -109,7 +114,8 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
     candidates = [induced_clustering(rolled, grid, d) for d in rolled.active]
     # scored in ints over g.scale; a Fraction only for the best
     scaled = scaled_values(g, candidates, cfg.objective)
-    best = Fraction((max if cfg.objective is ObjectiveKind.MAX_AGREE else min)(scaled), g.scale)
+    maximize = cfg.objective is ObjectiveKind.MAX_AGREE
+    best = Fraction((max if maximize else min)(scaled), g.scale)
 
     before, after = rolled.graph, outcome.after
     pre_set = contributing_edges(before, grid, cfg.objective)
@@ -124,21 +130,16 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, u_ref: Clusterin
 
     gap = None
     if cfg.lambda_ref > 1:
-        u_n = duplication_clustering(u_ref, rows)
+        u_n = duplication_clustering(opt.clustering, rows)
         gap = deviation_stats(outcome, pre, kept, u_n, cfg.lambda_ref, cfg.objective)
     else:
         notes.append("deviation stats skipped: lambda_ref is 1")
 
-    return ReductionReport(best=best, gap=gap, notes=tuple(notes))
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    rounding_seed: int
-    best_value: Fraction
-    ratio: Optional[Fraction]
-    bad: bool
-    gap: Optional[Fraction]
+    # strictly below OPT/(lambda+eps) for MaxAgree, above (lambda+eps)*OPT for MinDisagree
+    target = cfg.lambda_ref + cfg.epsilon
+    bad = best * target < opt.value if maximize else best > target * opt.value
+    ratio = None if opt.value == 0 else best / opt.value
+    return TrialSummary(seed, best, ratio, bad, gap, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,9 @@ class TrialAggregate:
 
 def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggregate:
     """Repeat reduce_and_solve with a derived rounding seed per trial and
-    measure the bad event: best candidate worse than OPT/(lambda+eps) for
-    MaxAgree, or worse than (lambda+eps)*OPT for MinDisagree. Needs the base
-    graph to be small enough for the exact oracle. A failed accounting
-    identity raises RuntimeError naming the trial and its rounding seed."""
+    measure how often its bad event happens. Needs the base graph to be
+    small enough for the exact oracle. A failed accounting identity raises
+    RuntimeError naming the trial and its rounding seed."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if g.max_abs_weight() > 1:
@@ -175,37 +175,17 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         raise ValueError(f"exact solver cannot solve the t={cfg.t} roll of a {g.n}-node base:"
                          f" {nodes} nodes, more than {EXACT_NODE_LIMIT}")
     opt = solve_exact(g, cfg.objective)
-    target = cfg.lambda_ref + cfg.epsilon
-    # a trial is bad when its best is below this for MaxAgree, above it for MinDisagree
-    limit = opt.value / target if cfg.objective is ObjectiveKind.MAX_AGREE else target * opt.value
     # the roll depends only on (g, t): every trial rounds the same one
     rolled = build_roll(g, cfg.t)
 
     summaries = []
-    note_counts: "Counter[str]" = Counter()
     for i in range(trials):
-        r_seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
-        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed))
+        seed = derive_seed(cfg.rounding.seed, "trial", i, "round")
         try:
-            rep = reduce_and_solve(rolled, cfg_i, opt.clustering)
+            summaries.append(reduce_and_solve(rolled, cfg, opt, seed))
         except RuntimeError as exc:
             # name the seed that replays the failing trial on its own
-            raise RuntimeError(f"trial {i} (rounding seed {r_seed}): {exc}") from exc
-        best = rep.best
-        if cfg.objective is ObjectiveKind.MAX_AGREE:
-            bad = best.numerator * limit.denominator < limit.numerator * best.denominator
-        else:
-            bad = best.numerator * limit.denominator > limit.numerator * best.denominator
-        note_counts.update(rep.notes)
-        summaries.append(
-            TrialSummary(
-                rounding_seed=r_seed,
-                best_value=best,
-                ratio=None if opt.value == 0 else best / opt.value,
-                bad=bad,
-                gap=rep.gap,
-            )
-        )
+            raise RuntimeError(f"trial {i} (rounding seed {seed}): {exc}") from exc
     gaps = [s.gap for s in summaries if s.gap is not None]
 
     return TrialAggregate(
@@ -220,7 +200,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         gap_min=min(gaps) if gaps else None,
         gap_max=max(gaps) if gaps else None,
         per_trial=tuple(summaries),
-        notes=tuple(note_counts.items()),
+        notes=tuple(Counter(note for s in summaries for note in s.notes).items()),
     )
 
 

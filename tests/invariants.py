@@ -14,10 +14,11 @@ total_abs_weight sums |weight| over a graph's edges() as they are listed.
 oracle_run_trials is run_trials as it was written before its accounting
 moved to scaled integers: a fresh roll per trial, candidates read through
 freshly computed duplicate cells and scored one by one with
-clustering_value, the bad event and every report value in Fractions, and
-the drift sums of oracle_deviation_stats rebuilt from both clusterings'
-contributing sets, pair by pair through weight(). It shares round_graph,
-the solvers and the exact optimum with run_trials; each has its own oracle.
+clustering_value, the bad event and every report value in Fractions, each
+row carrying its trial's notes, and the drift sums of
+oracle_deviation_stats rebuilt from both clusterings' contributing sets,
+pair by pair through weight(). It shares round_graph, the solvers and the
+exact optimum with run_trials; each has its own oracle.
 """
 
 import itertools
@@ -178,7 +179,7 @@ def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
         else:
             bad = best > target * opt.value
         ratio = None if opt.value == 0 else best / opt.value
-        summaries.append(TrialSummary(r_seed, best, ratio, bad, gap))
+        summaries.append(TrialSummary(r_seed, best, ratio, bad, gap, tuple(notes)))
     gaps = [s.gap for s in summaries if s.gap is not None]
     return TrialAggregate(
         config=cfg,

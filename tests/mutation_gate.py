@@ -205,14 +205,14 @@ MUTANTS = {
     ),
     "a MaxAgree best exactly at OPT/(lambda+eps) counts as bad": (
         REDUCTION,
-        "bad = best.numerator * limit.denominator < limit.numerator * best.denominator",
-        "bad = best.numerator * limit.denominator <= limit.numerator * best.denominator",
+        "bad = best * target < opt.value",
+        "bad = best * target <= opt.value",
         ["tests/test_reduction.py::test_a_best_value_exactly_at_the_target_is_not_a_bad_event"],
     ),
     "a MinDisagree best exactly at (lambda+eps)*OPT counts as bad": (
         REDUCTION,
-        "bad = best.numerator * limit.denominator > limit.numerator * best.denominator",
-        "bad = best.numerator * limit.denominator >= limit.numerator * best.denominator",
+        "else best > target * opt.value",
+        "else best >= target * opt.value",
         ["tests/test_reduction.py::test_a_best_value_exactly_at_the_target_is_not_a_bad_event"],
     ),
     "the spread note fires at ((alpha+beta)/max|w|)^2 == rows*n": (
@@ -224,24 +224,35 @@ MUTANTS = {
     ),
     "every trial rounds with the same seed": (
         REDUCTION,
-        "rounding=replace(cfg.rounding, seed=r_seed))",
-        "rounding=cfg.rounding)",
+        "round_graph(rolled.graph, replace(cfg.rounding, seed=seed))",
+        "round_graph(rolled.graph, cfg.rounding)",
         [
-            "tests/test_reduction.py::test_each_trial_replays_from_its_seeds",
+            # a replay calls the same trial, so only an independent
+            # reading of the seeds sees it
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
             "tests/test_golden.py::test_seeded_report_is_byte_identical",
         ],
     ),
-    "trials round with r_seed ^ 1 and report r_seed": (
+    "a trial rounds with seed ^ 1 and reports seed": (
         REDUCTION,
-        "rounding=replace(cfg.rounding, seed=r_seed))",
-        "rounding=replace(cfg.rounding, seed=r_seed ^ 1))",
-        ["tests/test_reduction.py::test_each_trial_replays_from_its_seeds"],
+        "replace(cfg.rounding, seed=seed))",
+        "replace(cfg.rounding, seed=seed ^ 1))",
+        [
+            "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
+            "tests/test_golden.py::test_seeded_report_is_byte_identical",
+        ],
     ),
     "every trial reports the config's rounding seed": (
         REDUCTION,
-        "rounding_seed=r_seed,",
-        "rounding_seed=cfg.rounding.seed,",
+        "TrialSummary(seed, best,",
+        "TrialSummary(cfg.rounding.seed, best,",
         ["tests/test_reduction.py::test_each_trial_replays_from_its_seeds"],
+    ),
+    "a trial's row drops its notes": (
+        REDUCTION,
+        "gap, tuple(notes))",
+        "gap, ())",
+        ["tests/test_reduction.py::test_budget_cut_off_note"],
     ),
     "the best candidate's value is read over the rounded graph's scale": (
         REDUCTION,

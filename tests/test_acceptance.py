@@ -233,8 +233,8 @@ def test_criterion_10_identity_regime_recovers_optimum():
                 lambda_ref=1,
             )
             opt = solve_exact(g, MAX)
-            rep = reduce_and_solve(build_roll(g, 0), cfg, opt.clustering)
-            if rep.best == opt.value:
+            rep = reduce_and_solve(build_roll(g, 0), cfg, opt, cfg.rounding.seed)
+            if rep.best_value == opt.value:
                 hits += 1
         assert hits == 100, f"only {hits}/100 trials recovered the optimum"
 

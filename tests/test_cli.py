@@ -1,8 +1,13 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -333,6 +338,28 @@ def test_a_roll_above_the_node_limit_fails_before_it_is_built(tmp_path, capsys, 
     assert code == 2 and stdout == ""
     assert err == f"error: t=1000000 rolls 3 nodes into 18000009, above the {MAX_NODES}-node limit\n"
     assert list(tmp_path.iterdir()) == [base]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "huge.txt", "--solver", "local"],
+    ["round", "huge.txt", "--alpha", "1e-20000000", "--out", "r.txt"],
+])
+def test_a_huge_decimal_exponent_fails_promptly(tmp_path, argv):
+    # Fraction would expand 1e20000000 into a 20-million-digit integer and
+    # run on; the parser refuses the exponent first. A separate process,
+    # so a regression times out instead of hanging the suite
+    (tmp_path / "huge.txt").write_text("3 1\n0 1 1e20000000\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "rollclust.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if "error: " in line]
+    assert len(errors) == 1 and "1e" in errors[0], done.stderr
+    assert elapsed < 5, elapsed
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_reduce_prints_trial_notes_on_stderr(tmp_path, capsys):

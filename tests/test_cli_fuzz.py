@@ -31,7 +31,9 @@ CEILING_TS = ("1000000", "1000000000")
 # a bad one with probability BAD_VALUE
 BAD_VALUE = 0.08
 PROBS = (["0", "0.1", "0.5", "1"], ["-0.1", "1.5", "nan", "inf", "x"])
-MAGNITUDES = (["1", "2", "3/2", "5/4"], ["1/3", "0", "-1", "1/0", "x", "0.5", ""])
+# decimal exponents past core.MAX_EXPONENT, which Fraction would expand in full
+HUGE = ["1e20000000", "1e-20000000", "1E+99999"]
+MAGNITUDES = (["1", "2", "3/2", "5/4"], ["1/3", "0", "-1", "1/0", "x", "0.5", ""] + HUGE)
 POOLS = {
     "n": (["3", "4", "5", "8", "0", "1", "2"], ["-1", "x", "3.5", ""]),
     "model": (["planted", "uniform", "complete"], ["bogus"]),
@@ -46,8 +48,8 @@ POOLS = {
     "solver": (["exact", "local", "local", "trivial", "pivot"], ["bogus"]),
     "objective": (["max", "min"], ["mid"]),
     "budget": (["1", "3", "1000"], ["0", "-1", "x"]),
-    "epsilon": (["1/20", "1", "1/3"], ["0", "-1/2", "x", "1/0"]),
-    "lambda_ref": (["1", "3/2", "2"], ["1/2", "0", "x"]),
+    "epsilon": (["1/20", "1", "1/3"], ["0", "-1/2", "x", "1/0"] + HUGE),
+    "lambda_ref": (["1", "3/2", "2"], ["1/2", "0", "x"] + HUGE),
     "trials": (["1", "2"], ["0", "-1", "x"]),
 }
 OPTIONS = {
@@ -59,7 +61,7 @@ OPTIONS = {
                "trials", "seed"],
 }
 WEIGHTS = ["1", "-1", "1/2", "-1/3", "2/3", "-5/6", "1"]
-BAD_WEIGHTS = ["3/2", "-2", "0", "1/0", "abc", "nan", "inf", "1e2", "0.25"]
+BAD_WEIGHTS = ["3/2", "-2", "0", "1/0", "abc", "nan", "inf", "1e2", "0.25"] + HUGE
 
 
 def graph_lines(rng, n):

@@ -6,6 +6,7 @@ import pytest
 
 from rollclust.core import (
     Clustering,
+    MAX_EXPONENT,
     MAX_NODES,
     GraphFormatError,
     ObjectiveKind,
@@ -14,6 +15,7 @@ from rollclust.core import (
     contributing_edges,
     format_graph,
     parse_graph,
+    parse_rational,
     scaled_value,
 )
 from rollclust.solvers import solve_exact, solve_local_search
@@ -194,6 +196,19 @@ def test_graph_header_node_count_is_capped():
     assert parse_graph(f"{MAX_NODES} 1\n0 1 1/2\n").n == MAX_NODES
     with pytest.raises(GraphFormatError, match="n = 1000001 is above the 1000000-node limit"):
         parse_graph(f"{MAX_NODES + 1} 1\n0 1 1/2\n")
+
+
+def test_rationals_keep_their_decimal_exponent_within_the_cap():
+    # Python caps an integer token at 4300 digits; Fraction would expand a
+    # decimal exponent past that in full, so the parser refuses it first
+    assert MAX_EXPONENT == 4300
+    for token in ("1e4300", "1E-4300", " 25e+4_300 ", "-3/4", "0.125e2"):
+        assert parse_rational(token) == Fraction(token)
+    for token in ("1e4301", "1e-4301", "1E+99999", "1e4_301", "2.5e20000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            parse_rational(token)
+    with pytest.raises(GraphFormatError, match=r"bad weight '1e-20000000': decimal exponent above 4300"):
+        parse_graph("2 1\n0 1 1e-20000000\n")
 
 
 def test_clustering_canonical_form():

@@ -10,7 +10,6 @@ from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_va
 from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.reduction import (
     ReductionConfig,
-    ReductionReport,
     aggregate_to_dict,
     reduce_and_solve,
     run_trials,
@@ -58,9 +57,10 @@ def identity_config(objective, t=0, seed=0):
 
 
 def reduce_on_roll(g, cfg):
-    """reduce_and_solve on g's roll at cfg.t, with g's exact optimum as the reference."""
+    """reduce_and_solve on g's roll at cfg.t against g's exact optimum,
+    rounding with the config's own seed."""
     rolled = build_roll(g, cfg.t)
-    return reduce_and_solve(rolled, cfg, solve_exact(g, cfg.objective).clustering)
+    return reduce_and_solve(rolled, cfg, solve_exact(g, cfg.objective), cfg.rounding.seed)
 
 
 def reduce_reading_candidates(g, cfg):
@@ -122,7 +122,7 @@ def test_identity_regime_recovers_optimum():
             opt = solve_exact(g, objective)
             cfg = identity_config(objective, seed=trial)
             rep, _, _, candidates = reduce_reading_candidates(g, cfg)
-            assert rep.best == opt.value
+            assert rep.best_value == opt.value
             assert all(clustering_value(g, c, objective) == opt.value for c in candidates)
 
 
@@ -138,7 +138,7 @@ def test_report_accounting_fields():
     assert sum(values, Fraction(0)) == pre
     rounded = round_graph(rolled.graph, cfg.rounding).after
     assert clustering_value(rounded, grid, MAX) == pre  # identity rounding
-    assert rep.best == max(values)
+    assert rep.best_value == max(values)
 
 
 def test_reduce_with_real_rounding_and_local_search():
@@ -158,10 +158,10 @@ def test_reduce_with_real_rounding_and_local_search():
     )
     rep, rolled, grid, candidates = reduce_reading_candidates(g, cfg)
     # accounting ran without raising; the best candidate cannot beat OPT
-    assert rep.best >= solve_exact(g, MIN).value
+    assert rep.best_value >= solve_exact(g, MIN).value
     values = [clustering_value(g, c, MIN) for c in candidates]
     assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, MIN)
-    assert rep.best == min(values)
+    assert rep.best_value == min(values)
 
 
 def test_reduce_rejects_unnormalized():
@@ -261,7 +261,7 @@ def test_local_pipeline_on_216_node_grid():
     assert len(candidates) == 216
     values = [clustering_value(g, c, MIN) for c in candidates]
     assert sum(values, Fraction(0)) == clustering_value(rolled.graph, grid, MIN)
-    assert rep.best >= solve_exact(g, MIN).value
+    assert rep.best_value >= solve_exact(g, MIN).value
     assert not any("budget" in note for note in rep.notes)
 
 
@@ -551,7 +551,8 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
 def assert_matches_the_oracle(g, cfg, trials):
     agg, expected = run_trials(g, cfg, trials), oracle_run_trials(g, cfg, trials)
     assert aggregate_to_dict(agg) == aggregate_to_dict(expected)
-    assert agg.notes == expected.notes
+    # the whole aggregate: every row's notes and the note counts too
+    assert agg == expected
     return agg
 
 
@@ -612,27 +613,26 @@ def test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again
 
 
 @pytest.mark.parametrize("objective", [MAX, MIN])
-def test_a_best_value_exactly_at_the_target_is_not_a_bad_event(monkeypatch, objective):
-    # best = OPT/(lambda+eps) under MaxAgree and (lambda+eps)*OPT under
-    # MinDisagree sit on the target: the bad event is strict, so they do
-    # not count, and a best value one step past the target does
-    import rollclust.reduction
-
-    g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
-    cfg = replace(identity_config(objective), lambda_ref=Fraction(3, 2))
-    opt = solve_exact(g, objective).value
-    target = Fraction(3, 2) + Fraction(1, 20)
-    at = opt / target if objective is MAX else target * opt
-    past = at + (-1 if objective is MAX else 1) * Fraction(1, 10**9)
-    bests = iter([at, past])
-
-    def hand_built(rolled, cfg_i, u_ref):
-        return ReductionReport(next(bests), None, ())
-
-    monkeypatch.setattr(rollclust.reduction, "reduce_and_solve", hand_built)
-    agg = run_trials(g, cfg, 2)
-    assert opt != 0 and [s.best_value for s in agg.per_trial] == [at, past]
-    assert [s.bad for s in agg.per_trial] == [False, True]
+def test_a_best_value_exactly_at_the_target_is_not_a_bad_event(objective):
+    # lambda is picked so that one trial's own best sits on the target:
+    # best = OPT/(lambda+eps) under MaxAgree (trivial solver), (lambda+eps)*OPT
+    # under MinDisagree (local search). The bad event is strict, so the
+    # trial is not bad there, and it is one step of lambda lower, where
+    # the target moves past best
+    kind = SolverKind.TRIVIAL_MAX if objective is MAX else SolverKind.LOCAL_SEARCH
+    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=1))
+    cfg = ReductionConfig(objective, 0, RoundingParams(alpha=2, beta=2, seed=1), SolverSpec(kind),
+                          Fraction(1, 20), Fraction(3, 2))
+    rolled, opt = build_roll(g, 0), solve_exact(g, objective)
+    first = reduce_and_solve(rolled, cfg, opt, 1)
+    best = first.best_value
+    on = (opt.value / best if objective is MAX else best / opt.value) - cfg.epsilon
+    step = Fraction(1, 10**9)
+    assert on - step >= 1  # a ReductionConfig needs lambda_ref >= 1
+    rows = [reduce_and_solve(rolled, replace(cfg, lambda_ref=lam), opt, 1) for lam in (on, on - step)]
+    assert [row.bad for row in rows] == [False, True]
+    # lambda moves only the gap and the verdict: best stays put
+    assert all(replace(row, gap=None, bad=None) == replace(first, gap=None, bad=None) for row in rows)
 
 
 @pytest.mark.parametrize("lam, reference_sets", [(Fraction(3, 2), 1), (Fraction(1), 0)])
@@ -749,35 +749,31 @@ def test_run_trials_refuses_a_roll_above_the_node_limit_before_solving(monkeypat
 def test_reduce_and_solve_rejects_a_roll_at_another_t():
     g = SignedGraph(3, {(0, 1): 1, (1, 2): -1, (0, 2): Fraction(1, 2)})
     cfg = identity_config(MAX, t=0)
-    ref = solve_exact(g, MAX).clustering
+    opt = solve_exact(g, MAX)
     with pytest.raises(ValueError, match="not its base's roll at t=0"):
-        reduce_and_solve(build_roll(g, 1), cfg, ref)
-    # an equal base rolled separately gives the same report
+        reduce_and_solve(build_roll(g, 1), cfg, opt, 0)
+    # an equal base rolled separately gives the same row
     same = SignedGraph(3, {(1, 0): 1, (2, 1): -1, (2, 0): Fraction(2, 4)})
-    assert reduce_and_solve(build_roll(same, 0), cfg, ref) == reduce_on_roll(g, cfg)
+    assert reduce_and_solve(build_roll(same, 0), cfg, opt, 0) == reduce_on_roll(g, cfg)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2)])
 @pytest.mark.parametrize("objective", [MAX, MIN])
 def test_each_trial_replays_from_its_seeds(objective, lam, t):
-    # the seed a failing trial's error names is enough to rerun it alone
+    # the seed a failing trial's error names is enough to rerun it alone:
+    # the README's replay call gives back the trial's whole row, notes,
+    # ratio and verdict included (a budget-1 search leaves a note, and the
+    # trivial solver falls short of OPT)
     g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=4))
-    cfg = ReductionConfig(
-        objective=objective,
-        t=t,
-        rounding=RoundingParams(alpha=2, beta=2, seed=8),
-        solver=SolverSpec(SolverKind.LOCAL_SEARCH, seed=3),
-        epsilon=Fraction(1, 20),
-        lambda_ref=lam,
-    )
-    agg = run_trials(g, cfg, trials=2)
-    for i, trial in enumerate(agg.per_trial):
-        # the replay snippet in the README, as written
-        r_seed = agg.per_trial[i].rounding_seed
-        cfg_i = replace(cfg, rounding=replace(cfg.rounding, seed=r_seed))
-        rolled = build_roll(g, cfg.t)
-        rep = reduce_and_solve(rolled, cfg_i, solve_exact(g, cfg.objective).clustering)
-        assert rep.best == trial.best_value
-        assert rep.gap == trial.gap
-        assert (trial.gap is None) == (lam == 1)
+    solvers = [SolverSpec(SolverKind.LOCAL_SEARCH, seed=3), SolverSpec(SolverKind.LOCAL_SEARCH, budget=1)]
+    if objective is MAX:
+        solvers.append(SolverSpec(SolverKind.TRIVIAL_MAX))
+    for solver in solvers:
+        cfg = ReductionConfig(objective, t, RoundingParams(alpha=2, beta=2, seed=8), solver,
+                              Fraction(1, 20), lam)
+        agg = run_trials(g, cfg, trials=2)
+        for s in agg.per_trial:
+            # the replay snippet in the README, as written
+            assert reduce_and_solve(build_roll(g, cfg.t), cfg, solve_exact(g, cfg.objective), s.rounding_seed) == s
+            assert (s.gap is None) == (lam == 1)
