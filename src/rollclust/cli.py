@@ -36,8 +36,8 @@ from .streams import derive_seed
 def _fraction(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from None
 
 
 def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":

@@ -129,8 +129,8 @@ class SignedGraph:
     def edge_count(self) -> int:
         return len(self._weights)
 
-    def max_abs_weight(self) -> Fraction:
-        return Fraction(max((abs(w) for w in self._weights.values()), default=0), self.scale)
+    def max_abs_weight(self) -> int:
+        return max(map(abs, self._weights.values()), default=0)
 
     def __hash__(self) -> int:
         # _weights is a dict, so hash its items
@@ -204,9 +204,10 @@ def contributing_edges(
 
 
 def scaled_values(g: SignedGraph, clusterings, objective: ObjectiveKind) -> "list[int]":
-    """scaled_value of each clustering. Each distinct labeling is scored
-    once, in one pass over its labels and g's edge list: the candidates
-    that one grid clustering induces on its copies repeat."""
+    """Each clustering's value times g.scale: the int sum of |weight * scale|
+    over its contributing edges. Each distinct labeling is scored once, in
+    one pass over its labels and g's edge list: the candidates that one
+    grid clustering induces on its copies repeat."""
     labelings = _labelings(g, clusterings)
     edges = g.scaled_weights()
     agree = objective is ObjectiveKind.MAX_AGREE
@@ -215,17 +216,11 @@ def scaled_values(g: SignedGraph, clusterings, objective: ObjectiveKind) -> "lis
     return [value[lab] for lab in labelings]
 
 
-def scaled_value(g: SignedGraph, c: Clustering, objective: ObjectiveKind) -> int:
-    """clustering_value times g.scale: the int sum of |weight * scale| over
-    the contributing edges."""
-    return scaled_values(g, (c,), objective)[0]
-
-
 def clustering_value(
     g: SignedGraph, c: Clustering, objective: ObjectiveKind
 ) -> Fraction:
     """Sum of |weight| over the contributing edges. Exact, non-negative."""
-    return Fraction(scaled_value(g, c, objective), g.scale)
+    return Fraction(scaled_values(g, (c,), objective)[0], g.scale)
 
 
 # --- graph text format ----------------------------------------------------
@@ -235,22 +230,33 @@ def clustering_value(
 # pairs and self-loops are format errors. Written files round-trip exactly.
 
 MAX_NODES = 10**6
+# a roll's active copies times max(1, base edges): every roll into at most
+# 10^4 nodes fits, the largest the 3,333^2 pairs of a 3-node base at t = 555
+MAX_ROLL_PAIRS = 12 * 10**6
 MAX_EXPONENT = 4300  # Python's own cap on the digits of an integer token
 
 
 def parse_rational(token: str) -> Fraction:
-    """Fraction(token), but a decimal exponent above MAX_EXPONENT in absolute
-    value is a ValueError, not a power of ten that Fraction expands in full."""
-    exp = re.search(r"e([-+]?[\d_]+)", token, re.IGNORECASE)
+    """Fraction(token), or a ValueError that names the cause without the
+    token: a number of more than MAX_EXPONENT digits, which Python refuses
+    to convert; a decimal exponent above MAX_EXPONENT in absolute value,
+    which Fraction would expand in full; or no rational at all (1/0 too)."""
+    digits = token.replace("_", "")
+    if any(len(run) > MAX_EXPONENT for run in re.findall(r"\d+", digits)):
+        raise ValueError(f"a number of more than {MAX_EXPONENT} digits")
+    exp = re.search(r"e([-+]?\d+)", digits, re.IGNORECASE)
     if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent above {MAX_EXPONENT} in absolute value")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a rational") from None
 
 
 def parse_weight(token: str) -> Fraction:
     try:
         return parse_rational(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise GraphFormatError(f"bad weight {token!r}: {exc}") from None
 
 

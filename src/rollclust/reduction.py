@@ -15,12 +15,14 @@ post-rounding value. A failed check raises RuntimeError.
 run_trials repeats the trial against the exact optimum of the base graph.
 Rounding is its only random step: each trial derives one rounding seed
 and passes cfg.solver on unchanged, as no solver that a ReductionConfig
-accepts reads a seed. It reports how often the best candidate fails the
-(lambda+epsilon) target, the distribution of best/OPT ratios, and the
-drift gaps' mean, minimum and maximum when lambda_ref > 1. The roll
-depends only on the base and t, so run_trials builds it once per call,
-and its trials share the roll and its duplicate cells; each trial rounds
-it afresh. Frequencies are measurements, not certificates.
+accepts reads a seed. It keeps every trial's row, how often the best
+candidate fails the (lambda+epsilon) target, and the drift gaps' mean,
+minimum and maximum when lambda_ref > 1; the report's best/OPT ratios
+and opt_below_one are read off the rows and the optimum when
+aggregate_to_dict writes it. The roll depends only on the base and t, so
+run_trials builds it once per call, and its trials share the roll and
+its duplicate cells; each trial rounds it afresh. Frequencies are
+measurements, not certificates.
 """
 
 from __future__ import annotations
@@ -97,11 +99,11 @@ def reduce_and_solve(rolled: RolledGraph, cfg: ReductionConfig, opt: SolveResult
     if rolled.t != cfg.t:
         raise ValueError(f"rolled is {rolled!r}, not its base's roll at t={cfg.t}")
     notes: "list[str]" = []
-    # ((alpha+beta)/max|w|)^2 > rows*n, in ints: rounding reads alpha and
-    # beta only against |w|, so scaling all three together keeps the note;
-    # an edgeless base (q = 0) raises none
-    top, spread = g.max_abs_weight(), cfg.rounding.alpha + cfg.rounding.beta
-    p, q = spread.numerator * top.denominator, spread.denominator * top.numerator
+    # ((alpha+beta)/max|w|)^2 > rows*n, in ints over g.scale: rounding
+    # reads alpha and beta only against |w|, so scaling all three together
+    # keeps the note; an edgeless base (q = 0) raises none
+    spread = cfg.rounding.alpha + cfg.rounding.beta
+    p, q = spread.numerator * g.scale, spread.denominator * g.max_abs_weight()
     if q and p * p > rows * g.n * q * q:
         notes.append("(alpha+beta)/max|w| exceeds sqrt(rows*n); tail bounds are weak at this size")
 
@@ -148,9 +150,7 @@ class TrialAggregate:
     trials: int
     opt_value: Fraction
     opt_clustering: Clustering
-    opt_below_one: bool
     bad_event_freq: Fraction
-    ratios: "tuple[Optional[Fraction], ...]"
     gap_mean: Optional[Fraction]
     gap_min: Optional[Fraction]
     gap_max: Optional[Fraction]
@@ -163,14 +163,17 @@ class TrialAggregate:
 def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggregate:
     """Repeat reduce_and_solve with a derived rounding seed per trial and
     measure how often its bad event happens. Needs the base graph to be
-    small enough for the exact oracle. A failed accounting identity raises
-    RuntimeError naming the trial and its rounding seed."""
+    small enough for the exact oracle. Before solving it, a base with some
+    |weight| > 1 (an int compare over its scale), a roll that
+    valid_roll_size refuses or a grid the exact solver cannot take is a
+    ValueError. A failed accounting identity raises RuntimeError naming
+    the trial and its rounding seed."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if g.max_abs_weight() > 1:
+    if g.max_abs_weight() > g.scale:
         raise ValueError("base graph must be normalized to |weight| <= 1")
     # refuse a grid the exact solver cannot take before solving the base
-    nodes = valid_roll_size(g.n, cfg.t) * g.n
+    nodes = valid_roll_size(g.n, cfg.t, g.edge_count) * g.n
     if cfg.solver.kind is SolverKind.EXACT and nodes > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver cannot solve the t={cfg.t} roll of a {g.n}-node base:"
                          f" {nodes} nodes, more than {EXACT_NODE_LIMIT}")
@@ -193,9 +196,7 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         trials=trials,
         opt_value=opt.value,
         opt_clustering=opt.clustering,
-        opt_below_one=opt.value < 1,
         bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
-        ratios=tuple(s.ratio for s in summaries),
         gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
         gap_min=min(gaps) if gaps else None,
         gap_max=max(gaps) if gaps else None,
@@ -227,9 +228,9 @@ def aggregate_to_dict(agg: TrialAggregate) -> dict:
         "trials": agg.trials,
         "opt_value": frac_to_str(agg.opt_value),
         "opt_clustering": list(agg.opt_clustering.labels),
-        "opt_below_one": agg.opt_below_one,
+        "opt_below_one": agg.opt_value < 1,
         "bad_event_freq": frac_to_str(agg.bad_event_freq),
-        "ratios": [opt_frac_to_str(r) for r in agg.ratios],
+        "ratios": [opt_frac_to_str(s.ratio) for s in agg.per_trial],
         "gap_mean": opt_frac_to_str(agg.gap_mean),
         "gap_min": opt_frac_to_str(agg.gap_min),
         "gap_max": opt_frac_to_str(agg.gap_max),

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import MAX_NODES, Clustering, SignedGraph
+from .core import MAX_NODES, MAX_ROLL_PAIRS, Clustering, SignedGraph
 
 
 class DuplicateId(NamedTuple):
@@ -35,10 +35,13 @@ class DuplicateId(NamedTuple):
     slope: int
 
 
-def valid_roll_size(n: int, t: int) -> int:
-    """Row count N = n*(1 + t*(n-1)), refused when the N*n-cell grid is above
-    MAX_NODES, as no graph file could hold it. n | N, so the N/n lowest slopes
-    hold N^2/n copies; (n-1) | (N-1) matters only to the full duplicate family."""
+def valid_roll_size(n: int, t: int, edges: int = 0) -> int:
+    """Row count N = n*(1 + t*(n-1)) of the roll of an n-node base with the
+    given edge count. n | N, so the N/n lowest slopes hold N^2/n copies;
+    (n-1) | (N-1) matters only to the full duplicate family. Refused when
+    the N*n-cell grid is above MAX_NODES, as no graph file could hold it,
+    or when the copies times max(1, edges) are above MAX_ROLL_PAIRS, too
+    many to build: an edgeless base still builds each copy's cells."""
     if n < 3:
         raise ValueError("base graph must have at least 3 nodes")
     if t < 0:
@@ -46,6 +49,10 @@ def valid_roll_size(n: int, t: int) -> int:
     rows = n * (1 + t * (n - 1))
     if rows * n > MAX_NODES:
         raise ValueError(f"t={t} rolls {n} nodes into {rows * n}, above the {MAX_NODES}-node limit")
+    copies = rows * rows // n
+    if copies * max(1, edges) > MAX_ROLL_PAIRS:
+        raise ValueError(f"t={t} rolls {n} nodes into {copies} copies of {edges} edges,"
+                         f" above the {MAX_ROLL_PAIRS}-pair limit")
     return rows
 
 
@@ -62,11 +69,11 @@ class RolledGraph:
     """A base graph's roll at size parameter t: RolledGraph(base, t).
 
     The constructor computes every field from base and t: rows
-    (valid_roll_size(n, t)), active (every start row of the rows/n lowest
-    slopes, slope-major), each active duplicate's cells, once, and
-    graph (the rolled graph on rows*n cells) from them. It keeps the cells
-    for induced_clustering: run_trials builds one roll per call, and all of
-    its trials read their candidates through the same cells.
+    (valid_roll_size(n, t, base.edge_count)), active (every start row of
+    the rows/n lowest slopes, slope-major), each active duplicate's cells,
+    once, and graph (the rolled graph on rows*n cells) from them. It keeps
+    the cells for induced_clustering: run_trials builds one roll per call,
+    and all of its trials read their candidates through the same cells.
     """
 
     __slots__ = ("base", "t", "rows", "active", "graph", "_cells")  # see core.SignedGraph
@@ -80,7 +87,7 @@ class RolledGraph:
 
     def __init__(self, base: SignedGraph, t: int):
         n = base.n
-        rows = valid_roll_size(n, t)
+        rows = valid_roll_size(n, t, base.edge_count)
         active = tuple(DuplicateId(start, slope)
                        for slope in range(rows // n) for start in range(rows))
         cells = {d: duplicate_cells(d, rows, n) for d in active}

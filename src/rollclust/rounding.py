@@ -64,12 +64,11 @@ def acceptance_limit(den: int) -> int:
 def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     """Round every edge independently on its own derived seed.
 
-    Requires |w| <= 1 for all edges. The seed is derived from (seed, u, v),
-    so the outcome does not depend on edge iteration order and all graphs
-    sharing a seed agree edge by edge.
+    Requires |w| <= 1, a ValueError otherwise, checked in ints once per
+    distinct weight, where its keep probability is worked out. The seed is
+    derived from (seed, u, v), so the outcome does not depend on edge
+    iteration order and all graphs sharing a seed agree edge by edge.
     """
-    if g.max_abs_weight() > 1:
-        raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
     a_num, a_den = params.alpha.numerator, params.alpha.denominator
     b_num, b_den = params.beta.numerator, params.beta.denominator
     up, down = b_num * a_den, -a_num * b_den
@@ -80,6 +79,8 @@ def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
     tags: list[bytes] = []  # each node's encoded id, built at the first draw
     for (u, v), w in g.scaled_weights():
         if w not in draws:
+            if abs(w) > g.scale:
+                raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
             # p = |w| / magnitude, with |w| = |w * scale| / scale, reduced
             num, den = (w * b_den, g.scale * b_num) if w > 0 else (-w * a_den, g.scale * a_num)
             k = math.gcd(num, den)

@@ -186,9 +186,7 @@ def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
         trials=trials,
         opt_value=opt.value,
         opt_clustering=opt.clustering,
-        opt_below_one=opt.value < 1,
         bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
-        ratios=tuple(s.ratio for s in summaries),
         gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
         gap_min=min(gaps) if gaps else None,
         gap_max=max(gaps) if gaps else None,

@@ -133,6 +133,23 @@ MUTANTS = {
             "tests/test_rounding.py::test_rounded_support",
         ],
     ),
+    "round_graph without its normalization check": (
+        ROUNDING,
+        "            if abs(w) > g.scale:\n"
+        '                raise ValueError("graph must be normalized to |weight| <= 1 before rounding")\n',
+        "",
+        [
+            "tests/test_rounding.py::test_rejects_unnormalized_weights",
+            "tests/test_reduction.py::test_reduce_rejects_unnormalized",
+        ],
+    ),
+    "round_graph checks only the first distinct weight": (
+        ROUNDING,
+        "if abs(w) > g.scale:",
+        "if not draws and abs(w) > g.scale:",
+        # the over-bound weight must come after other distinct weights
+        ["tests/test_rounding.py::test_rejects_an_unnormalized_weight_that_comes_after_fractional_draws"],
+    ),
     "the retry draw keeps an edge on randrange(den) <= num": (
         ROUNDING,
         ".randrange(den) < num",
@@ -262,6 +279,15 @@ MUTANTS = {
             # the scales differ only on a base with a fractional weight
             "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
             "tests/test_golden.py::test_seeded_report_is_byte_identical",
+        ],
+    ),
+    "run_trials refuses a base whose largest |w| is exactly 1": (
+        REDUCTION,
+        "if g.max_abs_weight() > g.scale:",
+        "if g.max_abs_weight() >= g.scale:",
+        [
+            "tests/test_reduction.py::test_run_trials_rejects_an_unnormalized_base_before_rolling",
+            "tests/test_reduction.py::test_run_trials_identity_regime",
         ],
     ),
     "run_trials counts the good trials as bad": (

@@ -340,15 +340,62 @@ def test_a_roll_above_the_node_limit_fails_before_it_is_built(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == [base]
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "huge.txt", "--solver", "local"],
-    ["round", "huge.txt", "--alpha", "1e-20000000", "--out", "r.txt"],
+@pytest.mark.parametrize("command", ["roll", "reduce"])
+def test_a_roll_above_the_pair_limit_fails_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # the t=1000 roll of a 3-node, 3-edge base is an 18,009-node grid, under
+    # the node limit, but 12,012,003 active copies and ~36M pairs
+    import rollclust.reduction
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("solved the base before sizing its roll")
+
+    base = gen_graph(tmp_path, capsys)
+    assert read_graph(str(base)).edge_count == 3
+    monkeypatch.setattr(rollclust.reduction, "solve_exact", no_solving)
+    out = tmp_path / "out.txt"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, command, str(base), "--t", "1000", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == ""
+    assert err == ("error: t=1000 rolls 3 nodes into 12012003 copies of 3 edges,"
+                   " above the 12000000-pair limit\n")
+    assert time.perf_counter() - start < 1
+    assert peak < 10**6
+    assert list(tmp_path.iterdir()) == [base]
+
+
+EXPONENT = "decimal exponent above 4300 in absolute value"
+DIGITS = "a number of more than 4300 digits"
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["solve", "huge.txt", "--solver", "local"], f"bad weight '1e20000000': {EXPONENT}"),
+    (["round", "g.txt", "--alpha", "1e-20000000", "--out", "r.txt"],
+     f"argument --alpha: {EXPONENT}: '1e-20000000'"),
+    (["round", "g.txt", "--config", "exponent.cfg", "--out", "r.txt"],
+     f"exponent.cfg: alpha = '1e-20000000': argument --alpha: {EXPONENT}: '1e-20000000'"),
+    (["solve", "nines.txt"], f"bad weight '1e{NINES}': {DIGITS}"),
+    (["reduce", "g.txt", "--beta", NINES, "--out", "r.txt"], f"argument --beta: {DIGITS}: '{NINES}'"),
+    (["reduce", "g.txt", "--config", "nines.cfg", "--out", "r.txt"],
+     f"nines.cfg: lambda_ref = '1e{NINES}': argument --lambda: {DIGITS}: '1e{NINES}'"),
 ])
-def test_a_huge_decimal_exponent_fails_promptly(tmp_path, argv):
+def test_a_huge_decimal_exponent_fails_promptly(tmp_path, argv, cause):
     # Fraction would expand 1e20000000 into a 20-million-digit integer and
-    # run on; the parser refuses the exponent first. A separate process,
-    # so a regression times out instead of hanging the suite
-    (tmp_path / "huge.txt").write_text("3 1\n0 1 1e20000000\n", encoding="utf-8")
+    # run on, and Python refuses to convert a number of more than 4300
+    # digits with advice to raise its limit; the parser refuses both first,
+    # naming the cause, from a flag, a config value or a graph weight. A
+    # separate process, so a regression times out instead of hanging the suite
+    files = {"huge.txt": "3 1\n0 1 1e20000000\n", "nines.txt": f"3 1\n0 1 1e{NINES}\n",
+             "g.txt": "3 1\n0 1 1/2\n", "exponent.cfg": "alpha = 1e-20000000\n",
+             "nines.cfg": f"lambda_ref = 1e{NINES}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     start = time.perf_counter()
@@ -357,7 +404,8 @@ def test_a_huge_decimal_exponent_fails_promptly(tmp_path, argv):
     elapsed = time.perf_counter() - start
     assert done.returncode == 2 and done.stdout == ""
     errors = [line for line in done.stderr.splitlines() if "error: " in line]
-    assert len(errors) == 1 and "1e" in errors[0], done.stderr
+    assert len(errors) == 1 and errors[0].endswith("error: " + cause), done.stderr
+    assert "set_int_max_str_digits" not in done.stderr
     assert elapsed < 5, elapsed
     assert not (tmp_path / "r.txt").exists()
 

@@ -16,7 +16,7 @@ from rollclust.core import (
     format_graph,
     parse_graph,
     parse_rational,
-    scaled_value,
+    scaled_values,
 )
 from rollclust.solvers import solve_exact, solve_local_search
 
@@ -204,11 +204,26 @@ def test_rationals_keep_their_decimal_exponent_within_the_cap():
     assert MAX_EXPONENT == 4300
     for token in ("1e4300", "1E-4300", " 25e+4_300 ", "-3/4", "0.125e2"):
         assert parse_rational(token) == Fraction(token)
-    for token in ("1e4301", "1e-4301", "1E+99999", "1e4_301", "2.5e20000000", "1e" + "9" * 5000):
-        with pytest.raises(ValueError):
+    # underscores do not count toward a number's digits, as in Python
+    assert parse_rational("1_" * 4299 + "1") == int("1" * 4300)
+    exponent = "decimal exponent above 4300 in absolute value"
+    digits = "a number of more than 4300 digits"
+    refused = [("1e4301", exponent), ("1e-4301", exponent), ("1E+99999", exponent),
+               ("1e4_301", exponent), ("2.5e20000000", exponent),
+               ("1e" + "9" * 5000, digits), ("9" * 5000, digits), ("0." + "9" * 4301, digits),
+               ("1/" + "0" * 4301 + "1", digits), ("x", "not a rational"),
+               ("1/0", "not a rational"), ("1e1__2", "not a rational")]
+    for token, cause in refused:
+        # the message is the cause alone: no token, and no advice to raise
+        # Python's own digit limit
+        with pytest.raises(ValueError) as info:
             parse_rational(token)
+        assert str(info.value) == cause, token
     with pytest.raises(GraphFormatError, match=r"bad weight '1e-20000000': decimal exponent above 4300"):
         parse_graph("2 1\n0 1 1e-20000000\n")
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("2 1\n0 1 " + "9" * 5000 + "\n")
+    assert str(info.value) == f"bad weight '{'9' * 5000}': {digits}"
 
 
 def test_clustering_canonical_form():
@@ -264,17 +279,30 @@ def test_kernel_matches_naive_definition_on_mixed_denominators():
     assert empty.scale == 1 and empty.abs_weight([]) == 0 and empty.max_abs_weight() == 0
 
 
-def test_scaled_value_times_scale_is_the_clustering_value():
+def test_scaled_values_times_scale_are_the_clustering_values():
     rng = random.Random(223)
     graphs = [SignedGraph(0), SignedGraph(4)] + [mixed_graph(rng, rng.randint(2, 8)) for _ in range(40)]
     for g in graphs:
-        for _ in range(4):
-            c = Clustering([rng.randrange(3) for _ in range(g.n)])
-            for objective in (MAX, MIN):
-                value = scaled_value(g, c, objective)
+        cs = [Clustering([rng.randrange(3) for _ in range(g.n)]) for _ in range(4)]
+        cs.append(cs[0])  # a repeated labeling is scored once, reported at each place
+        for objective in (MAX, MIN):
+            values = scaled_values(g, cs, objective)
+            assert len(values) == len(cs) and values[-1] == values[0]
+            for value, c in zip(values, cs):
                 assert type(value) is int
                 assert Fraction(value, g.scale) == clustering_value(g, c, objective)
                 assert Fraction(value, g.scale) == naive_value(g, c, objective)
+
+
+def test_max_abs_weight_is_an_int_over_the_scale():
+    g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): Fraction(-5, 6), (0, 2): Fraction(1, 3)})
+    assert g.scale == 6
+    assert g.max_abs_weight() == 5 and type(g.max_abs_weight()) is int
+    rng = random.Random(227)
+    for g in [mixed_graph(rng, rng.randint(2, 8)) for _ in range(40)]:
+        top = max((abs(g.weight(u, v)) for u, v in all_pairs(g.n)), default=Fraction(0))
+        assert type(g.max_abs_weight()) is int
+        assert Fraction(g.max_abs_weight(), g.scale) == top
 
 
 def test_equal_weights_in_any_spelling_make_equal_graphs():

@@ -323,8 +323,8 @@ def test_run_trials_identity_regime():
     assert agg.trials == 8
     assert agg.opt_value == solve_exact(g, MAX).value
     assert agg.bad_event_freq == 0
-    assert all(r == 1 for r in agg.ratios)
-    assert not agg.opt_below_one
+    assert all(s.ratio == 1 for s in agg.per_trial)
+    assert not aggregate_to_dict(agg)["opt_below_one"]
     assert agg.gap_mean is None  # lambda_ref == 1, no stats
     for i, s in enumerate(agg.per_trial):
         assert s.rounding_seed == derive_seed(0, "trial", i, "round")
@@ -367,7 +367,8 @@ def test_run_trials_keeps_its_verdicts_when_weights_and_magnitudes_scale_togethe
         small = run_trials(scaled_base(g, Fraction(1, 3)), cfg, 2)
         big = run_trials(g, replace(cfg, rounding=RoundingParams(Fraction(9, 2), 6, seed=seed)), 2)
         assert big.opt_value == 3 * small.opt_value
-        assert big.ratios == small.ratios and big.notes == small.notes
+        assert aggregate_to_dict(big)["ratios"] == aggregate_to_dict(small)["ratios"]
+        assert big.notes == small.notes
         for a, b in zip(small.per_trial, big.per_trial):
             assert b.bad == a.bad and b.best_value == 3 * a.best_value
             assert b.gap == (None if lam == 1 else 3 * a.gap)
@@ -465,14 +466,15 @@ def test_run_trials_flags_small_optimum():
     g = SignedGraph(3, {(0, 1): Fraction(1, 2)})
     agg = run_trials(g, identity_config(MAX), trials=2)
     assert agg.opt_value == Fraction(1, 2)
-    assert agg.opt_below_one
+    assert aggregate_to_dict(agg)["opt_below_one"] is True
 
 
 def test_run_trials_zero_optimum_ratios_none():
     g = SignedGraph(3)  # no edges at all
     agg = run_trials(g, identity_config(MAX), trials=2)
     assert agg.opt_value == 0
-    assert all(r is None for r in agg.ratios)
+    assert all(s.ratio is None for s in agg.per_trial)
+    assert aggregate_to_dict(agg)["ratios"] == [None, None]
     assert agg.bad_event_freq == 0
 
 
@@ -506,7 +508,7 @@ def test_report_rationals_parse_back_exactly():
     ]
     assert back(d["opt_value"]) == agg.opt_value
     assert back(d["bad_event_freq"]) == agg.bad_event_freq
-    assert [back(r) for r in d["ratios"]] == list(agg.ratios)
+    assert [back(r) for r in d["ratios"]] == [s.ratio for s in agg.per_trial]
     assert [back(d[k]) for k in ("gap_mean", "gap_min", "gap_max")] == [
         agg.gap_mean, agg.gap_min, agg.gap_max
     ]
@@ -545,7 +547,7 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
             lambda_ref=1,
         )
         agg = run_trials(g, cfg, trials=20)
-        assert (agg.bad_event_freq, min(agg.ratios)) == (freq, worst), t
+        assert (agg.bad_event_freq, min(s.ratio for s in agg.per_trial)) == (freq, worst), t
 
 
 def assert_matches_the_oracle(g, cfg, trials):
@@ -702,6 +704,11 @@ def test_run_trials_rejects_an_unnormalized_base_before_rolling(monkeypatch):
         g = SignedGraph(n, {(0, 1): 2})
         with pytest.raises(ValueError, match="must be normalized"):
             run_trials(g, identity_config(MAX), 2)
+    # |w| = 1 exactly, over a scale above 1, is within the bound
+    monkeypatch.undo()
+    g = SignedGraph(3, {(0, 1): Fraction(-1, 2), (1, 2): 1})
+    assert g.max_abs_weight() == g.scale == 2
+    assert run_trials(g, identity_config(MAX), 2).trials == 2
 
 
 def test_reduce_and_solve_refuses_candidates_that_do_not_sum(monkeypatch):

@@ -7,7 +7,9 @@ import pytest
 
 from invariants import all_duplicates, duplicate_of
 from random_graphs import random_graph
-from rollclust.core import MAX_NODES, Clustering, ObjectiveKind, SignedGraph, clustering_value
+from rollclust.core import (
+    MAX_NODES, MAX_ROLL_PAIRS, Clustering, ObjectiveKind, SignedGraph, clustering_value,
+)
 from rollclust.roll import (
     DuplicateId,
     RolledGraph,
@@ -79,9 +81,45 @@ def test_valid_roll_sizes():
 
 
 def test_valid_roll_size_admits_grids_up_to_the_node_ceiling():
-    # rows * n = 10 * (1 + 1111 * 9) * 10 is exactly MAX_NODES
-    assert valid_roll_size(10, 1111) * 10 == MAX_NODES
-    assert valid_roll_size(3, 55555) * 3 == MAX_NODES - 1
+    # rows * n = 1000 * 1000 is exactly MAX_NODES, in 1000 active copies
+    assert valid_roll_size(1000, 0) * 1000 == MAX_NODES
+    assert valid_roll_size(999, 0) * 999 == MAX_NODES - 1999
+
+
+def test_valid_roll_size_admits_rolls_up_to_the_pair_ceiling():
+    # by the arithmetic alone: nothing is built. 1000 copies of 12,000 edges
+    # are exactly MAX_ROLL_PAIRS
+    assert MAX_ROLL_PAIRS == 12 * 10**6
+    assert valid_roll_size(1000, 0, edges=12_000) == 1000
+    with pytest.raises(ValueError, match="1000 copies of 12001 edges, above the 12000000-pair"):
+        valid_roll_size(1000, 0, edges=12_001)
+    # the largest grid of the at-scale table: a complete 20-node base at
+    # t = 1, 8,000 copies of 190 edges in an 8,000-node grid
+    assert valid_roll_size(20, 1, edges=190) == 400
+    # every roll of a complete base into a grid of at most 10^4 nodes; the
+    # largest is a 3-node base at t = 555, 3,333^2 = 11,108,889 pairs
+    largest = 0
+    for n in range(3, 101):
+        t = 0
+        while n * (1 + t * (n - 1)) * n <= 10**4:
+            rows = valid_roll_size(n, t, edges=n * (n - 1) // 2)
+            largest = max(largest, rows * rows // n * (n * (n - 1) // 2))
+            t += 1
+    assert largest == 3333**2 == 11_108_889
+
+
+def test_valid_roll_size_refuses_a_roll_above_the_pair_ceiling():
+    # the t=1000 roll of a 3-node base is an 18,009-node grid, under
+    # MAX_NODES, but 12,012,003 active copies: 36M pairs for 3 edges, and
+    # too many copies' cells even for an edgeless base
+    for edges in (3, 1, 0):
+        with pytest.raises(ValueError) as info:
+            valid_roll_size(3, 1000, edges)
+        assert str(info.value) == (f"t=1000 rolls 3 nodes into 12012003 copies of {edges} edges,"
+                                   " above the 12000000-pair limit")
+    # a 10^6-node grid of 10^9 copies
+    with pytest.raises(ValueError, match="into 1000000000 copies of 0 edges"):
+        valid_roll_size(10, 1111)
 
 
 def test_valid_roll_size_refuses_a_grid_above_the_node_ceiling():

@@ -54,7 +54,7 @@ def fraction_round_edge_weight(w, params, u, v):
 def fraction_round_graph(g, params):
     """The per-edge Fraction rounding loop, rounded weights rebuilt through
     the public constructor. Oracle for round_graph."""
-    if g.max_abs_weight() > 1:
+    if any(abs(w) > 1 for _, _, w in g.edges()):
         raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
     weights = {}
     for u, v, w in g.edges():
@@ -283,6 +283,22 @@ def test_rejects_unnormalized_weights():
     g = SignedGraph(2, {(0, 1): 2})
     with pytest.raises(ValueError):
         round_graph(g, RoundingParams(alpha=1, beta=3, seed=0))
+
+
+def test_rejects_an_unnormalized_weight_that_comes_after_fractional_draws():
+    # 3/2 is neither the first edge nor the first distinct weight, and the
+    # two edges before it draw with keep probabilities below 1; at beta = 1
+    # its own probability is 3/2, which would keep it without a draw
+    g = SignedGraph(3, {(0, 1): Fraction(1, 2), (0, 2): Fraction(-1, 3), (1, 2): Fraction(3, 2)})
+    assert [w for *_, w in g.edges()] == [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
+    for alpha, beta in SPREADS:
+        for seed in (0, 5):
+            with pytest.raises(ValueError, match=r"normalized to \|weight\| <= 1"):
+                round_graph(g, RoundingParams(alpha=alpha, beta=beta, seed=seed))
+    # |w| = 1 exactly, over a scale of 6, is within the bound
+    edge = SignedGraph(3, {(0, 1): Fraction(1, 2), (0, 2): Fraction(-1, 3), (1, 2): -1})
+    assert edge.max_abs_weight() == edge.scale == 6
+    assert round_graph(edge, RoundingParams(alpha=1, beta=1, seed=5)).after.weight(1, 2) == -1
 
 
 def test_rounded_support():
