@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import NoReturn
 
-from .core import ObjectiveKind, format_graph, parse_rational, read_graph, write_graph
+from .core import ObjectiveKind, format_graph, parse_rational, quoted, read_graph, write_graph
 from .harness import (
     CompleteSigned,
     GenSpec,
@@ -37,7 +38,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"{exc}: {quoted(text)}") from None
 
 
 def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
@@ -146,22 +147,24 @@ def _apply_config(argv, subparsers) -> None:
             flag = "--" + key.replace("_", "-")
             named = [action.dest for action in actions if flag in action.option_strings]
             hint = f"; the key for {flag} is {named[0]!r}" if named else ""
-            _usage_error(f"{known.config}: unknown key {key!r}{hint}")
+            _usage_error(f"{known.config}: unknown key {quoted(key)}{hint}")
     for p in subparsers.values():
         applicable = {}
         for action in p._actions:
-            value = values.get(action.dest)
-            if value is None:
+            text = values.get(action.dest)
+            if text is None:
                 continue
             # argparse names only the flag when a string default fails to
             # convert, and checks choices on flags only
             try:
-                value = p._get_value(action, value)
+                value = p._get_value(action, text)
             except argparse.ArgumentError as exc:
-                _usage_error(f"{known.config}: {action.dest} = {value!r}: {exc}")
+                # its message ends with the value, which this line shows once
+                cause = exc.message.removesuffix(f": {text!r}").removesuffix(f": {quoted(text)}")
+                _usage_error(f"{known.config}: {action.dest} = {quoted(text)}: {cause}")
             if action.choices is not None and value not in action.choices:
                 _usage_error(
-                    f"{known.config}: {action.dest} = {value!r} is not one of "
+                    f"{known.config}: {action.dest} = {quoted(text)} is not one of "
                     + ", ".join(action.choices)
                 )
             applicable[action.dest] = value
@@ -286,7 +289,8 @@ def cmd_reduce(args) -> int:
     _write_json(args.out or "report.json", aggregate_to_dict(agg))
     print(f"trials={agg.trials} opt={frac_to_str(agg.opt_value)} "
           f"bad_event_freq={frac_to_str(agg.bad_event_freq)}")
-    for note, count in agg.notes:
+    # each distinct note with the number of trials that raised it, in first-seen order
+    for note, count in Counter(note for s in agg.per_trial for note in s.notes).items():
         print(f"note: {note} ({count} of {agg.trials} trials)", file=sys.stderr)
     return 0
 

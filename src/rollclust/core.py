@@ -231,7 +231,9 @@ def clustering_value(
 
 MAX_NODES = 10**6
 # a roll's active copies times max(1, base edges): every roll into at most
-# 10^4 nodes fits, the largest the 3,333^2 pairs of a 3-node base at t = 555
+# 10^4 nodes fits, the largest the 3,333^2 pairs of a 3-node base at t = 555.
+# Also a generated instance's n(n-1)/2 pair draws: n = 4,899 fits, far
+# below MAX_NODES
 MAX_ROLL_PAIRS = 12 * 10**6
 MAX_EXPONENT = 4300  # Python's own cap on the digits of an integer token
 
@@ -253,11 +255,20 @@ def parse_rational(token: str) -> Fraction:
         raise ValueError("not a rational") from None
 
 
+def quoted(token: str) -> str:
+    """repr(token) for an error message, or, for a token of more than 60
+    characters, the repr of its first and last 20 and its length, so that
+    one refused token does not write a line of thousands of characters."""
+    if len(token) <= 60:
+        return repr(token)
+    return f"{token[:20] + '...' + token[-20:]!r} ({len(token)} characters)"
+
+
 def parse_weight(token: str) -> Fraction:
     try:
         return parse_rational(token)
     except ValueError as exc:
-        raise GraphFormatError(f"bad weight {token!r}: {exc}") from None
+        raise GraphFormatError(f"bad weight {quoted(token)}: {exc}") from None
 
 
 def parse_graph(text: str) -> SignedGraph:
@@ -266,11 +277,11 @@ def parse_graph(text: str) -> SignedGraph:
         raise GraphFormatError("empty input")
     head = lines[0].split()
     if len(head) != 2:
-        raise GraphFormatError(f"header must be 'n m', got {lines[0]!r}")
+        raise GraphFormatError(f"header must be 'n m', got {quoted(lines[0])}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphFormatError(f"header must be two integers, got {lines[0]!r}") from None
+        raise GraphFormatError(f"header must be two integers, got {quoted(lines[0])}") from None
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative")
     if n > MAX_NODES:
@@ -281,11 +292,11 @@ def parse_graph(text: str) -> SignedGraph:
     for idx, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 3:
-            raise GraphFormatError(f"line {idx}: expected 'u v w', got {line!r}")
+            raise GraphFormatError(f"line {idx}: expected 'u v w', got {quoted(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {idx}: bad node ids in {line!r}") from None
+            raise GraphFormatError(f"line {idx}: bad node ids in {quoted(line)}") from None
         if u == v:
             raise GraphFormatError(f"line {idx}: self-loop on node {u}")
         if not (0 <= u < n and 0 <= v < n):

@@ -15,19 +15,17 @@ post-rounding value. A failed check raises RuntimeError.
 run_trials repeats the trial against the exact optimum of the base graph.
 Rounding is its only random step: each trial derives one rounding seed
 and passes cfg.solver on unchanged, as no solver that a ReductionConfig
-accepts reads a seed. It keeps every trial's row, how often the best
-candidate fails the (lambda+epsilon) target, and the drift gaps' mean,
-minimum and maximum when lambda_ref > 1; the report's best/OPT ratios
-and opt_below_one are read off the rows and the optimum when
-aggregate_to_dict writes it. The roll depends only on the base and t, so
-run_trials builds it once per call, and its trials share the roll and
-its duplicate cells; each trial rounds it afresh. Frequencies are
-measurements, not certificates.
+accepts reads a seed. It keeps every trial's row and how often the best
+candidate fails the (lambda+epsilon) target; aggregate_to_dict reads the
+report's best/OPT ratios, opt_below_one and the drift gaps' mean, minimum
+and maximum off the rows and the optimum. The roll depends only on the
+base and t, so run_trials builds it once per call, and its trials share
+the roll and its duplicate cells; each trial rounds it afresh.
+Frequencies are measurements, not certificates.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -151,18 +149,14 @@ class TrialAggregate:
     opt_value: Fraction
     opt_clustering: Clustering
     bad_event_freq: Fraction
-    gap_mean: Optional[Fraction]
-    gap_min: Optional[Fraction]
-    gap_max: Optional[Fraction]
     per_trial: "tuple[TrialSummary, ...]"
-    # each distinct trial note with the number of trials that raised it,
-    # in first-seen order; reports leave them out
-    notes: "tuple[tuple[str, int], ...]"
 
 
 def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggregate:
     """Repeat reduce_and_solve with a derived rounding seed per trial and
-    measure how often its bad event happens. Needs the base graph to be
+    measure how often its bad event happens; the aggregate keeps each
+    trial's row, from which the report and the CLI read everything else.
+    Needs the base graph to be
     small enough for the exact oracle. Before solving it, a base with some
     |weight| > 1 (an int compare over its scale), a roll that
     valid_roll_size refuses or a grid the exact solver cannot take is a
@@ -189,51 +183,43 @@ def run_trials(g: SignedGraph, cfg: ReductionConfig, trials: int) -> TrialAggreg
         except RuntimeError as exc:
             # name the seed that replays the failing trial on its own
             raise RuntimeError(f"trial {i} (rounding seed {seed}): {exc}") from exc
-    gaps = [s.gap for s in summaries if s.gap is not None]
-
     return TrialAggregate(
         config=cfg,
         trials=trials,
         opt_value=opt.value,
         opt_clustering=opt.clustering,
         bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
-        gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
-        gap_min=min(gaps) if gaps else None,
-        gap_max=max(gaps) if gaps else None,
         per_trial=tuple(summaries),
-        notes=tuple(Counter(note for s in summaries for note in s.notes).items()),
     )
 
 
 # --- JSON reports ---------------------------------------------------------
 
 
-def config_to_dict(cfg: ReductionConfig) -> dict:
-    return {
-        "objective": cfg.objective.value,
-        "t": cfg.t,
-        "alpha": frac_to_str(cfg.rounding.alpha),
-        "beta": frac_to_str(cfg.rounding.beta),
-        "rounding_seed": cfg.rounding.seed,
-        "solver": cfg.solver.kind.value,
-        "budget": cfg.solver.budget,
-        "epsilon": frac_to_str(cfg.epsilon),
-        "lambda": frac_to_str(cfg.lambda_ref),
-    }
-
-
 def aggregate_to_dict(agg: TrialAggregate) -> dict:
+    cfg = agg.config
+    gaps = [s.gap for s in agg.per_trial if s.gap is not None]
     return {
-        "config": config_to_dict(agg.config),
+        "config": {
+            "objective": cfg.objective.value,
+            "t": cfg.t,
+            "alpha": frac_to_str(cfg.rounding.alpha),
+            "beta": frac_to_str(cfg.rounding.beta),
+            "rounding_seed": cfg.rounding.seed,
+            "solver": cfg.solver.kind.value,
+            "budget": cfg.solver.budget,
+            "epsilon": frac_to_str(cfg.epsilon),
+            "lambda": frac_to_str(cfg.lambda_ref),
+        },
         "trials": agg.trials,
         "opt_value": frac_to_str(agg.opt_value),
         "opt_clustering": list(agg.opt_clustering.labels),
         "opt_below_one": agg.opt_value < 1,
         "bad_event_freq": frac_to_str(agg.bad_event_freq),
         "ratios": [opt_frac_to_str(s.ratio) for s in agg.per_trial],
-        "gap_mean": opt_frac_to_str(agg.gap_mean),
-        "gap_min": opt_frac_to_str(agg.gap_min),
-        "gap_max": opt_frac_to_str(agg.gap_max),
+        "gap_mean": frac_to_str(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
+        "gap_min": opt_frac_to_str(min(gaps, default=None)),
+        "gap_max": opt_frac_to_str(max(gaps, default=None)),
         "per_trial": [
             {
                 "rounding_seed": s.rounding_seed,

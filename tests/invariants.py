@@ -17,8 +17,11 @@ freshly computed duplicate cells and scored one by one with
 clustering_value, the bad event and every report value in Fractions, each
 row carrying its trial's notes, and the drift sums of
 oracle_deviation_stats rebuilt from both clusterings' contributing sets,
-pair by pair through weight(). It shares round_graph, the solvers and the
-exact optimum with run_trials; each has its own oracle.
+pair by pair through weight(). Next to the aggregate it returns what the
+report and the CLI derive from the rows, computed on its own: the drift
+gaps' mean, minimum and maximum, and each distinct note with the number of
+trials that raised it, in first-seen order. It shares round_graph, the
+solvers and the exact optimum with run_trials; each has its own oracle.
 """
 
 import itertools
@@ -164,7 +167,9 @@ def oracle_trial(g: SignedGraph, cfg, u_ref: Clustering):
     return best, s1 - s2, notes
 
 
-def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
+def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> "tuple[TrialAggregate, tuple]":
+    """(aggregate, (gap mean, gap min, gap max, note counts)); the gap
+    summary is None three times when lambda_ref is 1."""
     opt = solve_exact(g, cfg.objective)
     target = cfg.lambda_ref + cfg.epsilon
     summaries = []
@@ -181,15 +186,14 @@ def oracle_run_trials(g: SignedGraph, cfg, trials: int) -> TrialAggregate:
         ratio = None if opt.value == 0 else best / opt.value
         summaries.append(TrialSummary(r_seed, best, ratio, bad, gap, tuple(notes)))
     gaps = [s.gap for s in summaries if s.gap is not None]
-    return TrialAggregate(
+    agg = TrialAggregate(
         config=cfg,
         trials=trials,
         opt_value=opt.value,
         opt_clustering=opt.clustering,
         bad_event_freq=Fraction(sum(s.bad for s in summaries), trials),
-        gap_mean=(sum(gaps, Fraction(0)) / len(gaps)) if gaps else None,
-        gap_min=min(gaps) if gaps else None,
-        gap_max=max(gaps) if gaps else None,
         per_trial=tuple(summaries),
-        notes=tuple(note_counts.items()),
     )
+    gap_summary = ((sum(gaps, Fraction(0)) / len(gaps), min(gaps), max(gaps)) if gaps
+                   else (None, None, None))
+    return agg, (*gap_summary, tuple(note_counts.items()))

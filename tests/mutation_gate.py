@@ -1,6 +1,6 @@
 """Mutation gate: each mutant of the graph constructor, the roll layer, the
-rounding, the exact solver or the reduction must fail the tests named for
-it.
+rounding, the exact solver, the reduction, the generator or the CLI must
+fail the tests named for it.
 
 A mutant is one textual edit to a module of the package. For each mutant the
 gate copies src/, tests/, perfbench/, README.md and pyproject.toml into a
@@ -37,6 +37,8 @@ ROLL = "src/rollclust/roll.py"
 ROUNDING = "src/rollclust/rounding.py"
 SOLVERS = "src/rollclust/solvers.py"
 REDUCTION = "src/rollclust/reduction.py"
+HARNESS = "src/rollclust/harness.py"
+CLI = "src/rollclust/cli.py"
 
 # name -> (module, original text, mutated text, tests that must fail)
 MUTANTS = {
@@ -300,14 +302,36 @@ MUTANTS = {
             "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
         ],
     ),
-    "run_trials drops the first gap from its gap summary": (
+    "the report drops the first gap from its gap summary": (
         REDUCTION,
-        "gaps = [s.gap for s in summaries if s.gap is not None]",
-        "gaps = [s.gap for s in summaries if s.gap is not None][1:]",
+        "gaps = [s.gap for s in agg.per_trial if s.gap is not None]",
+        "gaps = [s.gap for s in agg.per_trial if s.gap is not None][1:]",
         [
             "tests/test_reduction.py::test_run_trials_gap_stats_present",
             "tests/test_reduction.py::test_run_trials_matches_the_fraction_oracle",
         ],
+    ),
+    "the CLI reports each note as raised once": (
+        CLI,
+        "Counter(note for s in agg.per_trial for note in s.notes)",
+        "dict.fromkeys((note for s in agg.per_trial for note in s.notes), 1)",
+        ["tests/test_cli.py::test_trial_notes_are_counted_in_first_seen_order"],
+    ),
+    "gen drops its pair ceiling": (
+        HARNESS,
+        "        if pairs > MAX_ROLL_PAIRS:\n"
+        '            raise ValueError(f"n = {self.n} needs n(n-1)/2 pair draws,"\n'
+        '                             f" above the {MAX_ROLL_PAIRS}-pair limit")\n',
+        "",
+        # only the arithmetic boundary test: the CLI repros would generate
+        ["tests/test_harness.py::test_gen_spec_refuses_more_pair_draws_than_the_pair_limit"],
+    ),
+    "gen counts n^2 pairs": (
+        HARNESS,
+        "pairs = self.n * (self.n - 1) // 2",
+        "pairs = self.n * self.n",
+        # 4,899^2 is above the limit, so n = 4,899 is refused
+        ["tests/test_harness.py::test_gen_spec_refuses_more_pair_draws_than_the_pair_limit"],
     ),
     "solve_exact does not raise top[x] along a positive edge": (
         SOLVERS,

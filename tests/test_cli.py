@@ -59,6 +59,23 @@ def test_gen_requires_n(capsys):
         main(["gen", "--model", "complete"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "2000000", "--density", "0"], ["--n", "50000"], ["--n", "9" * 4300],
+])
+def test_gen_refuses_more_pair_draws_than_the_pair_limit(tmp_path, capsys, argv):
+    # each would draw for every pair and run on for minutes or longer, and
+    # n = 2,000,000 is a header that no graph reader accepts; a 4,300-digit
+    # n, the longest int() reads, has more pairs than Python writes out
+    out = tmp_path / "g.txt"
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "gen", *argv, "--out", str(out))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and stdout == ""
+    assert err == (f"error: n = {argv[1]} needs n(n-1)/2 pair draws,"
+                   " above the 12000000-pair limit\n")
+    assert not out.exists()
+
+
 def test_roll_writes_graph_and_sidecar(tmp_path, capsys):
     base = gen_graph(tmp_path, capsys)
     out = tmp_path / "rolled.txt"
@@ -222,7 +239,7 @@ def test_config_value_of_the_wrong_type_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 4\ntrials = x\n")
     err = usage_error(capsys, "reduce", "g.txt", "--config", str(cfg))
-    assert err == f"error: {cfg}: trials = 'x': argument --trials: invalid int value: 'x'\n"
+    assert err == f"error: {cfg}: trials = 'x': invalid int value\n"
     # the same value as a flag keeps argparse's own message
     err = usage_error(capsys, "reduce", "g.txt", "--trials", "x")
     assert err.endswith("rollclust reduce: error: argument --trials: invalid int value: 'x'\n")
@@ -372,6 +389,9 @@ def test_a_roll_above_the_pair_limit_fails_before_it_is_built(tmp_path, capsys, 
 EXPONENT = "decimal exponent above 4300 in absolute value"
 DIGITS = "a number of more than 4300 digits"
 NINES = "9" * 5000
+# how a message shows a 5,000-digit token: its head, its tail and its length
+SHORT_NINES = f"'{'9' * 20}...{'9' * 20}' (5000 characters)"
+SHORT_1E_NINES = f"'1e{'9' * 18}...{'9' * 20}' (5002 characters)"
 
 
 @pytest.mark.parametrize("argv, cause", [
@@ -379,21 +399,24 @@ NINES = "9" * 5000
     (["round", "g.txt", "--alpha", "1e-20000000", "--out", "r.txt"],
      f"argument --alpha: {EXPONENT}: '1e-20000000'"),
     (["round", "g.txt", "--config", "exponent.cfg", "--out", "r.txt"],
-     f"exponent.cfg: alpha = '1e-20000000': argument --alpha: {EXPONENT}: '1e-20000000'"),
-    (["solve", "nines.txt"], f"bad weight '1e{NINES}': {DIGITS}"),
-    (["reduce", "g.txt", "--beta", NINES, "--out", "r.txt"], f"argument --beta: {DIGITS}: '{NINES}'"),
+     f"exponent.cfg: alpha = '1e-20000000': {EXPONENT}"),
+    (["solve", "nines.txt"], f"bad weight {SHORT_1E_NINES}: {DIGITS}"),
+    (["reduce", "g.txt", "--beta", NINES, "--out", "r.txt"], f"argument --beta: {DIGITS}: {SHORT_NINES}"),
     (["reduce", "g.txt", "--config", "nines.cfg", "--out", "r.txt"],
-     f"nines.cfg: lambda_ref = '1e{NINES}': argument --lambda: {DIGITS}: '1e{NINES}'"),
+     f"nines.cfg: lambda_ref = {SHORT_1E_NINES}: {DIGITS}"),
+    (["round", "g.txt", "--config", "digits.cfg", "--out", "r.txt"],
+     f"digits.cfg: beta = {SHORT_NINES}: {DIGITS}"),
 ])
 def test_a_huge_decimal_exponent_fails_promptly(tmp_path, argv, cause):
     # Fraction would expand 1e20000000 into a 20-million-digit integer and
     # run on, and Python refuses to convert a number of more than 4300
     # digits with advice to raise its limit; the parser refuses both first,
-    # naming the cause, from a flag, a config value or a graph weight. A
+    # naming the cause, from a flag, a config value or a graph weight. The
+    # line shows the token once, a long one by its head, tail and length. A
     # separate process, so a regression times out instead of hanging the suite
     files = {"huge.txt": "3 1\n0 1 1e20000000\n", "nines.txt": f"3 1\n0 1 1e{NINES}\n",
              "g.txt": "3 1\n0 1 1/2\n", "exponent.cfg": "alpha = 1e-20000000\n",
-             "nines.cfg": f"lambda_ref = 1e{NINES}\n"}
+             "nines.cfg": f"lambda_ref = 1e{NINES}\n", "digits.cfg": f"beta = {NINES}\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -405,6 +428,7 @@ def test_a_huge_decimal_exponent_fails_promptly(tmp_path, argv, cause):
     assert done.returncode == 2 and done.stdout == ""
     errors = [line for line in done.stderr.splitlines() if "error: " in line]
     assert len(errors) == 1 and errors[0].endswith("error: " + cause), done.stderr
+    assert len(errors[0]) <= 200
     assert "set_int_max_str_digits" not in done.stderr
     assert elapsed < 5, elapsed
     assert not (tmp_path / "r.txt").exists()
@@ -419,6 +443,22 @@ def test_reduce_prints_trial_notes_on_stderr(tmp_path, capsys):
     assert err.splitlines() == [
         f"note: {budget_note(1)} (2 of 2 trials)",
         "note: deviation stats skipped: lambda_ref is 1 (2 of 2 trials)",
+    ]
+
+
+def test_trial_notes_are_counted_in_first_seen_order(tmp_path, capsys):
+    # 3 of the 6 trials run out of moves, the first among them; every trial
+    # skips the stats. First-seen order puts the rarer note first, ahead of
+    # both the count order and the alphabetical one
+    base = gen_graph(tmp_path, capsys, "g.txt", "--seed", "3")
+    code, out, err = run(capsys, "reduce", str(base), "--t", "1", "--solver", "local",
+                         "--budget", "6", "--trials", "6", "--seed", "7",
+                         "--out", str(tmp_path / "agg.json"))
+    assert code == 0
+    assert out.startswith("trials=6 ")
+    assert err.splitlines() == [
+        f"note: {budget_note(6)} (3 of 6 trials)",
+        "note: deviation stats skipped: lambda_ref is 1 (6 of 6 trials)",
     ]
 
 

@@ -8,7 +8,10 @@ mutated. Every case must return 0, or exit 2 with exactly one `error:`
 line on stderr; exit 1 (a failed accounting identity) and any escaping
 exception fail the test, which names the case. Rolls stay small (t <= 2,
 at most ROLL_NODES grid nodes, REDUCE_NODES under `reduce`), except for
-ceiling cases whose t puts the grid far above core.MAX_NODES.
+ceiling cases whose t puts the grid far above core.MAX_NODES, and so do
+generated instances, except for ceiling cases whose n asks for more pair
+draws than core.MAX_ROLL_PAIRS. No `error:` line is longer than 200
+characters, leaving out the case's own paths.
 """
 
 import random
@@ -26,16 +29,21 @@ ROLL_NODES = 300
 REDUCE_NODES = 64
 # far above the node ceiling for every n >= 3: refused before a roll is built
 CEILING_TS = ("1000000", "1000000000")
+# node counts whose n(n-1)/2 pair draws are above core.MAX_ROLL_PAIRS, the
+# first of them 4,900: refused before gen draws anything
+CEILING_NS = ["4900", "50000", "2000000"]
 
 # dest -> (values a run accepts, values that must fail); a drawn value is
 # a bad one with probability BAD_VALUE
 BAD_VALUE = 0.08
 PROBS = (["0", "0.1", "0.5", "1"], ["-0.1", "1.5", "nan", "inf", "x"])
-# decimal exponents past core.MAX_EXPONENT, which Fraction would expand in full
-HUGE = ["1e20000000", "1e-20000000", "1E+99999"]
+# decimal exponents past core.MAX_EXPONENT, which Fraction would expand in
+# full, and a number of more digits than Python converts, which an error
+# line shows by its head, its tail and its length
+HUGE = ["1e20000000", "1e-20000000", "1E+99999", "9" * 5000]
 MAGNITUDES = (["1", "2", "3/2", "5/4"], ["1/3", "0", "-1", "1/0", "x", "0.5", ""] + HUGE)
 POOLS = {
-    "n": (["3", "4", "5", "8", "0", "1", "2"], ["-1", "x", "3.5", ""]),
+    "n": (["3", "4", "5", "8", "0", "1", "2"], ["-1", "x", "3.5", ""] + CEILING_NS),
     "model": (["planted", "uniform", "complete"], ["bogus"]),
     "k": (["1", "2", "3"], ["0", "-2", "x", "9"]),
     "flip_prob": PROBS,
@@ -222,6 +230,8 @@ def test_cli_fuzz_fails_only_with_one_error_line(tmp_path, capsys, monkeypatch):
         code, err = run_case(k, argv, capsys)
         errors = [line for line in err.splitlines() if ERROR_LINE.match(line)]
         assert (code, len(errors)) in ((0, 0), (2, 1)), (k, argv, code, err)
+        # a long token is shortened; the case's own paths are not counted
+        assert all(len(line.replace(str(case_dir), "")) <= 200 for line in errors), (k, argv, err)
         assert "Traceback" not in err, (k, argv, err)
         outcomes.add((argv[0], code))
     # every subcommand both ran to the end and refused some input

@@ -16,6 +16,7 @@ from rollclust.core import (
     format_graph,
     parse_graph,
     parse_rational,
+    quoted,
     scaled_values,
 )
 from rollclust.solvers import solve_exact, solve_local_search
@@ -223,7 +224,15 @@ def test_rationals_keep_their_decimal_exponent_within_the_cap():
         parse_graph("2 1\n0 1 1e-20000000\n")
     with pytest.raises(GraphFormatError) as info:
         parse_graph("2 1\n0 1 " + "9" * 5000 + "\n")
-    assert str(info.value) == f"bad weight '{'9' * 5000}': {digits}"
+    assert str(info.value) == f"bad weight '{'9' * 20}...{'9' * 20}' (5000 characters): {digits}"
+
+
+def test_a_long_token_is_quoted_as_its_head_its_tail_and_its_length():
+    for token in ("", "1e-20000000", "x" * 60):
+        assert quoted(token) == repr(token)
+    token = "1e" + "0123456789" * 500
+    assert quoted(token) == "'1e012345678901234567...01234567890123456789' (5002 characters)"
+    assert quoted("a" * 30 + "b" * 31) == f"'{'a' * 20}...{'b' * 20}' (61 characters)"
 
 
 def test_clustering_canonical_form():

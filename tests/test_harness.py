@@ -90,6 +90,18 @@ def test_model_validation():
         generate(GenSpec(n=3, model="bogus"))
 
 
+@pytest.mark.parametrize("model", [PlantedPartition(clusters=2), UniformRational(density=0.0),
+                                   CompleteSigned()])
+def test_gen_spec_refuses_more_pair_draws_than_the_pair_limit(model):
+    # by arithmetic alone: every model draws once per pair, and the largest
+    # admitted request takes minutes and gigabytes, so nothing is generated
+    assert (complete_pairs(4899), complete_pairs(4900)) == (11_997_651, 12_002_550)
+    assert GenSpec(n=4899, model=model).n == 4899
+    with pytest.raises(ValueError, match=r"^n = 4900 needs n\(n-1\)/2 pair draws,"
+                                         r" above the 12000000-pair limit$"):
+        GenSpec(n=4900, model=model)
+
+
 def test_structural_checks_do_not_read_the_cached_cells():
     # the edge-disjointness and isomorphism checks recompute every
     # duplicate's cells, so a roll whose cached cells are wrong still passes

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from rollclust.core import Clustering, ObjectiveKind, SignedGraph, clustering_value
 from rollclust.harness import GenSpec, PlantedPartition, UniformRational, generate
+from rollclust.jsonutil import opt_frac_to_str
 from rollclust.reduction import (
     ReductionConfig,
     aggregate_to_dict,
@@ -24,7 +26,6 @@ from rollclust.rounding import RoundingParams, round_graph
 from rollclust.solvers import (
     SolverKind,
     SolverSpec,
-    budget_note,
     solve_exact,
     solve_pivot,
 )
@@ -208,32 +209,6 @@ def test_budget_cut_off_note():
     assert not any("budget" in note for note in full.notes)
 
 
-def test_trial_notes_are_counted_in_first_seen_order(monkeypatch):
-    import rollclust.reduction
-
-    raised = []
-    real = rollclust.reduction.reduce_and_solve
-
-    def recording(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        raised.append(rep.notes)
-        return rep
-
-    monkeypatch.setattr(rollclust.reduction, "reduce_and_solve", recording)
-    g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=1))
-    cfg = replace(local_config(budget=6), objective=MAX, rounding=RoundingParams(1, 1, seed=3))
-    agg = run_trials(g, cfg, trials=6)
-    expected = {}
-    for notes in raised:
-        for note in notes:
-            expected[note] = expected.get(note, 0) + 1
-    assert agg.notes == tuple(expected.items())
-    # 1 of the 6 trials runs out of moves; every trial skips the stats
-    assert dict(agg.notes) == {
-        budget_note(6): 1, "deviation stats skipped: lambda_ref is 1": 6,
-    }
-
-
 @pytest.mark.parametrize(
     "kind, objective",
     [(SolverKind.PIVOT, MIN), (SolverKind.PIVOT, MAX), (SolverKind.TRIVIAL_MAX, MIN)],
@@ -324,8 +299,10 @@ def test_run_trials_identity_regime():
     assert agg.opt_value == solve_exact(g, MAX).value
     assert agg.bad_event_freq == 0
     assert all(s.ratio == 1 for s in agg.per_trial)
-    assert not aggregate_to_dict(agg)["opt_below_one"]
-    assert agg.gap_mean is None  # lambda_ref == 1, no stats
+    report = aggregate_to_dict(agg)
+    assert not report["opt_below_one"]
+    # lambda_ref == 1, no stats
+    assert [report[k] for k in ("gap_mean", "gap_min", "gap_max")] == [None] * 3
     for i, s in enumerate(agg.per_trial):
         assert s.rounding_seed == derive_seed(0, "trial", i, "round")
         assert not s.bad
@@ -368,7 +345,7 @@ def test_run_trials_keeps_its_verdicts_when_weights_and_magnitudes_scale_togethe
         big = run_trials(g, replace(cfg, rounding=RoundingParams(Fraction(9, 2), 6, seed=seed)), 2)
         assert big.opt_value == 3 * small.opt_value
         assert aggregate_to_dict(big)["ratios"] == aggregate_to_dict(small)["ratios"]
-        assert big.notes == small.notes
+        assert [s.notes for s in big.per_trial] == [s.notes for s in small.per_trial]
         for a, b in zip(small.per_trial, big.per_trial):
             assert b.bad == a.bad and b.best_value == 3 * a.best_value
             assert b.gap == (None if lam == 1 else 3 * a.gap)
@@ -455,11 +432,13 @@ def test_run_trials_gap_stats_present():
         lambda_ref=Fraction(6, 5),
     )
     agg = run_trials(g, cfg, trials=12)
-    assert agg.gap_mean is not None
-    assert agg.gap_min <= agg.gap_mean <= agg.gap_max
     gaps = [s.gap for s in agg.per_trial]
-    assert min(gaps) == agg.gap_min and max(gaps) == agg.gap_max
-    assert agg.gap_mean == sum(gaps, Fraction(0)) / len(gaps)
+    assert None not in gaps and len(set(gaps)) > 1
+    report = aggregate_to_dict(agg)
+    mean, low, high = (Fraction(report[k]) for k in ("gap_mean", "gap_min", "gap_max"))
+    assert low <= mean <= high
+    assert (low, high) == (min(gaps), max(gaps))
+    assert mean == sum(gaps, Fraction(0)) / len(gaps)
 
 
 def test_run_trials_flags_small_optimum():
@@ -497,7 +476,8 @@ def test_report_rationals_parse_back_exactly():
         lambda_ref=Fraction(6, 5),
     )
     agg = run_trials(g, cfg, trials=5)
-    assert agg.gap_mean is not None  # lambda_ref > 1: every trial has a gap
+    gaps = [s.gap for s in agg.per_trial]
+    assert None not in gaps  # lambda_ref > 1: every trial has a gap
     d = json.loads(json.dumps(aggregate_to_dict(agg)))
 
     def back(text):
@@ -510,7 +490,7 @@ def test_report_rationals_parse_back_exactly():
     assert back(d["bad_event_freq"]) == agg.bad_event_freq
     assert [back(r) for r in d["ratios"]] == [s.ratio for s in agg.per_trial]
     assert [back(d[k]) for k in ("gap_mean", "gap_min", "gap_max")] == [
-        agg.gap_mean, agg.gap_min, agg.gap_max
+        sum(gaps, Fraction(0)) / len(gaps), min(gaps), max(gaps)
     ]
     assert len(d["per_trial"]) == len(agg.per_trial)
     for row, s in zip(d["per_trial"], agg.per_trial):
@@ -551,10 +531,16 @@ def test_bad_events_thin_out_as_the_roll_grows(n, spread, cells):
 
 
 def assert_matches_the_oracle(g, cfg, trials):
-    agg, expected = run_trials(g, cfg, trials), oracle_run_trials(g, cfg, trials)
-    assert aggregate_to_dict(agg) == aggregate_to_dict(expected)
-    # the whole aggregate: every row's notes and the note counts too
+    agg = run_trials(g, cfg, trials)
+    expected, (*gap_summary, note_counts) = oracle_run_trials(g, cfg, trials)
+    # the whole aggregate, every row's notes too
     assert agg == expected
+    # and what the report and the CLI derive from the rows
+    report = aggregate_to_dict(agg)
+    assert [report[k] for k in ("gap_mean", "gap_min", "gap_max")] == [
+        opt_frac_to_str(v) for v in gap_summary
+    ]
+    assert tuple(Counter(note for s in agg.per_trial for note in s.notes).items()) == note_counts
     return agg
 
 
@@ -594,7 +580,7 @@ def test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again
                 for rounding in spreads:
                     cfg = ReductionConfig(objective, t, rounding, spec, Fraction(1, 20), lam)
                     agg = assert_matches_the_oracle(g, cfg, 3)
-                    budget_cuts += any("budget" in note for note, _ in agg.notes)
+                    budget_cuts += any("budget" in note for s in agg.per_trial for note in s.notes)
     assert budget_cuts > 0
     import rollclust.rounding
 
