@@ -41,6 +41,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{exc}: {quoted(text)}") from None
 
 
+def _int(text: str) -> int:
+    # argparse's own message for type=int echoes the token in full
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
 def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
     """Shared flags: --out and --config for every subcommand, --seed for
     the ones that draw randomness."""
@@ -49,7 +57,7 @@ def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
     common.add_argument("--config", default=None,
                         help="file of 'key = value' defaults; flags override")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    seeded.add_argument("--seed", type=_int, default=0, help="root seed for all randomness")
     return common, seeded
 
 
@@ -64,18 +72,18 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common, seeded], help="generate a random instance")
-    p.add_argument("--n", type=int, default=None, help="node count (required here or in --config)")
+    p.add_argument("--n", type=_int, default=None, help="node count (required here or in --config)")
     p.add_argument("--model", choices=("planted", "uniform", "complete"), default="uniform")
-    p.add_argument("--k", type=int, default=2, help="planted cluster count")
+    p.add_argument("--k", type=_int, default=2, help="planted cluster count")
     p.add_argument("--flip-prob", type=float, default=0.0)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--denominator-bound", type=int, default=6)
+    p.add_argument("--denominator-bound", type=_int, default=6)
     p.add_argument("--plus-prob", type=float, default=0.5)
     p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("roll", parents=[common], help="roll a graph into a grid")
     p.add_argument("graph", help="input graph file")
-    p.add_argument("--t", type=int, default=None,
+    p.add_argument("--t", type=_int, default=None,
                    help="roll size parameter (required here or in --config)")
     p.set_defaults(run=cmd_roll)
 
@@ -89,20 +97,20 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("graph")
     p.add_argument("--solver", choices=[k.value for k in SolverKind], default="exact")
     p.add_argument("--objective", choices=("max", "min"), default="max")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
     p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("reduce", parents=[common, seeded], help="run the roll pipeline trials")
     p.add_argument("graph")
     p.add_argument("--objective", choices=("max", "min"), default="max")
-    p.add_argument("--t", type=int, default=0)
+    p.add_argument("--t", type=_int, default=0)
     p.add_argument("--alpha", type=_fraction, default=Fraction(1))
     p.add_argument("--beta", type=_fraction, default=Fraction(1))
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
     p.add_argument("--lambda", dest="lambda_ref", type=_fraction, default=Fraction(1))
     p.add_argument("--solver", choices=[k.value for k in SolverKind], default="local")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
+    p.add_argument("--trials", type=_int, default=20)
     p.set_defaults(run=cmd_reduce)
 
     return parser, sub.choices

@@ -88,7 +88,8 @@ class SignedGraph:
     def _from_scaled(cls, n: int, scale: int, weights: dict) -> "SignedGraph":
         """Build from ints over a possibly unreduced scale, unchecked. Its two
         callers, RolledGraph and round_graph, pass a positive scale and
-        nonzero weights on keys (u, v) with 0 <= u < v < n."""
+        nonzero weights on keys (u, v) with 0 <= u < v < n, and hand the dict
+        over: the graph may keep it as its own."""
         g = cls.__new__(cls)
         g._set_scaled(n, scale, weights)
         return g
@@ -100,9 +101,14 @@ class SignedGraph:
         # keys are unique, so sorting them alone orders the items, at about
         # half the cost of sorting the items
         keys = sorted(weights)
+        if d > 1:
+            weights = {k: weights[k] // d for k in keys}
+        elif keys != list(weights):
+            weights = {k: weights[k] for k in keys}
+        # else the dict is already canonical and sorted, and is kept as given
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "scale", scale // d)
-        object.__setattr__(self, "_weights", {k: weights[k] // d for k in keys})
+        object.__setattr__(self, "_weights", weights)
 
     def weight(self, u: int, v: int) -> Fraction:
         """Weight of the pair, Fraction(0) when absent."""

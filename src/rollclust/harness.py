@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import MAX_ROLL_PAIRS, SignedGraph
+from .core import MAX_ROLL_PAIRS, SignedGraph, quoted
 from .streams import make_rng
 
 
@@ -70,10 +70,11 @@ class GenSpec:
             raise ValueError("n must be non-negative")
         # every model draws once per pair: refuse before the first draw. The
         # count stays out of the message: a 4,300-digit n, which int() still
-        # reads, has more pairs than Python writes as a decimal
+        # reads, has more pairs than Python writes as a decimal, and quoted
+        # shows n itself by its head, its tail and its length
         pairs = self.n * (self.n - 1) // 2
         if pairs > MAX_ROLL_PAIRS:
-            raise ValueError(f"n = {self.n} needs n(n-1)/2 pair draws,"
+            raise ValueError(f"n = {quoted(str(self.n))} needs n(n-1)/2 pair draws,"
                              f" above the {MAX_ROLL_PAIRS}-pair limit")
         if isinstance(self.model, PlantedPartition) and self.model.clusters > max(self.n, 1):
             raise ValueError("planted cluster count cannot exceed n")

@@ -12,9 +12,15 @@ that cannot strictly beat it. The bound credits the edges among the
 unplaced nodes with at most their own optimum; the same walk first finds
 those optima for the back half's suffixes, smallest first (Russian-doll
 search). As the bound never undercuts a subtree's best leaf, the first
-optimum in enumeration order is kept for both objectives. A second, deliberately naive enumerator (bitmask
-block merging plus a from-scratch value scan) exists purely as a
-cross-check; the two share no enumeration or scoring code.
+optimum in enumeration order is kept for both objectives. A child's bound
+is first read off its parent, before the child is placed: placing a node
+raises the unplaced nodes' best placements only along its positive edges,
+each by at most that edge's own gain, so a child this cannot lift above
+the incumbent is one its own entry check would prune, and it is skipped
+unplaced. The walk so expands the same nodes and keeps the same first
+optimum. A second, deliberately naive enumerator (bitmask block merging
+plus a from-scratch value scan) exists purely as a cross-check; the two
+share no enumeration or scoring code.
 
 solve_trivial_max returns the better of one-cluster and all-singletons,
 which always captures at least half the total absolute weight. solve_pivot
@@ -74,8 +80,12 @@ def _sign_totals(g: SignedGraph) -> "tuple[int, int]":
     """Positive and negative weight totals in units of 1/g.scale: the
     one-cluster and singletons MaxAgree values (and the singletons and
     one-cluster MinDisagree values)."""
-    pos = sum(w for _, w in g.scaled_weights() if w > 0)
-    neg = -sum(w for _, w in g.scaled_weights() if w < 0)
+    pos = neg = 0
+    for _, w in g.scaled_weights():
+        if w > 0:
+            pos += w
+        else:
+            neg -= w
     return pos, neg
 
 
@@ -110,18 +120,40 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     The main walk's incumbent starts at the local search's agreement minus
     1; as the bound never undercuts a subtree's best leaf, no ancestor of
     the first optimal leaf is pruned, and that leaf is the one kept.
+
+    Child pre-check: before v is placed in label lbl, the child's entry
+    bound is bounded above from the parent's state. Placing v adds fresh[v]
+    + to[v][lbl] to current and changes top only at v's later neighbours: a
+    positive edge (x, w) sets top[x] to max(top[x], to[x][lbl] + w), and a
+    negative one never raises it. So current + fresh[v] + to[v][lbl] +
+    opt[v+1] + sum(top[v+1:]), plus max(0, to[x][lbl] + w - top[x]) over
+    v's positive later edges, is never below the child's entry bound; a
+    child it cannot lift above best_val would be pruned on entry, and is
+    skipped without being placed. The cheap form adds lift[v], the sum of
+    v's positive later weights, in place of that sum, which it bounds as
+    to[x][lbl] <= top[x]; the per-edge sum is taken only when the cheap
+    form cannot skip. As only children the entry check would prune are
+    skipped, the walk expands the same nodes and keeps the same first
+    optimum.
     """
     n = g.n
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
     one_cluster, singletons = _sign_totals(g)
-    # later[u] lists (v, w * scale), v > u; opt[u] starts as the |weight| of u's row
+    # later[u] lists (v, w * scale), v > u, and ups[u] its positive edges,
+    # which weigh lift[u] together; opt[u] starts as the |weight| of u's row
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ups: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     fresh = [0] * n
+    lift = [0] * n
     opt = [0] * (n + 1)
     for (u, v), w in g.scaled_weights():
         later[u].append((v, w))
-        fresh[u] -= min(w, 0)
+        if w > 0:
+            ups[u].append((v, w))
+            lift[u] += w
+        else:
+            fresh[u] -= w
         opt[u] += abs(w)
     # a label no placed node holds reads 0, the fresh cluster's max(0, .);
     # fewer than n labels are in use while a node is unplaced, so top[x] =
@@ -139,7 +171,18 @@ def solve_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
             best_labels = labels.copy()
             return
         saved = top[v + 1 :]
+        # the bound every child starts from, before v's later edges raise top
+        base = current + fresh[v] + opt[v + 1] + sum(saved)
         for lbl in range(k + 1):
+            bound = base + to[v][lbl]
+            if bound + lift[v] <= best_val:
+                continue
+            for x, w in ups[v]:
+                d = to[x][lbl] + w - top[x]
+                if d > 0:
+                    bound += d
+            if bound <= best_val:
+                continue
             labels[v] = lbl
             for x, w in later[v]:
                 row = to[x]

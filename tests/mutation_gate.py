@@ -320,7 +320,7 @@ MUTANTS = {
     "gen drops its pair ceiling": (
         HARNESS,
         "        if pairs > MAX_ROLL_PAIRS:\n"
-        '            raise ValueError(f"n = {self.n} needs n(n-1)/2 pair draws,"\n'
+        '            raise ValueError(f"n = {quoted(str(self.n))} needs n(n-1)/2 pair draws,"\n'
         '                             f" above the {MAX_ROLL_PAIRS}-pair limit")\n',
         "",
         # only the arithmetic boundary test: the CLI repros would generate
@@ -382,6 +382,27 @@ MUTANTS = {
             # opt[v] can only come out one too high: a loose but valid bound
             "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
             "tests/test_solvers.py::test_suffix_bounds_keep_the_result_and_prune_the_main_walk",
+        ],
+    ),
+    "solve_exact's cheap child pre-check leaves out lift[v]": (
+        SOLVERS,
+        "            if bound + lift[v] <= best_val:\n",
+        "            if bound <= best_val:\n",
+        [
+            # v's positive edges can raise the child's bound: optima get pruned
+            "tests/test_solvers.py::test_exact_triangle",
+            "tests/test_solvers.py::test_exact_matches_two_objective_oracle",
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
+        ],
+    ),
+    "solve_exact's child pre-check adds a negative d to its per-edge sum": (
+        SOLVERS,
+        "                if d > 0:\n                    bound += d\n",
+        "                bound += d\n",
+        [
+            # a top[x] that placing v leaves as it is lowers the bound
+            "tests/test_solvers.py::test_exact_matches_two_objective_oracle",
+            "tests/test_solvers.py::test_exact_matches_rescanning_oracle",
         ],
     ),
 }

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from rollclust.cli import build_parser, main, parse_config_file
-from rollclust.core import MAX_NODES, ObjectiveKind, parse_graph, read_graph
+from rollclust.core import MAX_NODES, ObjectiveKind, parse_graph, quoted, read_graph
 from rollclust.solvers import SolverKind, SolverSpec, budget_note, solve_exact, solve_local_search
 
 
@@ -71,9 +71,34 @@ def test_gen_refuses_more_pair_draws_than_the_pair_limit(tmp_path, capsys, argv)
     code, stdout, err = run(capsys, "gen", *argv, "--out", str(out))
     assert time.perf_counter() - start < 1
     assert code == 2 and stdout == ""
-    assert err == (f"error: n = {argv[1]} needs n(n-1)/2 pair draws,"
+    assert err == (f"error: n = {quoted(argv[1])} needs n(n-1)/2 pair draws,"
                    " above the 12000000-pair limit\n")
+    assert len(err) <= 200
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--n", "9" * 5000], "--n"),
+    (["gen", "--n", "3", "--seed", "x" + "9" * 5000], "--seed"),
+    (["gen", "--n", "3", "--model", "planted", "--k", "9" * 5000], "--k"),
+    (["gen", "--n", "3", "--denominator-bound", "9" * 5000], "--denominator-bound"),
+    (["roll", "g.txt", "--t", "9" * 5000], "--t"),
+    (["solve", "g.txt", "--budget", "x" + "9" * 5000], "--budget"),
+    (["reduce", "g.txt", "--trials", "x" + "9" * 5000], "--trials"),
+    (["reduce", "g.txt", "--t", "1.5" + "9" * 5000], "--t"),
+])
+def test_a_long_int_flag_value_is_shortened(tmp_path, capsys, monkeypatch, argv, flag):
+    # int() refuses a number of more than 4300 digits as it refuses "x";
+    # either way the one error line shows the token by its head, its tail
+    # and its length, not in full
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("3 1\n0 1 1/2\n", encoding="utf-8")
+    err = usage_error(capsys, *argv, "--out", "out.txt")
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert errors == [f"rollclust {argv[0]}: error: argument {flag}: "
+                      f"invalid int value: {quoted(argv[argv.index(flag) + 1])}"], err
+    assert all(len(line) <= 200 for line in err.splitlines())
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_roll_writes_graph_and_sidecar(tmp_path, capsys):
@@ -240,7 +265,11 @@ def test_config_value_of_the_wrong_type_names_the_file(tmp_path, capsys):
     cfg.write_text("seed = 4\ntrials = x\n")
     err = usage_error(capsys, "reduce", "g.txt", "--config", str(cfg))
     assert err == f"error: {cfg}: trials = 'x': invalid int value\n"
-    # the same value as a flag keeps argparse's own message
+    # a long value is shown by its head, its tail and its length
+    cfg.write_text(f"trials = {'9' * 5000}\n")
+    err = usage_error(capsys, "reduce", "g.txt", "--config", str(cfg))
+    assert err == f"error: {cfg}: trials = {quoted('9' * 5000)}: invalid int value\n"
+    # the same value as a flag reads as argparse words it
     err = usage_error(capsys, "reduce", "g.txt", "--trials", "x")
     assert err.endswith("rollclust reduce: error: argument --trials: invalid int value: 'x'\n")
     assert "usage:" in err and str(cfg) not in err

@@ -11,7 +11,8 @@ at most ROLL_NODES grid nodes, REDUCE_NODES under `reduce`), except for
 ceiling cases whose t puts the grid far above core.MAX_NODES, and so do
 generated instances, except for ceiling cases whose n asks for more pair
 draws than core.MAX_ROLL_PAIRS. No `error:` line is longer than 200
-characters, leaving out the case's own paths.
+characters, leaving out the case's own paths. The first len(HUGE) cases each
+give one option one of the HUGE tokens, so every such token is fuzzed.
 """
 
 import random
@@ -39,26 +40,26 @@ BAD_VALUE = 0.08
 PROBS = (["0", "0.1", "0.5", "1"], ["-0.1", "1.5", "nan", "inf", "x"])
 # decimal exponents past core.MAX_EXPONENT, which Fraction would expand in
 # full, and a number of more digits than Python converts, which an error
-# line shows by its head, its tail and its length
+# line shows by its head, its tail and its length; an int flag refuses all four
 HUGE = ["1e20000000", "1e-20000000", "1E+99999", "9" * 5000]
 MAGNITUDES = (["1", "2", "3/2", "5/4"], ["1/3", "0", "-1", "1/0", "x", "0.5", ""] + HUGE)
 POOLS = {
-    "n": (["3", "4", "5", "8", "0", "1", "2"], ["-1", "x", "3.5", ""] + CEILING_NS),
+    "n": (["3", "4", "5", "8", "0", "1", "2"], ["-1", "x", "3.5", ""] + CEILING_NS + HUGE),
     "model": (["planted", "uniform", "complete"], ["bogus"]),
-    "k": (["1", "2", "3"], ["0", "-2", "x", "9"]),
+    "k": (["1", "2", "3"], ["0", "-2", "x", "9"] + HUGE),
     "flip_prob": PROBS,
     "density": PROBS,
-    "denominator_bound": (["1", "2", "6"], ["0", "-3", "x"]),
+    "denominator_bound": (["1", "2", "6"], ["0", "-3", "x"] + HUGE),
     "plus_prob": PROBS,
-    "seed": (["0", "1", "7", "-5", "12345678901234567890123"], ["x", "1.5"]),
+    "seed": (["0", "1", "7", "-5", "12345678901234567890123"], ["x", "1.5"] + HUGE),
     "alpha": MAGNITUDES,
     "beta": MAGNITUDES,
     "solver": (["exact", "local", "local", "trivial", "pivot"], ["bogus"]),
     "objective": (["max", "min"], ["mid"]),
-    "budget": (["1", "3", "1000"], ["0", "-1", "x"]),
+    "budget": (["1", "3", "1000"], ["0", "-1", "x"] + HUGE),
     "epsilon": (["1/20", "1", "1/3"], ["0", "-1/2", "x", "1/0"] + HUGE),
     "lambda_ref": (["1", "3/2", "2"], ["1/2", "0", "x"] + HUGE),
-    "trials": (["1", "2"], ["0", "-1", "x"]),
+    "trials": (["1", "2"], ["0", "-1", "x"] + HUGE),
 }
 OPTIONS = {
     "gen": ["n", "model", "k", "flip_prob", "density", "denominator_bound", "plus_prob", "seed"],
@@ -174,14 +175,23 @@ def config_text(rng, values):
     return "\n".join(lines) + "\n"
 
 
-def build_case(rng, case_dir):
-    command = rng.choice(list(OPTIONS))
+def huge_dests(command, token):
+    """The options of command whose bad values include token."""
+    return [dest for dest in OPTIONS[command] if token in POOLS.get(dest, ((), ()))[1]]
+
+
+def build_case(rng, case_dir, huge=None):
+    """A case's argv, its files written to case_dir; huge, if given, is the
+    value of one option that can draw it."""
+    command = rng.choice([c for c in OPTIONS if huge is None or huge_dests(c, huge)])
     argv = [command]
     n = 0
     if command != "gen":
         path, n = write_graph_file(rng, case_dir)
         argv.append(path)
     values = draw_options(rng, command, n)
+    if huge is not None:
+        values[rng.choice(huge_dests(command, huge))] = huge
     flags = {key: value for key, value in values.items() if rng.random() < 0.6}
     in_file = {key: value for key, value in values.items() if key not in flags}
     if in_file or rng.random() < 0.1:
@@ -223,10 +233,15 @@ def test_cli_fuzz_fails_only_with_one_error_line(tmp_path, capsys, monkeypatch):
     rng = random.Random(SEED)
     start = time.perf_counter()
     outcomes = set()
+    fuzzed = set()
     for k in range(CASES):
         case_dir = tmp_path / f"case{k}"
         case_dir.mkdir()
-        argv = build_case(rng, case_dir)
+        argv = build_case(rng, case_dir, HUGE[k] if k < len(HUGE) else None)
+        # what the case hands the CLI: its flags, its config and graph files
+        texts = argv + [path.read_bytes().decode("utf-8", "replace")
+                        for path in case_dir.iterdir() if path.is_file()]
+        fuzzed.update(token for token in HUGE if any(token in text for text in texts))
         code, err = run_case(k, argv, capsys)
         errors = [line for line in err.splitlines() if ERROR_LINE.match(line)]
         assert (code, len(errors)) in ((0, 0), (2, 1)), (k, argv, code, err)
@@ -236,4 +251,5 @@ def test_cli_fuzz_fails_only_with_one_error_line(tmp_path, capsys, monkeypatch):
         outcomes.add((argv[0], code))
     # every subcommand both ran to the end and refused some input
     assert outcomes == {(command, code) for command in OPTIONS for code in (0, 2)}
+    assert fuzzed == set(HUGE)
     assert time.perf_counter() - start < 10

@@ -97,7 +97,7 @@ def test_gen_spec_refuses_more_pair_draws_than_the_pair_limit(model):
     # admitted request takes minutes and gigabytes, so nothing is generated
     assert (complete_pairs(4899), complete_pairs(4900)) == (11_997_651, 12_002_550)
     assert GenSpec(n=4899, model=model).n == 4899
-    with pytest.raises(ValueError, match=r"^n = 4900 needs n\(n-1\)/2 pair draws,"
+    with pytest.raises(ValueError, match=r"^n = '4900' needs n\(n-1\)/2 pair draws,"
                                          r" above the 12000000-pair limit$"):
         GenSpec(n=4900, model=model)
 

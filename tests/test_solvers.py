@@ -223,9 +223,10 @@ def suffix_optima(g: SignedGraph) -> "list[int]":
 def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
     """solve_exact as it was when every search node rescanned each unplaced
     node's row for its best placement, bounded by suffix_optima in place of
-    the |weight| among the unplaced nodes. Kept as the oracle the incremental
-    bound and the suffix walks must match clustering for clustering and, on
-    the main walk, node for node."""
+    the |weight| among the unplaced nodes, and checking each child's bound
+    before placing it from the rescanned maxima. Kept as the oracle the
+    incremental bound, the child pre-check and the suffix walks must match
+    clustering for clustering and, on the main walk, node for node."""
     n = g.n
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact solver accepts at most {EXACT_NODE_LIMIT} nodes, got {n}")
@@ -247,13 +248,21 @@ def rescanning_exact(g: SignedGraph, objective: ObjectiveKind) -> SolveResult:
 
     def walk(v: int, k: int, current: int) -> None:
         nonlocal best_val, best_labels
-        if current + cross[v] + opt[v] + sum([max(row[: k + 1]) for row in to[v:]]) <= best_val:
+        top = [max(row[: k + 1]) for row in to]
+        if current + cross[v] + opt[v] + sum(top[v:]) <= best_val:
             return
         if v == n:
             best_val = current
             best_labels = labels.copy()
             return
         for lbl in range(k + 1):
+            # a child is entered only if its bound can beat best_val with
+            # each positive edge out of v raising its end's top as far as
+            # it can and each negative one leaving it where it is
+            raised = sum(max(0, to[x][lbl] + w - top[x]) for x, w in later[v] if w > 0)
+            bound = current + neg[v] + to[v][lbl] + cross[v + 1] + opt[v + 1] + sum(top[v + 1 :])
+            if bound + raised <= best_val:
+                continue
             labels[v] = lbl
             for x, w in later[v]:
                 to[x][lbl] += w
