@@ -5,8 +5,10 @@ deterministic; all but roll take --seed, and their generation, rounding,
 and solver randomness run on named sub-streams derived from that one seed.
 roll and reduce size a roll by --t alone: the row count follows from the
 base and t. An optional config file supplies "key = value" defaults for
-any flag; explicit flags win. Notes on what a run cut short go to stderr.
-Exit status is 0 only when nothing failed.
+any flag; explicit flags win. Every numeric flag, and its config value,
+converts through one _flag_type, so a refused token is named by
+core.quoted. Notes on what a run cut short go to stderr. Exit status is 0
+only when nothing failed.
 """
 
 from __future__ import annotations
@@ -34,19 +36,20 @@ from .solvers import DEFAULT_BUDGET, SolverKind, SolverSpec, budget_note, run_so
 from .streams import derive_seed
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc}: {quoted(text)}") from None
+def _flag_type(convert, cause: str | None = None):
+    """An argparse type that refuses a token as `<cause>: <quoted token>`, by
+    default convert's own cause; argparse's message echoes it in full."""
+    def flag_type(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{cause or exc}: {quoted(text)}") from None
+    return flag_type
 
 
-def _int(text: str) -> int:
-    # argparse's own message for type=int echoes the token in full
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+_int = _flag_type(int, "invalid int value")
+_float = _flag_type(float, "invalid float value")
+_fraction = _flag_type(parse_rational)
 
 
 def _parent_parsers() -> "tuple[argparse.ArgumentParser, ...]":
@@ -75,10 +78,10 @@ def build_parser() -> "tuple[argparse.ArgumentParser, dict]":
     p.add_argument("--n", type=_int, default=None, help="node count (required here or in --config)")
     p.add_argument("--model", choices=("planted", "uniform", "complete"), default="uniform")
     p.add_argument("--k", type=_int, default=2, help="planted cluster count")
-    p.add_argument("--flip-prob", type=float, default=0.0)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--flip-prob", type=_float, default=0.0)
+    p.add_argument("--density", type=_float, default=0.5)
     p.add_argument("--denominator-bound", type=_int, default=6)
-    p.add_argument("--plus-prob", type=float, default=0.5)
+    p.add_argument("--plus-prob", type=_float, default=0.5)
     p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("roll", parents=[common], help="roll a graph into a grid")
@@ -165,10 +168,10 @@ def _apply_config(argv, subparsers) -> None:
             # argparse names only the flag when a string default fails to
             # convert, and checks choices on flags only
             try:
-                value = p._get_value(action, text)
-            except argparse.ArgumentError as exc:
+                value = action.type(text) if action.type else text
+            except argparse.ArgumentTypeError as exc:
                 # its message ends with the value, which this line shows once
-                cause = exc.message.removesuffix(f": {text!r}").removesuffix(f": {quoted(text)}")
+                cause = str(exc).removesuffix(f": {quoted(text)}")
                 _usage_error(f"{known.config}: {action.dest} = {quoted(text)}: {cause}")
             if action.choices is not None and value not in action.choices:
                 _usage_error(

@@ -270,6 +270,20 @@ def quoted(token: str) -> str:
     return f"{token[:20] + '...' + token[-20:]!r} ({len(token)} characters)"
 
 
+def shown(x: int, quote: bool = False) -> str:
+    """A non-negative int for an error message: its decimal, in quotes if
+    quote is set, and past 60 digits as quoted shows that decimal either
+    way. An int of more than MAX_EXPONENT digits, which Python refuses to
+    write in decimal, is measured by arithmetic instead."""
+    if x < 10**60 and not quote:
+        return str(x)
+    if x < 10**MAX_EXPONENT:
+        return quoted(str(x))
+    digits = int(math.log10(x)) + 1  # a float's estimate, at most one off
+    digits += (x >= 10**digits) - (x < 10 ** (digits - 1))
+    return f"'{x // 10 ** (digits - 20)}...{x % 10**20:020d}' ({digits} characters)"
+
+
 def parse_weight(token: str) -> Fraction:
     try:
         return parse_rational(token)

@@ -1,8 +1,10 @@
 """Instance generators.
 
 Three generator models cover the experiments: planted partitions with sign
-flips, sparse uniform rational weights, and dense random +-1 signs. All
-instance randomness flows from the GenSpec seed through a named stream.
+flips, sparse uniform rational weights, and dense random +-1 signs. Each
+model's draw(rng, u, v) gives one pair's weight (0 for no edge), and
+generate draws once per pair in (u, v) order. All instance randomness
+flows from the GenSpec seed through a named stream.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import MAX_ROLL_PAIRS, SignedGraph, quoted
+from .core import MAX_ROLL_PAIRS, SignedGraph, shown
 from .streams import make_rng
 
 
@@ -29,6 +31,10 @@ class PlantedPartition:
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("flip_prob must lie in [0, 1]")
 
+    def draw(self, rng, u: int, v: int) -> Fraction:
+        w = 1 if u % self.clusters == v % self.clusters else -1
+        return Fraction(-w if self.flip_prob and rng.random() < self.flip_prob else w)
+
 
 @dataclass(frozen=True)
 class UniformRational:
@@ -44,6 +50,13 @@ class UniformRational:
         if self.denominator_bound < 1:
             raise ValueError("denominator_bound must be at least 1")
 
+    def draw(self, rng, u: int, v: int) -> Fraction | int:
+        if rng.random() >= self.density:
+            return 0
+        q = rng.randint(1, self.denominator_bound)
+        p = rng.randint(1, q)
+        return Fraction(-p if rng.random() < 0.5 else p, q)
+
 
 @dataclass(frozen=True)
 class CompleteSigned:
@@ -54,6 +67,9 @@ class CompleteSigned:
     def __post_init__(self):
         if not 0 <= self.plus_prob <= 1:
             raise ValueError("plus_prob must lie in [0, 1]")
+
+    def draw(self, rng, u: int, v: int) -> Fraction:
+        return Fraction(1 if rng.random() < self.plus_prob else -1)
 
 
 Model = Union[PlantedPartition, UniformRational, CompleteSigned]
@@ -68,45 +84,21 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be non-negative")
-        # every model draws once per pair: refuse before the first draw. The
-        # count stays out of the message: a 4,300-digit n, which int() still
-        # reads, has more pairs than Python writes as a decimal, and quoted
-        # shows n itself by its head, its tail and its length
+        # every model draws once per pair: refuse before the first draw, and
+        # show a long n by its head, its tail and its length
         pairs = self.n * (self.n - 1) // 2
         if pairs > MAX_ROLL_PAIRS:
-            raise ValueError(f"n = {quoted(str(self.n))} needs n(n-1)/2 pair draws,"
+            raise ValueError(f"n = {shown(self.n, quote=True)} needs n(n-1)/2 pair draws,"
                              f" above the {MAX_ROLL_PAIRS}-pair limit")
+        if not isinstance(self.model, Model):
+            raise TypeError(f"unknown model {self.model!r}")
         if isinstance(self.model, PlantedPartition) and self.model.clusters > max(self.n, 1):
             raise ValueError("planted cluster count cannot exceed n")
 
 
 def generate(spec: GenSpec) -> SignedGraph:
-    """Deterministic instance for the given GenSpec seed."""
-    rng = make_rng(spec.seed, "gen")
-    n = spec.n
-    model = spec.model
-    weights: dict = {}
-    if isinstance(model, PlantedPartition):
-        k = model.clusters
-        for u in range(n):
-            for v in range(u + 1, n):
-                w = 1 if u % k == v % k else -1
-                if model.flip_prob and rng.random() < model.flip_prob:
-                    w = -w
-                weights[(u, v)] = Fraction(w)
-    elif isinstance(model, UniformRational):
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < model.density:
-                    q = rng.randint(1, model.denominator_bound)
-                    p = rng.randint(1, q)
-                    if rng.random() < 0.5:
-                        p = -p
-                    weights[(u, v)] = Fraction(p, q)
-    elif isinstance(model, CompleteSigned):
-        for u in range(n):
-            for v in range(u + 1, n):
-                weights[(u, v)] = Fraction(1 if rng.random() < model.plus_prob else -1)
-    else:
-        raise TypeError(f"unknown model {model!r}")
-    return SignedGraph(n, weights)
+    """Deterministic instance for the given GenSpec seed: one model draw
+    per pair, in (u, v) order."""
+    rng, draw, n = make_rng(spec.seed, "gen"), spec.model.draw, spec.n
+    return SignedGraph(n, {(u, v): w for u in range(n) for v in range(u + 1, n)
+                           if (w := draw(rng, u, v))})

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import MAX_NODES, MAX_ROLL_PAIRS, Clustering, SignedGraph
+from .core import MAX_NODES, MAX_ROLL_PAIRS, Clustering, SignedGraph, shown
 
 
 class DuplicateId(NamedTuple):
@@ -48,7 +48,8 @@ def valid_roll_size(n: int, t: int, edges: int = 0) -> int:
         raise ValueError("t must be non-negative")
     rows = n * (1 + t * (n - 1))
     if rows * n > MAX_NODES:
-        raise ValueError(f"t={t} rolls {n} nodes into {rows * n}, above the {MAX_NODES}-node limit")
+        raise ValueError(f"t={shown(t)} rolls {n} nodes into {shown(rows * n)},"
+                         f" above the {MAX_NODES}-node limit")
     copies = rows * rows // n
     if copies * max(1, edges) > MAX_ROLL_PAIRS:
         raise ValueError(f"t={t} rolls {n} nodes into {copies} copies of {edges} edges,"

@@ -320,7 +320,7 @@ MUTANTS = {
     "gen drops its pair ceiling": (
         HARNESS,
         "        if pairs > MAX_ROLL_PAIRS:\n"
-        '            raise ValueError(f"n = {quoted(str(self.n))} needs n(n-1)/2 pair draws,"\n'
+        '            raise ValueError(f"n = {shown(self.n, quote=True)} needs n(n-1)/2 pair draws,"\n'
         '                             f" above the {MAX_ROLL_PAIRS}-pair limit")\n',
         "",
         # only the arithmetic boundary test: the CLI repros would generate
@@ -332,6 +332,74 @@ MUTANTS = {
         "pairs = self.n * self.n",
         # 4,899^2 is above the limit, so n = 4,899 is refused
         ["tests/test_harness.py::test_gen_spec_refuses_more_pair_draws_than_the_pair_limit"],
+    ),
+    "gen writes a refused n in full": (
+        HARNESS,
+        "{shown(self.n, quote=True)}",
+        "{str(self.n)!r}",
+        # past 4,300 digits str() raises Python's own int-limit error
+        ["tests/test_harness.py::test_gen_spec_refuses_more_pair_draws_than_the_pair_limit"],
+    ),
+    "GenSpec drops its unknown-model refusal": (
+        HARNESS,
+        "        if not isinstance(self.model, Model):\n"
+        '            raise TypeError(f"unknown model {self.model!r}")\n',
+        "",
+        # generate then fails on the str's missing draw, an AttributeError
+        ["tests/test_harness.py::test_model_validation"],
+    ),
+    "a planted partition puts node i in cluster i // k": (
+        HARNESS,
+        "w = 1 if u % self.clusters == v % self.clusters else -1",
+        "w = 1 if u // self.clusters == v // self.clusters else -1",
+        [
+            "tests/test_harness.py::test_planted_no_flips_is_perfectly_clusterable",
+            "tests/test_golden.py::test_generated_graphs_are_frozen",
+        ],
+    ),
+    "a uniform weight takes the bound as its denominator": (
+        HARNESS,
+        "return Fraction(-p if rng.random() < 0.5 else p, q)",
+        "return Fraction(-p if rng.random() < 0.5 else p, self.denominator_bound)",
+        # every drawn q is at most the bound, so only the frozen graphs see it
+        ["tests/test_golden.py::test_generated_graphs_are_frozen"],
+    ),
+    "a complete sign is +1 with probability 1 - plus_prob": (
+        HARNESS,
+        "return Fraction(1 if rng.random() < self.plus_prob else -1)",
+        "return Fraction(-1 if rng.random() < self.plus_prob else 1)",
+        [
+            "tests/test_harness.py::test_complete_signed_model",
+            "tests/test_golden.py::test_generated_graphs_are_frozen",
+        ],
+    ),
+    "--density converts with argparse's own float": (
+        CLI,
+        'p.add_argument("--density", type=_float, default=0.5)',
+        'p.add_argument("--density", type=float, default=0.5)',
+        ["tests/test_cli.py::test_a_long_float_flag_value_is_shortened"],
+    ),
+    "a roll above the node limit writes t in full": (
+        ROLL,
+        'raise ValueError(f"t={shown(t)} rolls',
+        'raise ValueError(f"t={t} rolls',
+        ["tests/test_cli.py::test_a_long_t_is_shown_by_its_head_its_tail_and_its_length"],
+    ),
+    "shown writes every long int with str()": (
+        CORE,
+        "    if x < 10**MAX_EXPONENT:\n        return quoted(str(x))\n",
+        "    return quoted(str(x))\n",
+        # past 4,300 digits str() raises Python's own int-limit error
+        [
+            "tests/test_core.py::test_a_long_int_is_shown_as_quoted_shows_its_decimal",
+            "tests/test_harness.py::test_gen_spec_refuses_more_pair_draws_than_the_pair_limit",
+        ],
+    ),
+    "shown trusts its float estimate of the digit count": (
+        CORE,
+        "    digits += (x >= 10**digits) - (x < 10 ** (digits - 1))\n",
+        "",
+        ["tests/test_core.py::test_a_long_int_is_shown_as_quoted_shows_its_decimal"],
     ),
     "solve_exact does not raise top[x] along a positive edge": (
         SOLVERS,

@@ -101,6 +101,25 @@ def test_a_long_int_flag_value_is_shortened(tmp_path, capsys, monkeypatch, argv,
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--flip-prob", "--density", "--plus-prob"])
+def test_a_long_float_flag_value_is_shortened(tmp_path, capsys, flag):
+    # argparse's own float type echoes a refused token in full
+    token = "x" + "9" * 5000
+    out = tmp_path / "g.txt"
+    err = usage_error(capsys, "gen", "--n", "3", flag, token, "--out", str(out))
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert errors == [f"rollclust gen: error: argument {flag}: invalid float value: {quoted(token)}"]
+    assert all(len(line) <= 200 for line in err.splitlines())
+    # a config value is refused with the same cause, its value shown once
+    cfg = tmp_path / "run.cfg"
+    dest = flag[2:].replace("-", "_")
+    for value in ("abc", token):
+        cfg.write_text(f"n = 3\n{dest} = {value}\n", encoding="utf-8")
+        err = usage_error(capsys, "gen", "--config", str(cfg), "--out", str(out))
+        assert err == f"error: {cfg}: {dest} = {quoted(value)}: invalid float value\n"
+    assert not out.exists()
+
+
 def test_roll_writes_graph_and_sidecar(tmp_path, capsys):
     base = gen_graph(tmp_path, capsys)
     out = tmp_path / "rolled.txt"
@@ -383,6 +402,22 @@ def test_a_roll_above_the_node_limit_fails_before_it_is_built(tmp_path, capsys, 
     code, stdout, err = run(capsys, command, str(base), "--t", "1000000", "--out", str(out))
     assert code == 2 and stdout == ""
     assert err == f"error: t=1000000 rolls 3 nodes into 18000009, above the {MAX_NODES}-node limit\n"
+    assert list(tmp_path.iterdir()) == [base]
+
+
+@pytest.mark.parametrize("command", ["roll", "reduce"])
+@pytest.mark.parametrize("digits", [4000, 4300])
+def test_a_long_t_is_shown_by_its_head_its_tail_and_its_length(tmp_path, capsys, command, digits):
+    # the 3-node base's grid holds 18t+9 nodes: 18 * 10^d - 9, d + 2 digits,
+    # more than Python writes in decimal once t has 4,300 digits
+    base = gen_graph(tmp_path, capsys)
+    t = "9" * digits
+    code, stdout, err = run(capsys, command, str(base), "--t", t, "--out", str(tmp_path / "o.txt"))
+    assert code == 2 and stdout == ""
+    assert err == (f"error: t={quoted(t)} rolls 3 nodes into"
+                   f" '17{'9' * 18}...{'9' * 19}1' ({digits + 2} characters),"
+                   f" above the {MAX_NODES}-node limit\n")
+    assert len(err) <= 200
     assert list(tmp_path.iterdir()) == [base]
 
 

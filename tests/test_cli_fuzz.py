@@ -11,8 +11,9 @@ at most ROLL_NODES grid nodes, REDUCE_NODES under `reduce`), except for
 ceiling cases whose t puts the grid far above core.MAX_NODES, and so do
 generated instances, except for ceiling cases whose n asks for more pair
 draws than core.MAX_ROLL_PAIRS. No `error:` line is longer than 200
-characters, leaving out the case's own paths. The first len(HUGE) cases each
-give one option one of the HUGE tokens, so every such token is fuzzed.
+characters, leaving out the case's own paths. The first len(LONG) cases each
+give one option one of the LONG tokens as a flag, where argparse would echo
+it, so every such token is fuzzed.
 """
 
 import random
@@ -37,7 +38,9 @@ CEILING_NS = ["4900", "50000", "2000000"]
 # dest -> (values a run accepts, values that must fail); a drawn value is
 # a bad one with probability BAD_VALUE
 BAD_VALUE = 0.08
-PROBS = (["0", "0.1", "0.5", "1"], ["-0.1", "1.5", "nan", "inf", "x"])
+# a token float() refuses, which argparse's own float type echoes in full
+LONG_FLOAT = "x" + "9" * 5000
+PROBS = (["0", "0.1", "0.5", "1"], ["-0.1", "1.5", "nan", "inf", "x", LONG_FLOAT])
 # decimal exponents past core.MAX_EXPONENT, which Fraction would expand in
 # full, and a number of more digits than Python converts, which an error
 # line shows by its head, its tail and its length; an int flag refuses all four
@@ -69,6 +72,12 @@ OPTIONS = {
     "reduce": ["objective", "t", "alpha", "beta", "epsilon", "lambda_ref", "solver", "budget",
                "trials", "seed"],
 }
+# a t of 4,000 digits rolls into a grid of 4,002, and one of 4,300 into
+# more digits than Python writes in decimal
+LONG_TS = ["9" * 4000, "9" * 4300]
+BAD_TS = ["-1", "x", "1.5", ""] + LONG_TS
+# the long tokens the fuzzer must give the CLI at least once each
+LONG = HUGE + [LONG_FLOAT] + LONG_TS
 WEIGHTS = ["1", "-1", "1/2", "-1/3", "2/3", "-5/6", "1"]
 BAD_WEIGHTS = ["3/2", "-2", "0", "1/0", "abc", "nan", "inf", "1e2", "0.25"] + HUGE
 
@@ -136,7 +145,7 @@ def draw_t(rng, n, limit):
     if fits and roll < 0.9:
         return rng.choice(fits)
     if roll < 0.95:
-        return rng.choice(["-1", "x", "1.5", ""])
+        return rng.choice(BAD_TS)
     return rng.choice(CEILING_TS)
 
 
@@ -175,24 +184,26 @@ def config_text(rng, values):
     return "\n".join(lines) + "\n"
 
 
-def huge_dests(command, token):
+def long_dests(command, token):
     """The options of command whose bad values include token."""
-    return [dest for dest in OPTIONS[command] if token in POOLS.get(dest, ((), ()))[1]]
+    return [dest for dest in OPTIONS[command]
+            if token in (BAD_TS if dest == "t" else POOLS[dest][1])]
 
 
-def build_case(rng, case_dir, huge=None):
-    """A case's argv, its files written to case_dir; huge, if given, is the
-    value of one option that can draw it."""
-    command = rng.choice([c for c in OPTIONS if huge is None or huge_dests(c, huge)])
+def build_case(rng, case_dir, long=None):
+    """A case's argv, its files written to case_dir; long, if given, is the
+    flag value of one option that can draw it."""
+    command = rng.choice([c for c in OPTIONS if long is None or long_dests(c, long)])
     argv = [command]
     n = 0
     if command != "gen":
         path, n = write_graph_file(rng, case_dir)
         argv.append(path)
     values = draw_options(rng, command, n)
-    if huge is not None:
-        values[rng.choice(huge_dests(command, huge))] = huge
-    flags = {key: value for key, value in values.items() if rng.random() < 0.6}
+    if long is not None:
+        values[rng.choice(long_dests(command, long))] = long
+    flags = {key: value for key, value in values.items()
+             if rng.random() < 0.6 or value == long}
     in_file = {key: value for key, value in values.items() if key not in flags}
     if in_file or rng.random() < 0.1:
         cfg = case_dir / "run.cfg"
@@ -237,11 +248,13 @@ def test_cli_fuzz_fails_only_with_one_error_line(tmp_path, capsys, monkeypatch):
     for k in range(CASES):
         case_dir = tmp_path / f"case{k}"
         case_dir.mkdir()
-        argv = build_case(rng, case_dir, HUGE[k] if k < len(HUGE) else None)
-        # what the case hands the CLI: its flags, its config and graph files
+        argv = build_case(rng, case_dir, LONG[k] if k < len(LONG) else None)
+        # the tokens the case hands the CLI in its flags, config and graph
+        # files; whole tokens, as one long token holds a shorter one
         texts = argv + [path.read_bytes().decode("utf-8", "replace")
                         for path in case_dir.iterdir() if path.is_file()]
-        fuzzed.update(token for token in HUGE if any(token in text for text in texts))
+        fuzzed.update({token for text in texts for token in re.split(r"[\s=]+", text)}
+                      .intersection(LONG))
         code, err = run_case(k, argv, capsys)
         errors = [line for line in err.splitlines() if ERROR_LINE.match(line)]
         assert (code, len(errors)) in ((0, 0), (2, 1)), (k, argv, code, err)
@@ -251,5 +264,5 @@ def test_cli_fuzz_fails_only_with_one_error_line(tmp_path, capsys, monkeypatch):
         outcomes.add((argv[0], code))
     # every subcommand both ran to the end and refused some input
     assert outcomes == {(command, code) for command in OPTIONS for code in (0, 2)}
-    assert fuzzed == set(HUGE)
+    assert fuzzed == set(LONG)
     assert time.perf_counter() - start < 10

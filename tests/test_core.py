@@ -18,6 +18,7 @@ from rollclust.core import (
     parse_rational,
     quoted,
     scaled_values,
+    shown,
 )
 from rollclust.solvers import solve_exact, solve_local_search
 
@@ -233,6 +234,21 @@ def test_a_long_token_is_quoted_as_its_head_its_tail_and_its_length():
     token = "1e" + "0123456789" * 500
     assert quoted(token) == "'1e012345678901234567...01234567890123456789' (5002 characters)"
     assert quoted("a" * 30 + "b" * 31) == f"'{'a' * 20}...{'b' * 20}' (61 characters)"
+
+
+def test_a_long_int_is_shown_as_quoted_shows_its_decimal():
+    # bare up to 60 digits unless quoted, and past 4,300 digits, where
+    # Python refuses to write an int in decimal, measured by arithmetic
+    for x in (0, 7, 10**59, 10**60 - 1):
+        assert (shown(x), shown(x, quote=True)) == (str(x), repr(str(x)))
+    for x in (10**60, 10**4299, 10**4300 - 1):
+        assert shown(x) == shown(x, quote=True) == quoted(str(x))
+    nines, one = f"'{'9' * 20}...{'9' * 20}'", f"'1{'0' * 19}...{'0' * 20}'"
+    for digits in (61, 4300, 4301, 5000, 9999, 100000):
+        assert shown(10**digits - 1) == f"{nines} ({digits} characters)"
+        assert shown(10**digits, quote=True) == f"{one} ({digits + 1} characters)"
+    x = 12345 * 10**6000 + 987
+    assert shown(x) == "'12345000000000000000...00000000000000000987' (6005 characters)"
 
 
 def test_clustering_canonical_form():

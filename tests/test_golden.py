@@ -9,7 +9,9 @@ starts from one cluster, from singletons, and from a tie between the two.
 The local cases run solve_local_search directly on unrounded rolled grids
 and freeze its labels and exact value. The roll cases run `rollclust roll`
 on seeded rational bases and hash the rolled graph file and its
-`.duplicates.json` sidecar byte for byte.
+`.duplicates.json` sidecar byte for byte. The generator cases hash the
+graph files `generate` makes for n = 0..8 and three seeds, each model at
+two parameter settings.
 
 The digests were computed once from the pipeline and are not derived from
 any formula: a mismatch means a seeded report changed.
@@ -22,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from rollclust.cli import main
-from rollclust.core import ObjectiveKind, SignedGraph, write_graph
+from rollclust.core import ObjectiveKind, SignedGraph, format_graph, write_graph
 from rollclust.harness import CompleteSigned, GenSpec, PlantedPartition, UniformRational, generate
 from rollclust.reduction import ReductionConfig, aggregate_to_dict, run_trials
 from rollclust.roll import build_roll
@@ -245,3 +247,24 @@ def test_roll_command_output_is_byte_identical(key, tmp_path):
     assert main(["roll", str(base), "--t", str(t), "--out", str(out)]) == 0
     files = (out, tmp_path / "rolled.txt.duplicates.json")
     assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in files) == ROLLS[key]
+
+
+# name -> (model, digest of its graph files for n = 0..8 and seeds 1..3)
+GENERATED = {
+    "planted-1": (PlantedPartition(clusters=1, flip_prob=0.3), "4164210c322946f6"),
+    "planted-3": (PlantedPartition(clusters=3, flip_prob=0.1), "ba9fddc2ab94e53a"),
+    "uniform-sparse": (UniformRational(density=0.4, denominator_bound=6), "719ff056d61c4e97"),
+    "uniform-dense": (UniformRational(density=1.0, denominator_bound=2), "02949754b6ac6add"),
+    "signed-even": (CompleteSigned(plus_prob=0.5), "041ee8da9b387e9c"),
+    "signed-plus": (CompleteSigned(plus_prob=0.9), "80fc1a65d192243a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_graphs_are_frozen(name):
+    model, expected = GENERATED[name]
+    # a planted spec needs at least as many nodes as clusters
+    texts = [format_graph(generate(GenSpec(n=n, model=model, seed=seed)))
+             for n in range(9) for seed in (1, 2, 3)
+             if not isinstance(model, PlantedPartition) or model.clusters <= max(n, 1)]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest()[:16] == expected

@@ -86,8 +86,14 @@ def test_model_validation():
         GenSpec(n=3, model=PlantedPartition(clusters=4))
     with pytest.raises(ValueError):
         GenSpec(n=-1, model=CompleteSigned())
-    with pytest.raises(TypeError):
-        generate(GenSpec(n=3, model="bogus"))
+    # the spec refuses an unknown model, after its n checks
+    for n in (0, 3):
+        with pytest.raises(TypeError, match="^unknown model 'bogus'$"):
+            GenSpec(n=n, model="bogus")
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        GenSpec(n=-1, model="bogus")
+    with pytest.raises(ValueError, match="pair limit$"):
+        GenSpec(n=4900, model="bogus")
 
 
 @pytest.mark.parametrize("model", [PlantedPartition(clusters=2), UniformRational(density=0.0),
@@ -100,6 +106,13 @@ def test_gen_spec_refuses_more_pair_draws_than_the_pair_limit(model):
     with pytest.raises(ValueError, match=r"^n = '4900' needs n\(n-1\)/2 pair draws,"
                                          r" above the 12000000-pair limit$"):
         GenSpec(n=4900, model=model)
+    # a long n is shown by its head, its tail and its length, also past the
+    # 4,300 digits Python writes in decimal, as an API caller's n may be
+    for digits in (4300, 5001):
+        with pytest.raises(ValueError) as info:
+            GenSpec(n=10 ** (digits - 1), model=model)
+        assert str(info.value) == (f"n = '1{'0' * 19}...{'0' * 20}' ({digits} characters) needs"
+                                   " n(n-1)/2 pair draws, above the 12000000-pair limit")
 
 
 def test_structural_checks_do_not_read_the_cached_cells():
