@@ -85,27 +85,26 @@ class SignedGraph:
         self._set_scaled(n, scale, scaled)
 
     @classmethod
-    def _from_scaled(cls, n: int, scale: int, weights: dict) -> "SignedGraph":
+    def _from_scaled(cls, n: int, scale: int, weights: dict, ordered: bool = False) -> "SignedGraph":
         """Build from ints over a possibly unreduced scale, unchecked. Its two
         callers, RolledGraph and round_graph, pass a positive scale and
         nonzero weights on keys (u, v) with 0 <= u < v < n, and hand the dict
-        over: the graph may keep it as its own."""
+        over: the graph may keep it as its own. ordered says that the keys
+        already come in sorted pair order, so they are not sorted again."""
         g = cls.__new__(cls)
-        g._set_scaled(n, scale, weights)
+        g._set_scaled(n, scale, weights, ordered)
         return g
 
-    def _set_scaled(self, n: int, scale: int, weights: dict) -> None:
-        # the one place the fields are set, unchecked: reduce to the canonical
-        # scale, the lcm of the weights' reduced denominators; sort the pairs
-        d = math.gcd(scale, *weights.values())
-        # keys are unique, so sorting them alone orders the items, at about
-        # half the cost of sorting the items
-        keys = sorted(weights)
-        if d > 1:
-            weights = {k: weights[k] // d for k in keys}
-        elif keys != list(weights):
+    def _set_scaled(self, n: int, scale: int, weights: dict, ordered: bool = False) -> None:
+        # the one place the fields are set, unchecked: sort the pairs unless
+        # they come ordered, and reduce to the canonical scale, the lcm of the
+        # weights' reduced denominators. Keys are unique, so sorting them
+        # alone orders the items, at about half the cost of sorting the items
+        if not ordered and (keys := sorted(weights)) != list(weights):
             weights = {k: weights[k] for k in keys}
-        # else the dict is already canonical and sorted, and is kept as given
+        d = math.gcd(scale, *weights.values())
+        if d > 1:
+            weights = {k: w // d for k, w in weights.items()}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "scale", scale // d)
         object.__setattr__(self, "_weights", weights)
@@ -305,9 +304,9 @@ def parse_graph(text: str) -> SignedGraph:
     if n < 0 or m < 0:
         raise GraphFormatError("n and m must be non-negative")
     if n > MAX_NODES:
-        raise GraphFormatError(f"n = {n} is above the {MAX_NODES}-node limit")
+        raise GraphFormatError(f"n = {shown(n)} is above the {MAX_NODES}-node limit")
     if len(lines) - 1 != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}")
+        raise GraphFormatError(f"header declares {shown(m)} edges, found {len(lines) - 1}")
     weights: dict[tuple[int, int], Fraction] = {}
     for idx, line in enumerate(lines[1:], start=2):
         parts = line.split()

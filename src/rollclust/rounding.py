@@ -3,12 +3,13 @@
 Each edge is rounded independently: a positive weight w becomes beta with
 probability w/beta and 0 otherwise; a negative weight becomes -alpha with
 probability -w/alpha. The expectation is exact: a keep probability, held
-as a reduced pair of ints num/den < 1, keeps the edge iff s % den < num,
-where s is the edge's 64-bit derived seed, accepted below the largest
-multiple of den not above 2**64; a rejected s falls back to an exact draw
-on the edge's "retry" stream. An edge with probability 1 (|w| equal to
-beta or alpha) is kept without drawing. The rounded graph is built in
-integers: beta and -alpha over the product of their denominators.
+as a reduced pair of ints num/den, sets the threshold
+T, r = divmod(num << 64, den), and the pair is kept iff its word x of the
+rounding's one stream of uniform 64-bit words is below T, or equals T
+and wins an exact randrange(den) < r draw on the pair's own "tie" stream.
+An edge with probability 1 (|w| equal to beta or alpha) has T = 2**64 and
+is kept whatever its word. The rounded graph is built in integers: beta
+and -alpha over the product of their denominators.
 
 Rounding never flips a sign, so a clustering's contributing edge set after
 rounding is a subset of its contributing set before; summing |rounded
@@ -28,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Clustering, ObjectiveKind, SignedGraph, as_fraction, contributing_edges
-from .streams import encode_part, extended_seed, make_rng, seed_prefix
+from .streams import make_rng, uniform_words
 
 
 @dataclass(frozen=True)
 class RoundingParams:
-    """Rounding magnitudes and the root seed for per-edge streams.
+    """Rounding magnitudes and the root seed of the rounding's streams.
 
     alpha and beta must be at least 1 so that |w| <= 1 gives probabilities
     at most 1.
@@ -56,46 +57,44 @@ class RoundingOutcome:
     after: SignedGraph
 
 
-def acceptance_limit(den: int) -> int:
-    """The largest multiple of den <= 2**64: a derived seed below it is uniform mod den."""
-    return (1 << 64) - (1 << 64) % den
-
-
 def round_graph(g: SignedGraph, params: RoundingParams) -> RoundingOutcome:
-    """Round every edge independently on its own derived seed.
+    """Round every edge independently: pair k, in sorted pair order, reads
+    word k of uniform_words(m, seed, "round") for its keep-or-drop test.
 
     Requires |w| <= 1, a ValueError otherwise, checked in ints once per
-    distinct weight, where its keep probability is worked out. The seed is
-    derived from (seed, u, v), so the outcome does not depend on edge
-    iteration order and all graphs sharing a seed agree edge by edge.
+    distinct weight, where its p = num/den and T, r are worked out; then
+    P(keep) = (T * den + r) / (den * 2**64) = num/den exactly. A graph
+    whose every pair has p = 1 reads no words.
     """
     a_num, a_den = params.alpha.numerator, params.alpha.denominator
     b_num, b_den = params.beta.numerator, params.beta.denominator
     up, down = b_num * a_den, -a_num * b_den
-    # per distinct scaled weight: (num, den, acceptance limit) of p < 1, or None
-    draws: dict[int, tuple[int, int, int] | None] = {}
-    weights: dict[tuple[int, int], int] = {}
-    edge_stream = seed_prefix(params.seed, "edge")
-    tags: list[bytes] = []  # each node's encoded id, built at the first draw
-    for (u, v), w in g.scaled_weights():
-        if w not in draws:
-            if abs(w) > g.scale:
-                raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
-            # p = |w| / magnitude, with |w| = |w * scale| / scale, reduced
-            num, den = (w * b_den, g.scale * b_num) if w > 0 else (-w * a_den, g.scale * a_num)
-            k = math.gcd(num, den)
-            num, den = num // k, den // k
-            draws[w] = (num, den, acceptance_limit(den)) if num < den else None
-        if draws[w] is not None:
-            num, den, limit = draws[w]
-            tags = tags or [encode_part(x) for x in range(g.n)]
-            s = extended_seed(edge_stream, tags[u] + tags[v])
-            if not (s % den < num if s < limit
-                    else make_rng(params.seed, "edge", u, v, "retry").randrange(den) < num):
-                continue
-        weights[(u, v)] = up if w > 0 else down
+    items = g.scaled_weights()
+    # per distinct scaled weight, in order of first appearance: T, and the
+    # tie's (den, r); items.mapping is a read-only view of the graph's dict
+    limit = dict.fromkeys(items.mapping.values())
+    tie: dict[int, tuple[int, int]] = {}
+    for w in limit:
+        if abs(w) > g.scale:
+            raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
+        # p = |w| / magnitude, with |w| = |w * scale| / scale
+        num, den = (w * b_den, g.scale * b_num) if w > 0 else (-w * a_den, g.scale * a_num)
+        k = math.gcd(num, den)
+        num, den = num // k, den // k
+        limit[w], r = divmod(num << 64, den)
+        tie[w] = den, r
+    seed = params.seed
+    if all(t == 1 << 64 for t in limit.values()):
+        weights = {pair: up if w > 0 else down for pair, w in items}  # every p is 1: no words
+    else:
+        weights = {
+            pair: up if w > 0 else down
+            for (pair, w), x in zip(items, uniform_words(len(items), seed, "round"))
+            if x < (t := limit[w])
+            or x == t and make_rng(seed, "edge", *pair, "tie").randrange(tie[w][0]) < tie[w][1]
+        }
     scale = a_den * b_den  # up / scale = beta, down / scale = -alpha
-    return RoundingOutcome(g, SignedGraph._from_scaled(g.n, scale, weights))
+    return RoundingOutcome(g, SignedGraph._from_scaled(g.n, scale, weights, ordered=True))
 
 
 def deviation_stats(

@@ -2,16 +2,18 @@
 
 Every piece of randomness in the package flows from a root integer seed
 through a named sub-stream, so results never depend on evaluation order.
-Seeds are derived with blake2b over the root and the stream name parts;
-a loop over many streams that share a name prefix hashes it once and
-extends a copy per stream with the pre-encoded rest of each name
-(seed_prefix, encode_part, extended_seed).
+A stream's name is the root and its name parts, encoded to bytes; a
+64-bit sub-stream seed is the blake2b digest of those bytes
+(derive_seed), and a run of uniform 64-bit words is their shake_128
+digest, read little-endian (uniform_words).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,20 +27,9 @@ def encode_part(part) -> bytes:
     return b"s" + len(data).to_bytes(4, "little") + data
 
 
-def seed_prefix(root: int, *parts):
-    """The blake2b state of the stream named by parts; extended_seed
-    extends a copy of it, so a loop hashes a shared prefix only once."""
-    data = (root & _MASK64).to_bytes(8, "little") + b"".join(map(encode_part, parts))
-    return hashlib.blake2b(data, digest_size=8)
-
-
-def extended_seed(prefix, data: bytes) -> int:
-    """derive_seed(root, *prefix_parts, *parts) for prefix =
-    seed_prefix(root, *prefix_parts) and data the encode_part bytes of
-    parts, joined; a loop can encode each recurring part once."""
-    h = prefix.copy()
-    h.update(data)
-    return int.from_bytes(h.digest(), "little")
+def stream_name(root: int, *parts) -> bytes:
+    """The bytes that name the stream (root, *parts) to its hash."""
+    return (root & _MASK64).to_bytes(8, "little") + b"".join(map(encode_part, parts))
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -47,7 +38,17 @@ def derive_seed(root: int, *parts) -> int:
     Parts may be ints or strings; distinct part tuples give independent
     streams for all practical purposes.
     """
-    return int.from_bytes(seed_prefix(root, *parts).digest(), "little")
+    return int.from_bytes(hashlib.blake2b(stream_name(root, *parts), digest_size=8).digest(), "little")
+
+
+def uniform_words(count: int, root: int, *parts) -> array:
+    """count uniform 64-bit words on the stream named by (root, *parts):
+    word k is bytes 8k .. 8k + 7 of the name's shake_128 digest, read
+    little-endian on any host."""
+    words = array("Q", hashlib.shake_128(stream_name(root, *parts)).digest(8 * count))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def make_rng(root: int, *parts) -> random.Random:

@@ -126,19 +126,10 @@ MUTANTS = {
             "tests/test_golden.py::test_roll_command_output_is_byte_identical",
         ],
     ),
-    "the rounding stores 0 for a dropped edge": (
-        ROUNDING,
-        "                continue\n",
-        "                weights[(u, v)] = 0\n                continue\n",
-        [
-            "tests/test_rounding.py::test_round_graph_matches_the_fraction_oracle",
-            "tests/test_rounding.py::test_rounded_support",
-        ],
-    ),
     "round_graph without its normalization check": (
         ROUNDING,
-        "            if abs(w) > g.scale:\n"
-        '                raise ValueError("graph must be normalized to |weight| <= 1 before rounding")\n',
+        "        if abs(w) > g.scale:\n"
+        '            raise ValueError("graph must be normalized to |weight| <= 1 before rounding")\n',
         "",
         [
             "tests/test_rounding.py::test_rejects_unnormalized_weights",
@@ -148,15 +139,36 @@ MUTANTS = {
     "round_graph checks only the first distinct weight": (
         ROUNDING,
         "if abs(w) > g.scale:",
-        "if not draws and abs(w) > g.scale:",
+        "if not tie and abs(w) > g.scale:",
         # the over-bound weight must come after other distinct weights
         ["tests/test_rounding.py::test_rejects_an_unnormalized_weight_that_comes_after_fractional_draws"],
     ),
-    "the retry draw keeps an edge on randrange(den) <= num": (
+    "the rounding keeps a pair whose word equals its threshold, x <= T": (
         ROUNDING,
-        ".randrange(den) < num",
-        ".randrange(den) <= num",
-        ["tests/test_rounding.py::test_rejected_seeds_fall_back_to_the_retry_stream"],
+        "if x < (t := limit[w])",
+        "if x <= (t := limit[w])",
+        ["tests/test_rounding.py::test_the_keep_rule_is_exactly_x_below_T_with_a_tie_draw_at_T"],
+    ),
+    "the tie draw keeps a pair on randrange(den) <= r": (
+        ROUNDING,
+        ".randrange(tie[w][0]) < tie[w][1]",
+        ".randrange(tie[w][0]) <= tie[w][1]",
+        ["tests/test_rounding.py::test_the_keep_rule_is_exactly_x_below_T_with_a_tie_draw_at_T"],
+    ),
+    "pair k reads word k + 1 of the rounding's stream": (
+        ROUNDING,
+        'zip(items, uniform_words(len(items), seed, "round"))',
+        'zip(items, uniform_words(len(items) + 1, seed, "round")[1:])',
+        ["tests/test_rounding.py::test_round_graph_matches_the_fraction_oracle"],
+    ),
+    "the rounding's word stream is not keyed by the seed": (
+        ROUNDING,
+        'uniform_words(len(items), seed, "round")',
+        'uniform_words(len(items), 0, "round")',
+        [
+            "tests/test_rounding.py::test_round_graph_matches_the_fraction_oracle",
+            "tests/test_rounding.py::test_determinism_and_order_independence",
+        ],
     ),
     "reduce_and_solve without its roll check": (
         REDUCTION,

@@ -386,6 +386,18 @@ def test_a_header_above_the_node_limit_fails_before_allocating_for_it(tmp_path, 
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("header", ["9" * 4300 + " 0", "3 " + "9" * 4300])
+def test_a_long_header_number_is_shown_short(tmp_path, capsys, header):
+    # 4,300 digits still parse as an int; the refusal shows the number by
+    # its ends and its length, not in full
+    path = tmp_path / "long.txt"
+    path.write_text(header + "\n")
+    code, out, err = run(capsys, "solve", str(path), "--solver", "local")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err) < 200
+    assert "(4300 characters)" in err
+
+
 @pytest.mark.parametrize("command", ["roll", "reduce"])
 def test_a_roll_above_the_node_limit_fails_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                               command):
@@ -511,17 +523,17 @@ def test_reduce_prints_trial_notes_on_stderr(tmp_path, capsys):
 
 
 def test_trial_notes_are_counted_in_first_seen_order(tmp_path, capsys):
-    # 3 of the 6 trials run out of moves, the first among them; every trial
+    # 4 of the 6 trials run out of moves, the first among them; every trial
     # skips the stats. First-seen order puts the rarer note first, ahead of
     # both the count order and the alphabetical one
     base = gen_graph(tmp_path, capsys, "g.txt", "--seed", "3")
     code, out, err = run(capsys, "reduce", str(base), "--t", "1", "--solver", "local",
-                         "--budget", "6", "--trials", "6", "--seed", "7",
+                         "--budget", "6", "--trials", "6", "--seed", "6",
                          "--out", str(tmp_path / "agg.json"))
     assert code == 0
     assert out.startswith("trials=6 ")
     assert err.splitlines() == [
-        f"note: {budget_note(6)} (3 of 6 trials)",
+        f"note: {budget_note(6)} (4 of 6 trials)",
         "note: deviation stats skipped: lambda_ref is 1 (6 of 6 trials)",
     ]
 

@@ -121,24 +121,24 @@ REPORTS = {
     ("rational-3-0", "max", "exact", "3/2", 2): "24628e3d1351a7b7",
     ("rational-3-0", "min", "local", "1", 1): "43df047e31aedda2",
     ("rational-3-0", "min", "local", "1", 2): "a88b61fe177369a7",
-    ("rational-3-0", "min", "local", "3/2", 1): "679f61c07cffac82",
-    ("rational-3-0", "min", "local", "3/2", 2): "e9c06417cf2f0bcc",
+    ("rational-3-0", "min", "local", "3/2", 1): "dc7da44f9c5e3ea0",
+    ("rational-3-0", "min", "local", "3/2", 2): "6012bdd33f0a40e2",
     ("rational-3-0", "min", "exact", "1", 1): "ef3b097ed5b8c51d",
     ("rational-3-0", "min", "exact", "1", 2): "55c80022886cdfac",
-    ("rational-3-0", "min", "exact", "3/2", 1): "2340a1f05cb6be17",
-    ("rational-3-0", "min", "exact", "3/2", 2): "c299eff3887293f8",
+    ("rational-3-0", "min", "exact", "3/2", 1): "699d94605cdcbf02",
+    ("rational-3-0", "min", "exact", "3/2", 2): "de4d9a578f09bd64",
     ("rational-3-1", "max", "local", "1", 1): "bb8f0f2cf545b685",
     ("rational-3-1", "max", "local", "1", 2): "009fec5d049d6031",
-    ("rational-3-1", "max", "local", "3/2", 1): "ec5d8099a92755bf",
-    ("rational-3-1", "max", "local", "3/2", 2): "bc81eb7a70f4e6b0",
+    ("rational-3-1", "max", "local", "3/2", 1): "281c2612e188449a",
+    ("rational-3-1", "max", "local", "3/2", 2): "79d68b5cc5ac77fb",
     ("rational-3-1", "max", "trivial", "1", 1): "43950d357cf90f2e",
     ("rational-3-1", "max", "trivial", "1", 2): "712dea6f0d2c63c8",
-    ("rational-3-1", "max", "trivial", "3/2", 1): "df4424536bddb41c",
-    ("rational-3-1", "max", "trivial", "3/2", 2): "9adb532747a80f34",
+    ("rational-3-1", "max", "trivial", "3/2", 1): "bbad880168284bf3",
+    ("rational-3-1", "max", "trivial", "3/2", 2): "fb313a688200c142",
     ("rational-3-1", "min", "local", "1", 1): "95dc300bc0809d9e",
     ("rational-3-1", "min", "local", "1", 2): "a53200c62b078792",
-    ("rational-3-1", "min", "local", "3/2", 1): "f4bbe1976b0ec32f",
-    ("rational-3-1", "min", "local", "3/2", 2): "6f13bc2ff4c25e82",
+    ("rational-3-1", "min", "local", "3/2", 1): "c517645a5d7b1db9",
+    ("rational-3-1", "min", "local", "3/2", 2): "9c59545e38860603",
     ("planted-4-1", "max", "local", "1", 1): "f7dfb2fe7af7a4d2",
     ("planted-4-1", "max", "local", "1", 2): "6014cf62a4604aa8",
     ("planted-4-1", "max", "local", "3/2", 1): "4f6a2a3f551efa47",
@@ -163,18 +163,18 @@ REPORTS = {
     ("signed-3-1", "min", "local", "1", 2): "99cbe9bf58580131",
     ("signed-3-1", "min", "local", "3/2", 1): "d66ab599df45b18f",
     ("signed-3-1", "min", "local", "3/2", 2): "9d25b878a3493931",
-    ("sparse-4-0", "max", "local", "1", 1): "7e1f624c6afd7731",
-    ("sparse-4-0", "max", "local", "1", 2): "1d4f3d624392cb22",
-    ("sparse-4-0", "max", "local", "3/2", 1): "a082108a9fcfd281",
-    ("sparse-4-0", "max", "local", "3/2", 2): "edcbe7a79dda2c0a",
+    ("sparse-4-0", "max", "local", "1", 1): "53a5e6ccccc7e01c",
+    ("sparse-4-0", "max", "local", "1", 2): "d58ebbdab7b87408",
+    ("sparse-4-0", "max", "local", "3/2", 1): "c5a8c470f3fbc2b1",
+    ("sparse-4-0", "max", "local", "3/2", 2): "3b3581c2bf300f04",
     ("sparse-4-0", "max", "trivial", "1", 1): "6803d6fb7d6e93f1",
-    ("sparse-4-0", "max", "trivial", "1", 2): "c51308730dd881d3",
-    ("sparse-4-0", "max", "trivial", "3/2", 1): "408cefd767eaa57f",
-    ("sparse-4-0", "max", "trivial", "3/2", 2): "942564721f8765d0",
-    ("sparse-4-0", "min", "local", "1", 1): "d48f67ef2aa8cd29",
-    ("sparse-4-0", "min", "local", "1", 2): "6a97d5536268ece9",
-    ("sparse-4-0", "min", "local", "3/2", 1): "ccc52315e4058b39",
-    ("sparse-4-0", "min", "local", "3/2", 2): "b95d657b3303c47f",
+    ("sparse-4-0", "max", "trivial", "1", 2): "21ee57fb7e075ec0",
+    ("sparse-4-0", "max", "trivial", "3/2", 1): "d99fc0ae36d53b38",
+    ("sparse-4-0", "max", "trivial", "3/2", 2): "5a1979d48e151517",
+    ("sparse-4-0", "min", "local", "1", 1): "8b98915e5b15095e",
+    ("sparse-4-0", "min", "local", "1", 2): "555109d22870600e",
+    ("sparse-4-0", "min", "local", "3/2", 1): "f3813be2e117dc79",
+    ("sparse-4-0", "min", "local", "3/2", 2): "ade19a2d87f87af1",
 }
 
 LOCAL = {

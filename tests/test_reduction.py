@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from array import array
 import re
 from collections import Counter
 from dataclasses import replace
@@ -506,10 +508,11 @@ def test_report_rationals_parse_back_exactly():
 # loop. At n=5 the ratio stays at 209/214 (0.977) for t = 1 and 2 with no
 # bad event: the local search falls short of OPT there, not the rounding.
 CONCENTRATION = [
-    (4, 4, [(0, Fraction(19, 20), Fraction(13, 22)), (1, 0, 1), (2, 0, 1)]),
-    (4, 8, [(0, Fraction(19, 20), Fraction(13, 22)), (1, Fraction(1, 5), Fraction(19, 22)),
+    (4, 4, [(0, Fraction(19, 20), Fraction(13, 22)), (1, Fraction(1, 20), Fraction(10, 11)),
             (2, 0, 1)]),
-    (5, 4, [(0, Fraction(3, 4), Fraction(60, 107)), (1, 0, Fraction(209, 214)),
+    (4, 8, [(0, Fraction(19, 20), Fraction(13, 22)), (1, Fraction(1, 10), Fraction(19, 22)),
+            (2, 0, 1)]),
+    (5, 4, [(0, Fraction(13, 20), Fraction(77, 107)), (1, 0, Fraction(209, 214)),
             (2, 0, Fraction(209, 214)), (3, 0, 1)]),
 ]
 
@@ -565,8 +568,8 @@ def test_run_trials_matches_the_fraction_oracle(objective, kind, t, lam):
 
 def test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again(monkeypatch):
     # the exact solver on the 9-node t=0 grid, a local search stopped at its
-    # budget, fractional alpha != beta, and a rounding whose derived seeds
-    # are all rejected, so every fractional edge draws on its retry stream
+    # budget, fractional alpha != beta, and a rounding whose words all tie,
+    # so every fractional edge draws on its tie stream
     exact = SolverSpec(SolverKind.EXACT)
     cut = SolverSpec(SolverKind.LOCAL_SEARCH, seed=5, budget=2)
     spreads = (RoundingParams(alpha=1, beta=1, seed=6),
@@ -584,20 +587,25 @@ def test_run_trials_matches_the_oracle_where_the_run_is_cut_short_or_draws_again
     assert budget_cuts > 0
     import rollclust.rounding
 
-    retries = []
+    ties = []
 
     def counting_make_rng(root, *parts):
-        retries.append(parts)
+        ties.append(parts)
         return make_rng(root, *parts)
 
-    monkeypatch.setattr(rollclust.rounding, "extended_seed", lambda prefix, data: 2**64 - 1)
-    monkeypatch.setattr(rollclust.rounding, "make_rng", counting_make_rng)
     g = generate(GenSpec(n=3, model=UniformRational(density=1.0), seed=4))
+    grid = build_roll(g, 1).graph
+    # each pair's word is its own T = floor(p * 2**64): every p < 1 pair ties
+    alpha, beta = spreads[1].alpha, spreads[1].beta
+    words = array("Q", [math.floor(abs(w) / (beta if w > 0 else alpha) * 2**64) for _, _, w in grid.edges()])
+    monkeypatch.setattr(rollclust.rounding, "uniform_words", lambda count, root, *parts: words)
+    monkeypatch.setattr(rollclust.rounding, "make_rng", counting_make_rng)
     for objective in (MAX, MIN):
         cfg = ReductionConfig(objective, 1, spreads[1], SolverSpec(SolverKind.LOCAL_SEARCH, seed=5),
                               Fraction(1, 20), Fraction(3, 2))
         assert_matches_the_oracle(g, cfg, 2)
-    assert retries and all(parts[-1] == "retry" for parts in retries)
+    # one tie draw per pair, per rounding: two trials on each side, both objectives
+    assert len(ties) == 8 * grid.edge_count and all(parts[-1] == "tie" for parts in ties)
 
 
 @pytest.mark.parametrize("objective", [MAX, MIN])

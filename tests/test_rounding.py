@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 import statistics
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from rollclust.rounding import (
     deviation_stats,
     round_graph,
 )
-from rollclust.streams import derive_seed, encode_part, make_rng
+from rollclust.streams import derive_seed, make_rng
 
 from hoeffding import hoeffding_tail
 from invariants import oracle_drift
@@ -29,38 +30,27 @@ MAX = ObjectiveKind.MAX_AGREE
 MIN = ObjectiveKind.MIN_DISAGREE
 
 
-def exact_draw(rng, p):
-    """True with probability p, for 0 < p <= 1: a uniform draw below p's
-    denominator, compared as a Fraction."""
-    return Fraction(rng.randrange(p.denominator), p.denominator) < p
-
-
-def fraction_round_edge_weight(w, params, u, v):
-    """One edge's rounded weight in Fractions: keep with p = |w| / magnitude,
-    read off the edge's derived seed when it lies below the largest multiple
-    of p's denominator that fits in 64 bits, else drawn on the retry stream."""
-    magnitude = params.beta if w > 0 else params.alpha
-    p = abs(w) / magnitude
-    keep = p == 1
-    if 0 < p < 1:
-        s = derive_seed(params.seed, "edge", u, v)
-        if s < 2**64 // p.denominator * p.denominator:
-            keep = Fraction(s % p.denominator, p.denominator) < p
-        else:
-            keep = exact_draw(make_rng(params.seed, "edge", u, v, "retry"), p)
-    return (magnitude if w > 0 else -magnitude) if keep else Fraction(0)
-
-
 def fraction_round_graph(g, params):
-    """The per-edge Fraction rounding loop, rounded weights rebuilt through
-    the public constructor. Oracle for round_graph."""
+    """The rounding decided in Fractions: pair k, in sorted pair order, reads
+    word x of the rounding's stream as the point x / 2**64 and is kept iff
+    [x, x + 1) / 2**64 lies below p = |w| / magnitude. Where that interval
+    straddles p, the pair places its point inside it with a uniform draw of
+    p.denominator steps on its tie stream. Rounded weights are rebuilt
+    through the public constructor. Oracle for round_graph."""
     if any(abs(w) > 1 for _, _, w in g.edges()):
         raise ValueError("graph must be normalized to |weight| <= 1 before rounding")
+    # read through the module, so that injected words reach the oracle too
+    words = rollclust.rounding.uniform_words(g.edge_count, params.seed, "round")
     weights = {}
-    for u, v, w in g.edges():
-        w2 = fraction_round_edge_weight(w, params, u, v)
-        if w2 != 0:
-            weights[(u, v)] = w2
+    for (u, v, w), x in zip(g.edges(), words):
+        magnitude = params.beta if w > 0 else params.alpha
+        p = abs(w) / magnitude
+        keep = Fraction(x + 1, 2**64) <= p
+        if Fraction(x, 2**64) < p < Fraction(x + 1, 2**64):
+            y = make_rng(params.seed, "edge", u, v, "tie").randrange(p.denominator)
+            keep = (x + Fraction(y, p.denominator)) / 2**64 < p
+        if keep:
+            weights[(u, v)] = magnitude if w > 0 else -magnitude
     return SignedGraph(g.n, weights)
 
 
@@ -114,19 +104,17 @@ def test_round_graph_reduces_the_scale_when_only_beta_survives():
     assert round_graph(SignedGraph(3), params).after.scale == 1
 
 
-def inject_seeds(monkeypatch, seed_of):
-    """Replace the derived seed of each edge (u, v) by seed_of(u, v), or by the
-    real one where seed_of returns None."""
-    real = rollclust.rounding.extended_seed
+def inject_words(monkeypatch, words):
+    """Make the rounding read the given words, and record each stream it asks for."""
+    asked = []
 
-    def injected(prefix, data):
-        # data is the two encoded node ids: a tag byte and 16 bytes each
-        u, v = (int.from_bytes(data[i + 1 : i + 17], "little", signed=True) for i in (0, 17))
-        assert data == encode_part(u) + encode_part(v)
-        s = seed_of(u, v)
-        return real(prefix, data) if s is None else s
+    def injected(count, root, *parts):
+        asked.append((count, root, parts))
+        assert count == len(words)
+        return array("Q", words)
 
-    monkeypatch.setattr(rollclust.rounding, "extended_seed", injected)
+    monkeypatch.setattr(rollclust.rounding, "uniform_words", injected)
+    return asked
 
 
 def record_streams(monkeypatch):
@@ -140,64 +128,67 @@ def record_streams(monkeypatch):
     return calls
 
 
+def keep_probability(w, params):
+    return abs(w) / (params.beta if w > 0 else params.alpha)
+
+
+def threshold(p):
+    """T and r of the keep rule: divmod(num << 64, den) of p = num/den."""
+    return divmod(p.numerator << 64, p.denominator)
+
+
+def tie_words(g, params):
+    """Each pair's T, or 0 for a pair kept with p = 1: every p < 1 pair ties."""
+    ts = [threshold(keep_probability(w, params))[0] for _, _, w in g.edges()]
+    return [t if t < 2**64 else 0 for t in ts]
+
+
 @pytest.mark.parametrize("alpha, beta", SPREADS)
 def test_streams_are_built_only_for_fractional_probabilities(monkeypatch, alpha, beta):
-    # and only on rejection: one "retry" stream per rejected derived seed
+    # one word stream per rounding that has a p < 1 pair, and a tie stream
+    # only for a pair whose word equals its T
     calls = record_streams(monkeypatch)
-    alpha, beta = Fraction(alpha), Fraction(beta)
     params = RoundingParams(alpha=alpha, beta=beta, seed=5)
     for g in oracle_cases():
-        # real derived seeds: no rejection on these graphs
+        # real words: no tie on these graphs
         calls.clear()
         assert round_graph(g, params).after == fraction_round_graph(g, params)
         assert calls == []
-    # 2**64 - 1 is rejected for every denominator but a power of two
-    inject_seeds(monkeypatch, lambda u, v: 2**64 - 1)
     for g in oracle_cases():
         calls.clear()
+        asked = inject_words(monkeypatch, tie_words(g, params))
         round_graph(g, params)
-        dens = [(u, v, (w / beta if w > 0 else -w / alpha).denominator) for u, v, w in g.edges()]
-        rejected = [(u, v) for u, v, den in dens if den & (den - 1)]
-        assert calls == [(5, ("edge", u, v, "retry")) for u, v in rejected]
-    if alpha == beta == 1:
-        # the identity regime: +-1 weights all have p = 1 and draw nothing
-        inject_seeds(monkeypatch, lambda u, v: pytest.fail("drew a p = 1 edge"))
-        calls.clear()
-        rng = random.Random(43)
-        g = SignedGraph(6, {(u, v): rng.choice((-1, 1)) for u in range(6) for v in range(u + 1, 6)})
-        assert round_graph(g, params).after == g
-        assert calls == []
-
-
-def test_acceptance_limit():
-    for den in list(range(1, 200)) + [3**40, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 5**30]:
-        limit = rollclust.rounding.acceptance_limit(den)
-        assert limit % den == 0
-        assert limit <= 2**64
-        assert 2**64 - limit < den
+        fractional = [(u, v) for u, v, w in g.edges() if keep_probability(w, params) < 1]
+        assert asked == ([(g.edge_count, 5, ("round",))] if fractional else [])
+        assert calls == [(5, ("edge", u, v, "tie")) for u, v in fractional]
+    # the identity regime: +-1 weights at alpha = beta = 1 all have p = 1,
+    # and read no words
+    rng = random.Random(43)
+    g = SignedGraph(6, {(u, v): rng.choice((-1, 1)) for u in range(6) for v in range(u + 1, 6)})
+    asked = inject_words(monkeypatch, [])
+    calls.clear()
+    identity = RoundingParams(alpha=1, beta=1, seed=5)
+    assert round_graph(g, identity).after == g
+    assert asked == [] and calls == []
 
 
 @pytest.mark.parametrize("sign", (1, -1))
-def test_injected_seeds_keep_exactly_num_of_every_den(monkeypatch, sign):
-    # k * den consecutive seeds hit each residue mod den k times, so
-    # exactly k * num edges survive: P(keep) = num / den on accepted seeds
+def test_injected_words_keep_exactly_num_of_every_den(monkeypatch, sign):
+    # split the words into den equal strata and give each pair the middle
+    # word of one: k pairs per stratum, so exactly k * num pairs survive,
+    # as P(keep) = num / den, and no word ties
     k = 3
     calls = record_streams(monkeypatch)
     params = RoundingParams(alpha=1, beta=1, seed=9)
     for den in range(2, 13):
         edges = [(u, v) for u in range(9) for v in range(u + 1, 9)][:k * den]
-        index = {e: i for i, e in enumerate(edges)}
-        for num in range(den):
-            w = sign * Fraction(num, den)
-            if w == 0:
-                continue
-            g = SignedGraph(9, {e: w for e in edges})
-            limit = rollclust.rounding.acceptance_limit(den)
-            for first in (0, 12345 * den + 7, limit - k * den):
-                inject_seeds(monkeypatch, lambda u, v: first + index[(u, v)])
-                after = round_graph(g, params).after
-                assert after.edge_count == k * num, (den, num, first)
-                assert {w2 for _, _, w2 in after.edges()} <= {sign}
+        words = [((2 * (i % den) + 1) << 64) // (2 * den) for i in range(k * den)]
+        inject_words(monkeypatch, words)
+        for num in range(1, den):
+            g = SignedGraph(9, {e: sign * Fraction(num, den) for e in edges})
+            after = round_graph(g, params).after
+            assert after.edge_count == k * num, (den, num)
+            assert {w2 for _, _, w2 in after.edges()} == {sign}
     assert calls == []
 
 
@@ -210,49 +201,88 @@ class FixedRng:
         return self.value
 
 
-@pytest.mark.parametrize("den", (3, 10, 2**64 + 1, 3**41))
-def test_rejected_seeds_fall_back_to_the_retry_stream(monkeypatch, den):
-    # s = limit is the first rejected seed; above 2**64 every seed is
-    # rejected (limit 0), so real derived seeds take the fallback too
-    params = RoundingParams(alpha=1, beta=1, seed=21)
+# keep probabilities of every kind: dens that are and are not powers of two,
+# the largest num of a den, dens at and past 2**64, and p = 1
+LAW_PROBABILITIES = [
+    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 8), Fraction(9, 10),
+    Fraction(1, 2**64), Fraction(1, 2**64 + 1), Fraction(2**64, 2**64 + 1),
+    Fraction(7, 3**41), Fraction(3**41 - 2, 3**41), Fraction(1),
+]
+
+
+@pytest.mark.parametrize("draw", ("below", "at"))
+def test_the_keep_rule_is_exactly_x_below_T_with_a_tie_draw_at_T(monkeypatch, draw):
+    # each probability's weight sits on three pairs, which read T - 1, T and
+    # T + 1 where that is a 64-bit word; the tie draw answers r - 1 (keep)
+    # or r (drop), and r when r = 0. So a pair is kept iff x < T, or x == T
+    # and the draw keeps
+    params = RoundingParams(alpha=2, beta=1, seed=13)
+    n = 3 * len(LAW_PROBABILITIES) + 1
+    pairs = iter((u, v) for u in range(n) for v in range(u + 1, n))
+    weights, words, expected = {}, [], set()
+    for i, p in enumerate(LAW_PROBABILITIES):
+        t, r = threshold(p)
+        # both signs, at alpha = 2 and beta = 1
+        w = -2 * p if i % 2 == 0 and p <= Fraction(1, 2) else p
+        assert keep_probability(w, params) == p
+        for x in (t - 1, t, t + 1):
+            if 0 <= x < 2**64:
+                pair = next(pairs)
+                weights[pair] = w
+                words.append(x)
+                if x < t or x == t and draw == "below" and r > 0:
+                    expected.add(pair)
+    g = SignedGraph(n, weights)
+    assert [pair for pair, _ in g.scaled_weights()] == list(weights)
+    inject_words(monkeypatch, words)
+    streams = []
+
+    def fixed_make_rng(root, *parts):
+        u, v = parts[1:3]
+        p = keep_probability(g.weight(u, v), params)
+        r = threshold(p)[1]
+        rng = FixedRng(r - 1 if draw == "below" and r > 0 else r)
+        streams.append((root, parts, rng))
+        return rng
+
+    monkeypatch.setattr(rollclust.rounding, "make_rng", fixed_make_rng)
+    after = round_graph(g, params).after
+    assert {(u, v) for u, v, _ in after.edges()} == expected
+    for u, v, w2 in after.edges():
+        assert w2 == (1 if g.weight(u, v) > 0 else -2)
+    # exactly the T words drew, once each, on their own tie stream, over den
+    ties = [pair for pair, x in zip(weights, words) if x == threshold(keep_probability(weights[pair], params))[0]]
+    assert len(ties) == len(LAW_PROBABILITIES) - 1  # all but p = 1, whose T is no word
+    assert (draw == "below") == bool(expected & set(ties))
+    assert [(root, parts) for root, parts, _ in streams] == [(13, ("edge", u, v, "tie")) for u, v in ties]
+    assert [rng.ranges for *_, rng in streams] == [
+        [keep_probability(weights[pair], params).denominator] for pair in ties
+    ]
+
+
+@pytest.mark.parametrize("den", (2**64 + 1, 3**41))
+def test_a_den_past_2_64_draws_only_on_a_tie(monkeypatch, den):
+    # T = 0 for p = 1/den, and T = 2**64 - 1 for (den - 1)/den: real words
+    # tie with chance 2**-64, so the pairs decide on their words alone
     g = SignedGraph(3, {(0, 1): Fraction(1, den), (1, 2): -Fraction(den - 1, den)})
-    limit = rollclust.rounding.acceptance_limit(den)
-    if den <= 2**64:
-        inject_seeds(monkeypatch, lambda u, v: limit)
-    for kept in (False, True):
-        streams = []
-
-        def fixed_make_rng(root, *parts):
-            # randrange answers so that the draw keeps the edge iff kept
-            num = 1 if parts[1:3] == (0, 1) else den - 1
-            rng = FixedRng(num - 1 if kept else num)
-            streams.append((root, parts, rng))
-            return rng
-
-        monkeypatch.setattr(rollclust.rounding, "make_rng", fixed_make_rng)
-        after = round_graph(g, params).after
-        assert [(root, parts) for root, parts, _ in streams] == [
-            (21, ("edge", 0, 1, "retry")), (21, ("edge", 1, 2, "retry")),
-        ]
-        assert all(rng.ranges == [den] for _, _, rng in streams)
-        assert after.edge_count == (2 if kept else 0)
-    # the real retry stream decides the edge by one exact draw on it
-    monkeypatch.setattr(rollclust.rounding, "make_rng", make_rng)
+    assert [threshold(abs(w))[0] for *_, w in g.edges()] == [0, 2**64 - 1]
+    calls = record_streams(monkeypatch)
     for seed in range(20):
         params = RoundingParams(alpha=1, beta=1, seed=seed)
+        assert round_graph(g, params).after == fraction_round_graph(g, params)
+    assert calls == []
+    # the word 0 ties with 1/den and keeps (den - 1)/den; 2**64 - 1 drops
+    # 1/den and ties with (den - 1)/den
+    params = RoundingParams(alpha=1, beta=1, seed=21)
+    for words, kept in (([1, 2**64 - 2], {(1, 2)}), ([0, 2**64 - 1], None)):
+        inject_words(monkeypatch, words)
+        calls.clear()
         after = round_graph(g, params).after
-        for u, v, w in g.edges():
-            keep = exact_draw(make_rng(seed, "edge", u, v, "retry"), abs(w))
-            assert after.weight(u, v) == ((1 if w > 0 else -1) if keep else 0)
-    # seeds below the limit are read off directly, with no stream: residue
-    # 0 keeps both edges, the highest accepted seed (residue den - 1) drops
-    # both
-    if 0 < limit:
-        calls = record_streams(monkeypatch)
-        for s, kept in ((limit - den, 2), (limit - 1, 0)):
-            inject_seeds(monkeypatch, lambda u, v: s)
-            assert round_graph(g, params).after.edge_count == kept
-        assert calls == []
+        assert after == fraction_round_graph(g, params)
+        if kept is not None:
+            assert {(u, v) for u, v, _ in after.edges()} == kept and calls == []
+        else:
+            assert calls == [(21, ("edge", 0, 1, "tie")), (21, ("edge", 1, 2, "tie"))]
 
 
 def test_rounding_params_validation():
@@ -325,16 +355,6 @@ def test_determinism_and_order_independence():
     outcomes = [round_graph(g1, replace(p, seed=seed)).after for seed in range(12345, 12385)]
     for u, v, _ in g1.edges():
         assert len({after.weight(u, v) for after in outcomes}) == 2
-
-
-def test_per_edge_streams_are_stable_across_subgraphs():
-    # dropping one edge must not change how the others round
-    g = SignedGraph(3, {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})
-    h = SignedGraph(3, {(0, 1): Fraction(1, 2)})
-    p = RoundingParams(alpha=1, beta=2, seed=77)
-    full = round_graph(g, p).after
-    part = round_graph(h, p).after
-    assert full.weight(0, 1) == part.weight(0, 1)
 
 
 def test_contributing_set_preservation_per_sample():
